@@ -63,6 +63,9 @@ def _guard(fn):
         except DegenerateModelError as exc:
             click.echo(f"numeric degeneracy: {exc}", err=True)
             sys.exit(EXIT_DEGENERATE)
+        except OSError as exc:  # unreadable input or unwritable output path
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_USAGE)
 
     return wrapper
 
@@ -91,19 +94,10 @@ class RunConfig:
 
     catalog: CategoryCatalog
     model: SwitchModel
-    boundary_halfwidth: int = 15
-    seed: int = 0
 
     @classmethod
-    def build(cls, catalog_spec: str, delta: float, boundary_halfwidth: int = 15, seed: int = 0):
-        if boundary_halfwidth <= 0:
-            raise ConfigError("boundary window must be positive")
-        return cls(
-            catalog=_catalog_from(catalog_spec),
-            model=SwitchModel(delta=delta),
-            boundary_halfwidth=boundary_halfwidth,
-            seed=seed,
-        )
+    def build(cls, catalog_spec: str, delta: float):
+        return cls(catalog=_catalog_from(catalog_spec), model=SwitchModel(delta=delta))
 
     def describe(self) -> dict:
         return {
@@ -194,10 +188,9 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     written = 0
     for annotator_id, (recs, ann_set) in sorted(_group_by_annotator(records).items()):
         habit = habit_posterior(ann_set, run.catalog, run.model)
-        rows = category_posterior(ann_set, run.catalog, run.model, habit=habit)
+        cats = category_posterior(ann_set, run.catalog, run.model, habit=habit).map_categories()
         for k, rec in enumerate(recs):
-            cat_s = rows.map_category(2 * k)
-            cat_e = rows.map_category(2 * k + 1)
+            cat_s, cat_e = cats[2 * k], cats[2 * k + 1]
             event = rec.to_event()
             series = soft_label(event, cat_s, cat_e, padded_window(event, cat_s, cat_e, pad))
             config = {
@@ -314,7 +307,7 @@ def simulate_cmd(
     seed, events, trials, resolutions, biases, n_sweep, delta, catalog_spec, experiment, out
 ):
     """Run the synthetic experiments and write their tables as CSV."""
-    run = RunConfig.build(catalog_spec, delta, seed=seed)
+    run = RunConfig.build(catalog_spec, delta)
     catalog = run.catalog
     res_list = _parse_int_list(resolutions)
     bias_list = _parse_float_list(biases)

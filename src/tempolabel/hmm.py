@@ -73,6 +73,8 @@ class HmmParams:
         means = np.asarray(self.means, dtype=float)
         variances = np.asarray(self.variances, dtype=float)
         n = initial.shape[0]
+        if not all(np.all(np.isfinite(a)) for a in (initial, transition, means, variances)):
+            raise InputError("HMM parameters must be finite")
         if transition.shape != (n, n) or means.shape != (n,) or variances.shape != (n,):
             raise InputError("parameter shapes disagree on the number of states")
         if abs(initial.sum() - 1.0) > _ROW_TOL or np.any(initial < 0):
@@ -236,9 +238,14 @@ def fit_emissions(
             converged = True
             break
         trace.append(ll)
-        means = (gamma * values[:, None]).sum(axis=0) / occupancy
-        variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / occupancy
-        variances = np.maximum(variances, var_floor)
+        # a state the data never visits has no statistics: it keeps its old
+        # emission and the fit ends flagged degenerate
+        starved = occupancy <= 0.0
+        weight = np.where(starved, 1.0, occupancy)
+        means = (gamma * values[:, None]).sum(axis=0) / weight
+        variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
+        means = np.where(starved, params.means, means)
+        variances = np.where(starved, params.variances, np.maximum(variances, var_floor))
         trans_denom = gamma[:-1].sum(axis=0)
         transition = np.where(
             trans_denom[:, None] > 1e-12,

@@ -7,13 +7,18 @@ Given the category, the observed minute-of-hour is uniform over the
 category's admissible minutes — so the likelihood of a minute is 1/|members|
 when admissible and 0 otherwise.
 
-Both posteriors are exact:
+Both posteriors are exact, and both depend on an annotator's evidence only
+through its 60-bin minute-of-hour histogram:
 
-* habit: product over annotations of the per-annotation evidence
-  sum_c P(c | habit) * P(minute | c), accumulated in log space and
-  normalized with a final softmax so long evidence sets cannot underflow.
-* per-annotation category: Bayes inversion of the same quantities, mixed
-  over the habit posterior.
+* habit: log prior + counts @ log E, where E[h, m] = sum_c S[c, h] L[c, m]
+  is the probability of minute m under habit h; a final softmax over habits
+  replaces the normalizing constant, so long evidence sets cannot underflow.
+* per-annotation category: a posterior row depends only on its minute, so
+  the posterior is a (60, n_categories) table whose row m is the Bayes
+  inversion P(category | m, habit) mixed over the habit posterior.
+
+The core works on a batch of histograms at once, so many annotators or
+simulated trials share one call.
 
 The MAP category of a posterior row breaks exact ties toward the coarsest
 category, consistent with the model's preference for coarse explanations.
@@ -22,7 +27,7 @@ category, consistent with the model's preference for coarse explanations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .catalog import CategoryCatalog, ResolutionCategory, _check_minute
 from .errors import ConfigError, DegenerateModelError, InputError
 
 _SUM_TOL = 1e-12
+MINUTES_PER_HOUR = 60
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
@@ -62,6 +68,12 @@ class AnnotationSet:
 
     def __len__(self) -> int:
         return len(self.minutes)
+
+    def histogram(self) -> np.ndarray:
+        """Annotation count per minute-of-hour, shape (60,)."""
+        return np.bincount(
+            np.asarray(self.minutes, dtype=np.intp), minlength=MINUTES_PER_HOUR
+        )
 
 
 @dataclass(frozen=True)
@@ -105,44 +117,63 @@ class HabitPosterior:
 
 @dataclass(frozen=True)
 class CategoryPosterior:
-    """Per-annotation posterior rows over categories, one row per minute."""
+    """Per-annotation posterior rows over categories.
+
+    `table` holds one row per minute-of-hour, shape (60, n_categories); an
+    annotation's row is the table row of its minute, and `rows` gathers them
+    in annotation order. Only rows of annotated minutes are checked to be
+    distributions: a minute the habit posterior rules out has an all-zero row.
+    """
 
     catalog: CategoryCatalog
     minutes: tuple[int, ...]
-    rows: np.ndarray
+    table: np.ndarray
 
     def __post_init__(self):
-        rows = _frozen_array(self.rows)
-        if rows.shape != (len(self.minutes), len(self.catalog)):
+        table = _frozen_array(self.table)
+        if table.shape != (MINUTES_PER_HOUR, len(self.catalog)):
             raise InputError(
-                f"rows shape {rows.shape} does not match "
-                f"{len(self.minutes)} annotations x {len(self.catalog)} categories"
+                f"table shape {table.shape} does not match "
+                f"{MINUTES_PER_HOUR} minutes x {len(self.catalog)} categories"
             )
-        sums = rows.sum(axis=1)
-        if np.any(rows < 0) or np.any(np.abs(sums - 1.0) > _SUM_TOL):
+        observed = table[sorted(set(self.minutes))]
+        sums = observed.sum(axis=1)
+        if np.any(observed < 0) or np.any(np.abs(sums - 1.0) > _SUM_TOL):
             raise InputError("every category posterior row must sum to 1")
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "table", table)
 
     def __len__(self) -> int:
         return len(self.minutes)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """(n_annotations, n_categories) posterior rows in annotation order."""
+        return _frozen_array(self.table[list(self.minutes)])
+
+    @cached_property
+    def _map_by_minute(self) -> tuple[ResolutionCategory, ...]:
+        # argmax returns the first maximum; the catalogue is ordered coarsest first
+        return tuple(self.catalog[int(i)] for i in np.argmax(self.table, axis=1))
+
     def map_category(self, i: int) -> ResolutionCategory:
-        return map_category(self.rows[i], self.catalog)
+        return self._map_by_minute[self.minutes[i]]
 
     def map_categories(self) -> list[ResolutionCategory]:
-        return [self.map_category(i) for i in range(len(self))]
+        by_minute = self._map_by_minute
+        return [by_minute[m] for m in self.minutes]
 
     def to_dict(self) -> dict:
+        probs = self.table.tolist()
         return {
             "periods": list(self.catalog.periods),
             "annotations": [
                 {
                     "index": i,
                     "minute": m,
-                    "map_period": self.map_category(i).period_minutes,
-                    "probs": [float(p) for p in self.rows[i]],
+                    "map_period": cat.period_minutes,
+                    "probs": list(probs[m]),
                 }
-                for i, m in enumerate(self.minutes)
+                for i, (m, cat) in enumerate(zip(self.minutes, self.map_categories()))
             ],
         }
 
@@ -160,39 +191,59 @@ def switch_prob(
     habit: ResolutionCategory,
     n_categories: int,
 ) -> float:
-    """P(annotation category | habit) under the switch model."""
+    """P(annotation category | habit) under the switch model.
+
+    A single-category catalogue leaves nowhere to switch to, so only the
+    no-switch model (delta = 0) is defined on it.
+    """
+    if n_categories == 1 and (model.delta > 0 or category.index != habit.index):
+        raise ConfigError("switch probability undefined for a single-category catalogue")
     if category.index == habit.index:
         return 1.0 - model.delta
-    if n_categories == 1:
-        raise ConfigError("switch probability undefined for a single-category catalogue")
     return model.delta / (n_categories - 1)
 
 
 @lru_cache(maxsize=None)
 def _likelihood_matrix(catalog: CategoryCatalog) -> np.ndarray:
     """L[c, m] = P(minute m | category c), shape (n_categories, 60)."""
-    mat = np.zeros((len(catalog), 60))
-    for ci, cat in enumerate(catalog):
-        for m in cat.members:
-            mat[ci, m] = 1.0 / cat.size
-    mat.flags.writeable = False
-    return mat
+    return _frozen_array(
+        [[likelihood(cat, m) for m in range(MINUTES_PER_HOUR)] for cat in catalog]
+    )
 
 
 @lru_cache(maxsize=None)
-def _switch_matrix(model: SwitchModel, n_categories: int) -> np.ndarray:
+def _switch_matrix(model: SwitchModel, catalog: CategoryCatalog) -> np.ndarray:
     """S[c, h] = P(category c | habit h)."""
-    if n_categories == 1:
-        if model.delta > 0:
-            raise ConfigError(
-                "switch probability undefined for a single-category catalogue"
-            )
-        return np.ones((1, 1))
-    off = model.delta / (n_categories - 1)
-    mat = np.full((n_categories, n_categories), off)
-    np.fill_diagonal(mat, 1.0 - model.delta)
-    mat.flags.writeable = False
-    return mat
+    n = len(catalog)
+    return _frozen_array([[switch_prob(model, c, h, n) for h in catalog] for c in catalog])
+
+
+@lru_cache(maxsize=None)
+def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
+    """Per-minute quantities both posteriors are built from.
+
+    Returns three read-only arrays:
+
+    * log_evidence (60, H): log P(minute | habit), and 0 where that
+      probability is 0, so that unannotated minutes add exactly 0;
+    * impossible (60, H): True where P(minute | habit) is 0;
+    * cond (H, 60 * C): P(category | minute, habit), minute-major, 0 where
+      the minute is impossible under the habit.
+    """
+    lik = _likelihood_matrix(catalog)  # (C, 60)
+    switch = _switch_matrix(model, catalog)  # (C, H)
+    evidence = switch.T @ lik  # (H, 60)
+    possible = evidence > 0.0
+    log_evidence = np.log(evidence, out=np.zeros_like(evidence), where=possible)
+    joint = switch.T[:, None, :] * lik.T[None, :, :]  # (H, 60, C)
+    cond = np.divide(
+        joint, evidence[:, :, None], out=np.zeros_like(joint), where=possible[:, :, None]
+    )
+    return (
+        _frozen_array(log_evidence.T),
+        _frozen_array(~possible.T, dtype=bool),
+        _frozen_array(cond.reshape(len(catalog), -1)),
+    )
 
 
 def _validate_prior(prior, n: int) -> np.ndarray:
@@ -204,36 +255,50 @@ def _validate_prior(prior, n: int) -> np.ndarray:
     return arr / arr.sum()
 
 
+def _habit_probs(
+    counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel, prior=None
+) -> np.ndarray:
+    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each."""
+    counts = np.asarray(counts)
+    if np.any(counts.sum(axis=1) == 0):
+        raise InputError("cannot infer a habit from an empty annotation set")
+    log_evidence, impossible, _ = _minute_model(catalog, model)
+    with np.errstate(divide="ignore"):
+        scores = np.log(_validate_prior(prior, len(catalog))) + counts @ log_evidence
+    scores[(counts > 0) @ impossible] = -np.inf
+    if not np.isfinite(scores).any(axis=1).all():
+        raise DegenerateModelError(
+            "no habit has nonzero posterior mass; "
+            "check the prior and the switch model"
+        )
+    scores -= scores.max(axis=1, keepdims=True)
+    probs = np.exp(scores)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return probs
+
+
+def _category_tables(
+    habit_probs: np.ndarray, catalog: CategoryCatalog, model: SwitchModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, H) habit posteriors -> (B, 60, C) rows by minute and (B, 60) MAP index.
+
+    The MAP index is the first maximum of each row, which is the coarsest
+    category among exact ties.
+    """
+    _, _, cond = _minute_model(catalog, model)
+    table = (habit_probs @ cond).reshape(len(habit_probs), MINUTES_PER_HOUR, len(catalog))
+    return table, np.argmax(table, axis=2)
+
+
 def habit_posterior(
     annotations: AnnotationSet,
     catalog: CategoryCatalog,
     model: SwitchModel,
     prior=None,
 ) -> HabitPosterior:
-    """Posterior over the annotator's habit given all annotated minutes.
-
-    Accumulates per-annotation evidence in log space; the normalizing
-    constant is never computed explicitly, a final softmax over habits
-    replaces it.
-    """
-    if len(annotations) == 0:
-        raise InputError("cannot infer a habit from an empty annotation set")
-    minutes = np.asarray(annotations.minutes)
-    prior_vec = _validate_prior(prior, len(catalog))
-    lik = _likelihood_matrix(catalog)[:, minutes]  # (C, N)
-    switch = _switch_matrix(model, len(catalog))  # (C, H)
-    evidence = switch.T @ lik  # (H, N): P(minute_i | habit h)
-    with np.errstate(divide="ignore"):
-        scores = np.log(prior_vec) + np.log(evidence).sum(axis=1)
-    if not np.any(np.isfinite(scores)):
-        raise DegenerateModelError(
-            "no habit has nonzero posterior mass; "
-            "check the prior and the switch model"
-        )
-    scores -= scores.max()
-    probs = np.exp(scores)
-    probs /= probs.sum()
-    return HabitPosterior(catalog=catalog, probs=probs)
+    """Posterior over the annotator's habit given all annotated minutes."""
+    probs = _habit_probs(annotations.histogram()[None, :], catalog, model, prior)
+    return HabitPosterior(catalog=catalog, probs=probs[0])
 
 
 def category_posterior(
@@ -251,15 +316,8 @@ def category_posterior(
     """
     if habit is None:
         habit = habit_posterior(annotations, catalog, model, prior=prior)
-    minutes = np.asarray(annotations.minutes)
-    lik = _likelihood_matrix(catalog)[:, minutes]  # (C, N)
-    switch = _switch_matrix(model, len(catalog))  # (C, H)
-    joint = lik[:, None, :] * switch[:, :, None]  # (C, H, N)
-    norm = joint.sum(axis=0)  # (H, N): P(minute_i | habit h)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = np.where(norm > 0.0, joint / norm, 0.0)  # P(c | minute_i, h)
-    rows = np.einsum("chn,h->nc", cond, habit.probs)
-    return CategoryPosterior(catalog=catalog, minutes=annotations.minutes, rows=rows)
+    table, _ = _category_tables(habit.probs[None, :], catalog, model)
+    return CategoryPosterior(catalog=catalog, minutes=annotations.minutes, table=table[0])
 
 
 def map_category(row, catalog: CategoryCatalog) -> ResolutionCategory:

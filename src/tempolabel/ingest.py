@@ -84,6 +84,9 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
         records = []
         for row in reader:
             line_no = reader.line_num
+            absent = [c for c in ANNOTATION_COLUMNS if row[c] is None]
+            if absent:
+                raise ParseError(f"row is missing fields: {', '.join(absent)}", line_no)
             try:
                 day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
             except ValueError:

@@ -29,7 +29,15 @@ import numpy as np
 from .catalog import CategoryCatalog
 from .errors import ConfigError
 from .evaluation import SoftConfusionMatrix, boundary_slot_mask, f1, mse, soft_confusion
-from .inference import AnnotationSet, SwitchModel, category_posterior, habit_posterior
+from .inference import (
+    MINUTES_PER_HOUR,
+    AnnotationSet,
+    SwitchModel,
+    _category_tables,
+    _habit_probs,
+    category_posterior,
+    habit_posterior,
+)
 from .labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
 
 MINUTES_PER_DAY = 1440
@@ -286,25 +294,30 @@ def run_error_rate_experiment(
 
     Each trial draws annotation minutes uniformly from the true category's
     member set, runs the posterior, and counts per-annotation MAP mistakes.
-    Trials use independently derived seeds, so order never matters.
+    Trials use independently derived seeds, so order never matters. The
+    trials of one (period, n) point share one batched posterior call: a
+    trial is its minute histogram, and every annotation at minute m has the
+    MAP category of table row m.
     """
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=delta)
     periods = tuple(periods) if periods is not None else catalog.periods
+    if trials < 1:
+        raise ConfigError(f"trials must be positive, got {trials}")
     rows = []
     for period in periods:
         true_cat = catalog.by_period(period)
         members = np.array(sorted(true_cat.members))
         for n in n_values:
-            errors = 0
+            counts = np.zeros((trials, MINUTES_PER_HOUR), dtype=np.int64)
             for trial in range(trials):
                 rng = _rng(seed, 30, period, n, trial)
                 minutes = members[rng.integers(0, len(members), size=n)]
-                evidence = AnnotationSet("trial", tuple(int(m) for m in minutes))
-                rows_post = category_posterior(evidence, catalog, model)
-                for i in range(n):
-                    if rows_post.map_category(i).period_minutes != period:
-                        errors += 1
+                counts[trial] = np.bincount(minutes, minlength=MINUTES_PER_HOUR)
+            habit = _habit_probs(counts, catalog, model)
+            _, map_index = _category_tables(habit, catalog, model)
+            wrong = map_index != true_cat.index - 1
+            errors = int((counts * wrong).sum())
             rows.append(
                 {
                     "category_period": period,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -129,6 +130,27 @@ def test_infer_habit_bad_row_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
     assert "line 2" in result.output
+
+
+def test_infer_habit_missing_fields_exits_2(runner, tmp_path):
+    path = _write(
+        tmp_path / "short.csv",
+        "annotator_id,date,event_kind,start,end\n"
+        "p01,2024-03-01,shower,08:00,08:30\n"
+        "p01,2024-03-02,shower\n",
+    )
+    result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert "line 3" in result.output and "start, end" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_infer_habit_unwritable_out_exits_2(runner, annotations_csv, tmp_path):
+    out = tmp_path / "no_such_dir" / "x.json"
+    result = runner.invoke(main, ["infer-habit", str(annotations_csv), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.startswith("error:") and "no_such_dir" in result.output
+    assert not isinstance(result.exception, OSError)
 
 
 def test_soft_labels_cmd(runner, annotations_csv, tmp_path):
@@ -323,3 +345,21 @@ def test_simulate_bad_catalog_exits_2(runner, tmp_path):
         ["simulate", "--catalog", "15,30,1", "--out", str(tmp_path / "sim")],
     )
     assert result.exit_code == 2
+
+
+# SHA-256 of the tables written by `simulate --seed 42 --trials 30` (CLI
+# defaults otherwise) before the error-rate sweep was batched. The tables
+# embed tool_version, so a version bump changes these digests too.
+GOLDEN_SIMULATE_SHA256 = {
+    "error_rate.csv": "d0a7bf2d259fdf0abe0a23973c1829d9e992c5079a5d4eacd38b33b895b77fac",
+    "f1.csv": "047d936f78e9fdc91b5839217e5aae27a7f903a3654385663ecace387e6dc5b8",
+    "mse.csv": "51bc414668d8fd8ac10e7b10ea8c3387ffc5a4cef04fc893b150701f327d167e",
+}
+
+
+def test_simulate_tables_match_golden_digests(runner, tmp_path):
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--seed", "42", "--trials", "30", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
+    assert digests == GOLDEN_SIMULATE_SHA256

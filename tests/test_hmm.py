@@ -167,3 +167,37 @@ def test_forward_underflow_is_degeneracy_error():
     series = SensorSeries(0, np.concatenate([np.zeros(20), [1000.0], np.zeros(20)]))
     with pytest.raises(DegenerateModelError):
         fit_emissions(series, params)
+
+
+@pytest.mark.parametrize("field", ["initial", "transition", "means", "variances"])
+def test_params_reject_non_finite(field):
+    values = {
+        "initial": [0.5, 0.5],
+        "transition": [[0.5, 0.5], [0.5, 0.5]],
+        "means": [0.0, 1.0],
+        "variances": [1.0, 1.0],
+    }
+    bad = np.array(values[field], dtype=float)
+    bad.flat[-1] = np.nan
+    with pytest.raises(InputError):
+        HmmParams(**{**values, field: bad})
+    with pytest.raises(InputError):
+        HmmParams(**{**values, "means": [0.0, np.inf]})
+
+
+def test_starved_state_keeps_params_and_flags_degenerate():
+    # the initial guess never reaches state 1, so EM has no data for it
+    series, _ = _synthetic_humidity(3)
+    guess = HmmParams(
+        initial=[1.0, 0.0],
+        transition=[[1.0, 0.0], [0.0, 1.0]],
+        means=[45.0, 80.0],
+        variances=[9.0, 16.0],
+    )
+    fit = fit_emissions(series, guess)
+    assert fit.degenerate
+    for arr in (fit.params.initial, fit.params.transition, fit.params.means, fit.params.variances):
+        assert np.all(np.isfinite(arr))
+    assert fit.params.means[1] == 80.0
+    assert fit.params.variances[1] == 16.0
+    assert np.all(np.isfinite(fit.log_likelihoods))

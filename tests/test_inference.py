@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from tempolabel import (
     map_category,
     switch_prob,
 )
+from tempolabel.inference import _category_tables, _habit_probs
 
 from .oracles import enumerate_posteriors
 
@@ -175,3 +178,74 @@ def test_duplicating_evidence_never_weakens_argmax(minutes):
     twice = habit_posterior(AnnotationSet("x", tuple(minutes) * 2), catalog, model)
     top = int(np.argmax(once.probs))
     assert twice.probs[top] >= once.probs[top] - 1e-12
+
+
+def _histograms(sets):
+    return np.stack([AnnotationSet("a", minutes).histogram() for minutes in sets])
+
+
+def test_batched_tables_match_oracle(catalog, model):
+    # the annotation sets acceptance criterion 2 enumerates, in one batch
+    sets = [m for size in (1, 2, 3) for m in itertools.product((0, 7, 15, 30), repeat=size)]
+    habit = _habit_probs(_histograms(sets), catalog, model)
+    table, map_index = _category_tables(habit, catalog, model)
+    assert table.shape == (len(sets), 60, len(catalog))
+    assert map_index.shape == (len(sets), 60)
+    for b, minutes in enumerate(sets):
+        expected_habit, expected_rows = enumerate_posteriors(minutes)
+        np.testing.assert_allclose(habit[b], expected_habit, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(table[b, list(minutes)], expected_rows, rtol=0, atol=1e-10)
+
+
+def test_batch_equals_single_calls(catalog, model):
+    rng = np.random.default_rng(5)
+    sets = []
+    for period in catalog.periods:
+        for n in (1, 2, 7, 40, 100):
+            sets.append(tuple(int(m) for m in rng.integers(0, 60 // period, size=n) * period))
+    sets.append(tuple(range(60)))
+    habit = _habit_probs(_histograms(sets), catalog, model)
+    table, map_index = _category_tables(habit, catalog, model)
+    for b, minutes in enumerate(sets):
+        ann = AnnotationSet("a", minutes)
+        single_habit = habit_posterior(ann, catalog, model)
+        single = category_posterior(ann, catalog, model, habit=single_habit)
+        np.testing.assert_allclose(habit[b], single_habit.probs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(table[b], single.table, rtol=0, atol=1e-15)
+        assert [catalog[i] for i in map_index[b, list(minutes)]] == single.map_categories()
+
+
+def test_unannotated_impossible_minutes_add_nothing(catalog):
+    # with delta=0 most habits cannot produce most minutes; the minutes
+    # nobody annotated must leave the habit scores untouched, not NaN
+    minutes = (0, 30, 0, 15)
+    hab = habit_posterior(AnnotationSet("a", minutes), catalog, SwitchModel(0.0))
+    expected_habit, expected_rows = enumerate_posteriors(minutes, delta=0.0)
+    np.testing.assert_allclose(hab.probs, expected_habit, rtol=0, atol=1e-12)
+    rows = category_posterior(AnnotationSet("a", minutes), catalog, SwitchModel(0.0), habit=hab)
+    np.testing.assert_allclose(rows.rows, expected_rows, rtol=0, atol=1e-12)
+
+
+def test_rows_gather_the_minute_table(catalog, model):
+    ann = AnnotationSet("a", (7, 0, 7, 45, 30))
+    post = category_posterior(ann, catalog, model)
+    assert post.table.shape == (60, len(catalog))
+    np.testing.assert_array_equal(post.rows, post.table[list(ann.minutes)])
+    assert post.map_categories() == [post.map_category(i) for i in range(len(ann))]
+    assert post.map_categories()[0] is post.map_categories()[2]
+
+
+def test_empty_histogram_in_batch_rejected(catalog, model):
+    counts = np.zeros((2, 60), dtype=int)
+    counts[0, 0] = 1
+    with pytest.raises(InputError):
+        _habit_probs(counts, catalog, model)
+
+
+def test_single_category_catalogue_needs_no_switch_model():
+    single = CategoryCatalog.from_periods((1,))
+    ann = AnnotationSet("a", (7, 30))
+    assert habit_posterior(ann, single, SwitchModel(0.0)).probs.tolist() == [1.0]
+    np.testing.assert_array_equal(category_posterior(ann, single, SwitchModel(0.0)).rows, 1.0)
+    with pytest.raises(ConfigError):
+        habit_posterior(ann, single, SwitchModel(0.1))

@@ -3,7 +3,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
+    AnnotationSet,
+    CategoryCatalog,
     ConfigError,
+    SwitchModel,
+    category_posterior,
     SimConfig,
     annotate,
     generate_events,
@@ -12,6 +16,7 @@ from tempolabel import (
     run_f1_experiment,
     run_mse_experiment,
 )
+from tempolabel.simulate import _rng
 
 
 def test_rounding_examples():
@@ -125,6 +130,28 @@ def test_error_rate_experiment_shape_and_determinism():
     assert len(rows) == 10  # 5 categories x 2 sweep points
     coarsest = [r for r in rows if r["category_period"] == 30]
     assert all(r["error_rate"] == 0.0 for r in coarsest)
+
+
+def test_error_rate_matches_one_posterior_per_trial():
+    # the batched sweep counts the same mistakes as a posterior per trial
+    catalog = CategoryCatalog.default()
+    model = SwitchModel(0.1)
+    trials = 25
+    for row in run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=trials):
+        period, n = row["category_period"], row["n_annotations"]
+        members = sorted(catalog.by_period(period).members)
+        errors = 0
+        for trial in range(trials):
+            draws = _rng(9, 30, period, n, trial).integers(0, len(members), size=n)
+            evidence = AnnotationSet("t", tuple(members[i] for i in draws))
+            cats = category_posterior(evidence, catalog, model).map_categories()
+            errors += sum(cat.period_minutes != period for cat in cats)
+        assert row["error_rate"] == errors / (trials * n), row
+
+
+def test_error_rate_experiment_rejects_no_trials():
+    with pytest.raises(ConfigError):
+        run_error_rate_experiment(seed=0, n_values=(1,), trials=0)
 
 
 def test_error_rate_experiment_custom_periods():
