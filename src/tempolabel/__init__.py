@@ -8,7 +8,7 @@ benchmark suite, and a small Gaussian HMM detector used by the case-study
 evaluation.
 """
 
-from .catalog import DEFAULT_PERIODS, CategoryCatalog, ResolutionCategory, contains
+from .catalog import DEFAULT_PERIODS, CategoryCatalog, ResolutionCategory
 from .errors import (
     ConfigError,
     DegenerateModelError,
@@ -17,7 +17,6 @@ from .errors import (
     TempolabelError,
 )
 from .evaluation import (
-    EvalWindowSpec,
     SoftConfusionMatrix,
     boundary_mse,
     boundary_slot_mask,

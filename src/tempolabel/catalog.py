@@ -133,8 +133,3 @@ class CategoryCatalog:
             if minute in cat.members:
                 return cat
         raise AssertionError("unreachable: finest category admits all minutes")
-
-
-def contains(category: ResolutionCategory, minute: int) -> bool:
-    """Functional form of `ResolutionCategory.contains`."""
-    return category.contains(minute)

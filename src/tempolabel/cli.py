@@ -13,6 +13,7 @@ import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import quote
 
 import click
 import numpy as np
@@ -20,13 +21,7 @@ import numpy as np
 from . import __version__
 from .catalog import DEFAULT_PERIODS, CategoryCatalog
 from .errors import ConfigError, DegenerateModelError, InputError
-from .evaluation import (
-    EvalWindowSpec,
-    boundary_mse,
-    metrics_report,
-    mse,
-    soft_confusion,
-)
+from .evaluation import boundary_mse, metrics_report, mse, soft_confusion
 from .hmm import HmmParams, fit_emissions, viterbi
 from .inference import AnnotationSet, SwitchModel, category_posterior, habit_posterior
 from .ingest import (
@@ -202,7 +197,8 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
                 "start_period": cat_s.period_minutes,
                 "end_period": cat_e.period_minutes,
             }
-            path = out_dir / f"softlabel_{annotator_id}_{k:03d}.csv"
+            # percent-escaped, so any id names one file inside out_dir
+            path = out_dir / f"softlabel_{quote(annotator_id, safe='')}_{k:03d}.csv"
             write_label_csv(path, series, config)
             written += 1
     click.echo(f"wrote {written} label series to {out_dir}")
@@ -228,16 +224,17 @@ def _binary_boundaries(series: LabelSeries) -> list[tuple[int, int]]:
 @_guard
 def evaluate_cmd(labels_csv, predictions_csv, boundary_window, out, csv_out):
     """Score a prediction series against a (possibly soft) label series."""
+    if boundary_window <= 0:
+        raise ConfigError("boundary window must be positive")
     reference = read_label_csv(labels_csv)
     prediction = read_label_csv(predictions_csv)
-    window_spec = EvalWindowSpec(mode="boundary", boundary_halfwidth_minutes=boundary_window)
     hard_ref = LabelSeries(reference.window_start, (reference.values >= 0.5).astype(float))
     hard_pred = LabelSeries(prediction.window_start, (prediction.values >= 0.5).astype(float))
     payload = {
         "config": {
             "labels": str(labels_csv),
             "predictions": str(predictions_csv),
-            "boundary_window": window_spec.boundary_halfwidth_minutes,
+            "boundary_window": boundary_window,
             "n_slots": len(reference),
         },
         "hard": metrics_report(soft_confusion(hard_ref, hard_pred)),
@@ -251,7 +248,7 @@ def evaluate_cmd(labels_csv, predictions_csv, boundary_window, out, csv_out):
                 reference,
                 prediction,
                 events,
-                halfwidth=window_spec.boundary_halfwidth_minutes,
+                halfwidth=boundary_window,
             )
     write_json(out, payload)
     if csv_out:

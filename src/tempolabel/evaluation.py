@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InputError
+from .errors import InputError
 from .labels import LabelSeries
 
 _MASS_TOL = 1e-9
@@ -67,20 +67,6 @@ class SoftConfusionMatrix:
     def as_table(self) -> list[list[float]]:
         """[[label-no/pred-no, label-no/pred-yes], [label-yes/pred-no, label-yes/pred-yes]]"""
         return [[self.tn, self.fp], [self.fn, self.tp]]
-
-
-@dataclass(frozen=True)
-class EvalWindowSpec:
-    """Which slots enter the MSE: the whole grid or bands around boundaries."""
-
-    mode: str = "full"
-    boundary_halfwidth_minutes: int = 15
-
-    def __post_init__(self):
-        if self.mode not in ("full", "boundary"):
-            raise ConfigError(f"mode must be 'full' or 'boundary', got {self.mode!r}")
-        if self.boundary_halfwidth_minutes <= 0:
-            raise ConfigError("boundary halfwidth must be positive")
 
 
 def _require_aligned(a: LabelSeries, b: LabelSeries):

@@ -5,6 +5,11 @@ on/off predictions. Decoding is exact Viterbi in log space with ties broken
 toward the off state. Parameters can be refined by Baum-Welch; the fit
 reports its log-likelihood trace and flags degenerate outcomes (e.g. both
 states collapsing onto one emission) instead of raising.
+
+Baum-Welch's forward-backward pass shifts each step's log-emissions by their
+maximum, so one outlying reading cannot underflow every state at once, and
+computes the forward and backward passes as a prefix scan of the per-step
+transfer matrices in log space, with no Python loop over the slots.
 """
 
 from __future__ import annotations
@@ -154,56 +159,121 @@ def viterbi(params: HmmParams, series: SensorSeries) -> LabelSeries:
     with np.errstate(divide="ignore"):
         log_init = np.log(params.initial)
         log_trans = np.log(params.transition)
-    n, t_max = params.n_states, len(series)
-    score = log_init + logb[0]
-    back = np.zeros((t_max, n), dtype=int)
-    if not np.any(np.isfinite(score)):
-        raise DegenerateModelError("all states impossible at the first observation")
+    t_max = len(series)
+    into = log_trans.T  # into[j, i]: log-probability of moving from i to j
+    scores = np.empty_like(logb)  # scores[t, j]: best log-probability of a path ending in j at t
+    scores[0] = log_init + logb[0]
     for t in range(1, t_max):
-        cand = score[:, None] + log_trans  # cand[i, j]: from i to j
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(n)] + logb[t]
-        if not np.any(np.isfinite(score)):
-            raise DegenerateModelError(f"all paths have zero probability at step {t}")
+        scores[t] = (scores[t - 1] + into).max(axis=1) + logb[t]
+    dead = ~np.isfinite(scores).any(axis=1)
+    if dead.any():
+        step = int(np.argmax(dead))
+        if step == 0:
+            raise DegenerateModelError("all states impossible at the first observation")
+        raise DegenerateModelError(f"all paths have zero probability at step {step}")
+    # the sums the loop maximised, so argmax finds the predecessor it kept
+    back = (scores[:-1, None, :] + into).argmax(axis=2)  # back[t - 1, j]
     path = np.zeros(t_max, dtype=int)
-    path[-1] = int(np.argmax(score))
+    path[-1] = int(np.argmax(scores[-1]))
     for t in range(t_max - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
+        path[t - 1] = back[t - 1, path[t]]
     return LabelSeries(window_start=series.start_minute, values=path.astype(float))
 
 
+def _log_sum(x: np.ndarray, axis) -> np.ndarray:
+    """log(exp(x).sum(axis)), each sum taken relative to its largest term.
+
+    A sum whose terms are all -inf is -inf.
+    """
+    peak = x.max(axis=axis, keepdims=True)
+    peak[np.isneginf(peak)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
+
+
+def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products exp(a[..., k]) @ exp(b[..., k]) in log space, shifted so that
+    each product's largest entry is 0.
+
+    Stacks of log-matrices run along the trailing axes, (n, n, ...), so every
+    operation is elementwise over the stack. Every entry is summed relative to
+    its own largest term, so no entry that is not exactly zero is lost.
+    """
+    prod = _log_sum(a[:, :, None] + b[None, :, :], axis=1)
+    top = prod.max(axis=(0, 1))
+    top[np.isneginf(top)] = 0.0  # an all-zero product stays all -inf
+    return prod - top
+
+
+def _log_prefix_products(mats: np.ndarray) -> np.ndarray:
+    """Inclusive prefix products along the last axis of a stack of log-matrices.
+
+    out[..., k] is the log of exp(mats[..., 0]) @ ... @ exp(mats[..., k]) up
+    to an additive constant: every product is shifted so that its largest
+    entry is 0, so none overflows or underflows however long the stack.
+    Adjacent pairs are multiplied and their prefix products found
+    recursively, which gives every odd-indexed prefix; one more product with
+    the next matrix gives the even ones. That is about 2K batched products
+    in 2 log2(K) steps, with no loop over K.
+    """
+    k = mats.shape[-1]
+    if k == 1:
+        return mats
+    odd = _log_prefix_products(_log_matmul(mats[..., 0 : k - 1 : 2], mats[..., 1::2]))
+    out = np.empty_like(mats)
+    out[..., 0] = mats[..., 0]
+    out[..., 1::2] = odd
+    out[..., 2::2] = _log_matmul(odd[..., : (k - 1) // 2], mats[..., 2::2])
+    return out
+
+
 def _forward_backward(params: HmmParams, values: np.ndarray):
-    """Scaled forward-backward pass. Returns (gamma, xi_sum, log_likelihood)."""
-    b = np.exp(_log_emissions(params, values))  # (T, n)
-    n, t_max = params.n_states, len(values)
-    alpha = np.zeros((t_max, n))
-    scale = np.zeros(t_max)
-    alpha[0] = params.initial * b[0]
-    scale[0] = alpha[0].sum()
-    if scale[0] <= 0:
-        raise DegenerateModelError("zero-probability observation at step 0")
-    alpha[0] /= scale[0]
-    for t in range(1, t_max):
-        alpha[t] = (alpha[t - 1] @ params.transition) * b[t]
-        scale[t] = alpha[t].sum()
-        if scale[t] <= 0:
-            raise DegenerateModelError(f"zero-probability observation at step {t}")
-        alpha[t] /= scale[t]
-    beta = np.ones((t_max, n))
-    for t in range(t_max - 2, -1, -1):
-        beta[t] = (params.transition @ (b[t + 1] * beta[t + 1])) / scale[t + 1]
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    xi_sum = np.zeros((n, n))
-    for t in range(t_max - 1):
-        xi = (
-            alpha[t][:, None]
-            * params.transition
-            * (b[t + 1] * beta[t + 1])[None, :]
-            / scale[t + 1]
-        )
-        xi_sum += xi
-    return gamma, xi_sum, float(np.log(scale).sum())
+    """Forward-backward pass in log space. Returns (gamma, xi_sum, log_likelihood).
+
+    Each step's log-emissions are shifted by their maximum before they are
+    exponentiated, and the shifts are added back into the log-likelihood, so
+    a reading far from every mean only moves its step's scale. A density that
+    underflows next to its step's likeliest state counts as zero; a step
+    where that leaves no reachable state raises DegenerateModelError.
+
+    With M_t = A * b_t the transfer into step t and E_0 the matrix whose
+    every row is alpha_0, alpha_t is each row of E_0 M_1 ... M_t, and beta_t
+    each row of (M_{t+1} ... M_{T-1} J)^T, J all ones, a product of the
+    reversed, transposed transfers. Both are prefix products, found by one
+    scan over the two sequences side by side (`_log_prefix_products`), with
+    no loop over t. The log-likelihood sums the per-step normalisers of
+    alpha, as in Rabiner's scaled recursion.
+    """
+    logb = _log_emissions(params, values)  # (T, n)
+    shift = logb.max(axis=1, keepdims=True)
+    shift[np.isneginf(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        # a density that underflows next to its step's likeliest state is zero,
+        # so a reading that no reachable state explains still fails below
+        logb = np.log(np.exp(logb - shift))
+        log_init = np.log(params.initial)
+        log_trans = np.log(params.transition)
+    n = params.n_states
+    log_alpha0 = log_init + logb[0]
+    trans = log_trans[:, :, None] + logb[1:].T[None, :, :]  # trans[i, j, t]: i -> j into step t + 1
+    forward = np.concatenate([np.broadcast_to(log_alpha0[None, :, None], (n, n, 1)), trans], axis=2)
+    backward = np.concatenate([np.zeros((n, n, 1)), trans[:, :, ::-1].transpose(1, 0, 2)], axis=2)
+    prods = _log_prefix_products(np.stack([forward, backward], axis=2))
+    log_alpha = prods[0, :, 0, :]  # (n, T), each column up to a constant
+    log_beta = prods[0, :, 1, ::-1]
+    dead = np.isneginf(log_alpha).all(axis=0)
+    if dead.any():
+        raise DegenerateModelError(f"zero-probability observation at step {int(np.argmax(dead))}")
+    log_alpha = log_alpha - _log_sum(log_alpha, axis=0)
+
+    # step[i, j, t]: log P(state i at t, state j at t + 1, y_{t+1} | y_0..t), less shift[t + 1]
+    step = log_alpha[:, None, :-1] + trans
+    log_likelihood = _log_sum(log_alpha0, axis=0) + _log_sum(step, axis=(0, 1)).sum() + shift.sum()
+    log_gamma = log_alpha + log_beta
+    gamma = np.exp(log_gamma - _log_sum(log_gamma, axis=0)).T
+    log_xi = step + log_beta[None, :, 1:]
+    xi_sum = np.exp(log_xi - _log_sum(log_xi, axis=(0, 1))).sum(axis=2)
+    return gamma, xi_sum, float(log_likelihood)
 
 
 def fit_emissions(

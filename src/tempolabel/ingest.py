@@ -75,18 +75,20 @@ class AnnotationRecord:
 def read_annotations_csv(path) -> list[AnnotationRecord]:
     """Parse a diary CSV; every problem is reported with its line number."""
     with open(path, newline="") as handle:
-        reader = csv.DictReader(_strip_comments(handle))
+        reader = _CommentedCsv(handle)
         if reader.fieldnames is None:
             raise ParseError("file is empty")
         missing = [c for c in ANNOTATION_COLUMNS if c not in reader.fieldnames]
         if missing:
-            raise ParseError(f"missing columns: {', '.join(missing)}", 1)
+            raise ParseError(f"missing columns: {', '.join(missing)}", reader.line_num)
         records = []
         for row in reader:
             line_no = reader.line_num
             absent = [c for c in ANNOTATION_COLUMNS if row[c] is None]
             if absent:
                 raise ParseError(f"row is missing fields: {', '.join(absent)}", line_no)
+            if None in row:
+                raise ParseError(f"row has {len(row[None])} extra field(s)", line_no)
             try:
                 day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
             except ValueError:
@@ -112,10 +114,23 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
     return records
 
 
-def _strip_comments(handle):
-    for line in handle:
-        if not line.lstrip().startswith("#"):
-            yield line
+class _CommentedCsv(csv.DictReader):
+    """DictReader over a CSV that may hold '#' comment lines anywhere.
+
+    Each comment line reaches the parser as a blank line, which is skipped
+    but still counted, so `line_num` is the file line of the row just
+    returned (or of the header, before the first row).
+    """
+
+    def __init__(self, handle):
+        super().__init__("\n" if line.lstrip().startswith("#") else line for line in handle)
+        self.fieldnames = next((row for row in self.reader if row), None)
+
+    def __next__(self) -> dict:
+        row = super().__next__()
+        # DictReader takes line_num before it skips blank lines
+        self.line_num = self.reader.line_num
+        return row
 
 
 def config_header(config: dict) -> str:
@@ -138,7 +153,7 @@ def read_label_csv(path) -> LabelSeries:
     minutes: list[int] = []
     values: list[float] = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(_strip_comments(handle))
+        reader = _CommentedCsv(handle)
         if reader.fieldnames is None or "timestamp" not in reader.fieldnames or "value" not in reader.fieldnames:
             raise ParseError("label CSV needs 'timestamp' and 'value' columns")
         for row in reader:
@@ -159,7 +174,7 @@ def read_sensor_csv(path) -> SensorSeries:
     minutes: list[int] = []
     values: list[float] = []
     with open(path, newline="") as handle:
-        reader = csv.DictReader(_strip_comments(handle))
+        reader = _CommentedCsv(handle)
         if reader.fieldnames is None or "timestamp" not in reader.fieldnames:
             raise ParseError("sensor CSV needs 'timestamp' and a value column")
         value_col = next((c for c in reader.fieldnames if c != "timestamp"), None)

@@ -75,3 +75,36 @@ def exhaustive_state_path(initial, transition, means, variances, values):
     # ties resolve to the lowest path index, i.e. the path with the most
     # leading zeros -- the same off-preference the decoder promises
     return paths[int(np.argmax(scores))]
+
+
+def exhaustive_forward_backward(initial, transition, means, variances, values):
+    """Log-likelihood, state posteriors and expected transition counts by
+    summing the joint probability of every one of the n^T state paths.
+
+    Returns (log_likelihood, gamma (T, n), xi_sum (n, n)).
+    """
+    n, t_max = len(initial), len(values)
+    paths = np.array(list(itertools.product(range(n), repeat=t_max)), dtype=int)  # (n^T, T)
+    with np.errstate(divide="ignore"):
+        log_init = np.log(np.asarray(initial, dtype=float))
+        log_trans = np.log(np.asarray(transition, dtype=float))
+    logb = np.stack(
+        [
+            -0.5 * ((values - means[s]) ** 2 / variances[s] + math.log(2 * math.pi * variances[s]))
+            for s in range(n)
+        ],
+        axis=1,
+    )  # (T, n)
+    scores = log_init[paths[:, 0]] + logb[0, paths[:, 0]]
+    for t in range(1, t_max):
+        scores = scores + log_trans[paths[:, t - 1], paths[:, t]] + logb[t, paths[:, t]]
+    top = scores.max()
+    weights = np.exp(scores - top)
+    total = weights.sum()
+    gamma = np.zeros((t_max, n))
+    xi_sum = np.zeros((n, n))
+    for t in range(t_max):
+        np.add.at(gamma[t], paths[:, t], weights)
+        if t + 1 < t_max:
+            np.add.at(xi_sum, (paths[:, t], paths[:, t + 1]), weights)
+    return top + math.log(total), gamma / total, xi_sum / total

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tempolabel import CategoryCatalog, ConfigError, InputError, ResolutionCategory, contains
+from tempolabel import CategoryCatalog, ConfigError, InputError, ResolutionCategory
 
 DIVISORS_OF_60 = [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
 
@@ -27,9 +27,9 @@ def test_member_formula():
 
 
 def test_contains_examples(catalog):
-    assert contains(catalog[0], 30) is True
-    assert contains(catalog[1], 17) is False
-    assert contains(catalog[4], 59) is True
+    assert catalog[0].contains(30) is True
+    assert catalog[1].contains(17) is False
+    assert catalog[4].contains(59) is True
 
 
 def test_contains_rejects_bad_minute(catalog):

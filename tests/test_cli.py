@@ -145,6 +145,33 @@ def test_infer_habit_missing_fields_exits_2(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
+def test_comment_lines_keep_file_line_numbers(runner, tmp_path):
+    path = _write(
+        tmp_path / "commented.csv",
+        "# exported 2024-03-03\n"
+        "# two comment lines\n"
+        "annotator_id,date,event_kind,start,end\n"
+        "p01,2024-03-01,shower,08:00,08:30\n"
+        "p01,2024-03-02,shower,25:00,26:00\n",
+    )
+    result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert "line 5" in result.output
+
+
+def test_infer_habit_extra_fields_exits_2(runner, tmp_path):
+    path = _write(
+        tmp_path / "long.csv",
+        "annotator_id,date,event_kind,start,end\n"
+        "p01,2024-03-01,shower,08:00,08:30\n"
+        "p01,2024-03-02,shower,08:00,08:30,09:00\n",
+    )
+    result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert "line 3" in result.output and "extra field" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_infer_habit_unwritable_out_exits_2(runner, annotations_csv, tmp_path):
     out = tmp_path / "no_such_dir" / "x.json"
     result = runner.invoke(main, ["infer-habit", str(annotations_csv), "--out", str(out)])
@@ -166,6 +193,18 @@ def test_soft_labels_cmd(runner, annotations_csv, tmp_path):
     assert "# start_period=30" in text and "# end_period=30" in text
     mid = series.values[series.slot_starts() == parse_timestamp("2024-03-01 08:00")]
     assert mid[0] == pytest.approx(0.5166666666666667)
+
+
+def test_soft_labels_escape_annotator_id(runner, tmp_path):
+    path = _write(
+        tmp_path / "slash.csv",
+        "annotator_id,date,event_kind,start,end\n"
+        "a/b,2024-03-01,shower,08:00,08:30\n",
+    )
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    assert [p.name for p in out_dir.iterdir()] == ["softlabel_a%2Fb_000.csv"]
 
 
 def test_histogram_cmd(runner, tmp_path):
@@ -285,6 +324,50 @@ def test_detect_degenerate_exits_3(runner, tmp_path):
         main, ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(pred)]
     )
     assert result.exit_code == 3
+
+
+def test_detect_fit_survives_a_spike(runner, tmp_path):
+    rng = np.random.default_rng(4)
+    values = rng.normal(40.0, 1.0, 300)
+    values[150] = 200.0
+    sensor = tmp_path / "spike.csv"
+    base = parse_timestamp("2024-05-01 06:00")
+    sensor.write_text(
+        "timestamp,humidity\n"
+        + "".join(f"{format_timestamp(base + i)},{v:.4f}\n" for i, v in enumerate(values))
+    )
+    params = tmp_path / "hmm.json"
+    params.write_text(
+        json.dumps(
+            {
+                "initial": [0.5, 0.5],
+                "transition": [[0.9, 0.1], [0.1, 0.9]],
+                "means": [39.0, 41.0],
+                "variances": [1.0, 1.0],
+            }
+        )
+    )
+    pred = tmp_path / "pred.csv"
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(pred)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+    assert len(read_label_csv(pred)) == 300
+
+
+def test_evaluate_zero_boundary_window_exits_2(runner, tmp_path):
+    labels = tmp_path / "a.csv"
+    write_label_csv(labels, LabelSeries(0, np.array([0.0, 1.0, 1.0])))
+    result = runner.invoke(
+        main,
+        [
+            "evaluate", "--labels", str(labels), "--predictions", str(labels),
+            "--boundary-window", "0", "--out", str(tmp_path / "m.json"),
+        ],
+    )
+    assert result.exit_code == 2
+    assert "boundary window" in result.output
 
 
 def test_evaluate_misaligned_exits_2(runner, tmp_path):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
-    EvalWindowSpec,
     EventAnnotation,
     InputError,
     LabelSeries,
@@ -142,14 +141,6 @@ def test_ambiguity_penalty(catalog):
     soft = soft_label(event, catalog[0], catalog[0], window)
     assert f1(soft_confusion(hard, hard)) == 1.0
     assert f1(soft_confusion(soft, hard)) < 1.0
-
-
-def test_eval_window_spec_validation():
-    EvalWindowSpec(mode="boundary", boundary_halfwidth_minutes=15)
-    with pytest.raises(Exception):
-        EvalWindowSpec(mode="sideways")
-    with pytest.raises(Exception):
-        EvalWindowSpec(mode="boundary", boundary_halfwidth_minutes=0)
 
 
 @settings(deadline=None, max_examples=40)

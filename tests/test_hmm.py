@@ -10,7 +10,9 @@ from tempolabel import (
     viterbi,
 )
 
-from .oracles import exhaustive_state_path
+from tempolabel.hmm import _forward_backward
+
+from .oracles import exhaustive_forward_backward, exhaustive_state_path
 
 
 def _shower_params():
@@ -201,3 +203,71 @@ def test_starved_state_keeps_params_and_flags_degenerate():
     assert fit.params.means[1] == 80.0
     assert fit.params.variances[1] == 16.0
     assert np.all(np.isfinite(fit.log_likelihoods))
+
+
+def _random_case(rng):
+    """A random 2-state model and series; some cases are sticky or have zero entries."""
+    initial = rng.dirichlet([1.0, 1.0])
+    transition = rng.dirichlet([1.0, 1.0], size=2)
+    kind = rng.integers(4)
+    if kind == 1:
+        transition = np.array([[0.999, 0.001], [0.001, 0.999]])
+    elif kind == 2:
+        transition[rng.integers(2)] = [1.0, 0.0] if rng.integers(2) else [0.0, 1.0]
+    elif kind == 3:
+        initial = np.array([1.0, 0.0]) if rng.integers(2) else np.array([0.0, 1.0])
+    params = HmmParams(
+        initial=initial,
+        transition=transition,
+        means=rng.uniform(0.0, 5.0, 2),
+        variances=rng.uniform(0.5, 4.0, 2),
+    )
+    return params, rng.uniform(-1.0, 6.0, int(rng.integers(1, 11)))
+
+
+def test_forward_backward_matches_exhaustive():
+    rng = np.random.default_rng(2)
+    for _ in range(50):
+        params, values = _random_case(rng)
+        gamma, xi_sum, ll = _forward_backward(params, values)
+        ll_o, gamma_o, xi_o = exhaustive_forward_backward(
+            params.initial, params.transition, params.means, params.variances, values
+        )
+        assert ll == pytest.approx(ll_o, rel=0, abs=1e-10)
+        np.testing.assert_allclose(gamma, gamma_o, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(xi_sum, xi_o, rtol=0, atol=1e-10)
+
+
+def _spike_series():
+    rng = np.random.default_rng(4)
+    values = rng.normal(40.0, 1.0, 300)
+    values[150] = 200.0
+    return SensorSeries(0, values)
+
+
+def _spike_guess():
+    return HmmParams(
+        initial=[0.5, 0.5],
+        transition=[[0.9, 0.1], [0.1, 0.9]],
+        means=[39.0, 41.0],
+        variances=[1.0, 1.0],
+    )
+
+
+def test_single_spike_fits():
+    # the spike's densities underflow in linear space in every state at once
+    fit = fit_emissions(_spike_series(), _spike_guess())
+    for arr in (fit.params.initial, fit.params.transition, fit.params.means, fit.params.variances):
+        assert np.all(np.isfinite(arr))
+    assert np.all(np.isfinite(fit.log_likelihoods))
+    assert np.all(np.diff(fit.log_likelihoods) >= -1e-9)
+
+
+def test_unrepresentable_reading_is_degeneracy_error():
+    # the squared distance to every mean overflows, so no state can emit it
+    values = np.full(20, 40.0)
+    values[7] = 1e200
+    with pytest.raises(DegenerateModelError, match="step 7"):
+        fit_emissions(SensorSeries(0, values), _spike_guess())
+    with pytest.raises(DegenerateModelError, match="step 7"):
+        viterbi(_spike_guess(), SensorSeries(0, values))
