@@ -138,7 +138,10 @@ class HmmFit:
 
 
 def _log_gaussian(x: np.ndarray, mean: float, var: float) -> np.ndarray:
-    return -0.5 * ((x - mean) ** 2 / var + math.log(2.0 * math.pi * var))
+    # a squared distance that overflows gives a -inf density, which the
+    # decoders report as DegenerateModelError
+    with np.errstate(over="ignore"):
+        return -0.5 * ((x - mean) ** 2 / var + math.log(2.0 * math.pi * var))
 
 
 def _log_emissions(params: HmmParams, values: np.ndarray) -> np.ndarray:
@@ -298,7 +301,10 @@ def fit_emissions(
     params = initial_guess
     trace: list[float] = []
     converged = False
-    var_floor = max(_VAR_FLOOR, 1e-6 * float(np.var(values)))
+    # a spread that overflows comes from readings whose emissions overflow
+    # too, and forward-backward reports those as DegenerateModelError
+    with np.errstate(over="ignore"):
+        var_floor = max(_VAR_FLOOR, 1e-6 * float(np.var(values)))
     occupancy = np.full(params.n_states, np.inf)
     for _ in range(max_iter):
         gamma, xi_sum, ll = _forward_backward(params, values)
@@ -313,7 +319,8 @@ def fit_emissions(
         starved = occupancy <= 0.0
         weight = np.where(starved, 1.0, occupancy)
         means = (gamma * values[:, None]).sum(axis=0) / weight
-        variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
+        with np.errstate(over="ignore"):
+            variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
         means = np.where(starved, params.means, means)
         variances = np.where(starved, params.variances, np.maximum(variances, var_floor))
         trans_denom = gamma[:-1].sum(axis=0)

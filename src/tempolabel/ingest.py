@@ -3,8 +3,11 @@
 Everything is plain CSV or JSON. Timestamps are "YYYY-MM-DD HH:MM" at minute
 precision and are carried internally as whole minutes since 1970-01-01,
 which keeps grid arithmetic exact. Label and sensor CSVs label each slot by
-its start minute. Output files embed the effective configuration as '#'
-header comments so a result can always be traced back to its inputs.
+its start minute. Their timestamps are converted one calendar day at a
+time: the writer formats each day's date once, and the readers parse a
+row's date only when it differs from the previous row's. Output files embed
+the effective configuration as '#' header comments so a result can always
+be traced back to its inputs.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ _EPOCH = date(1970, 1, 1)
 
 ANNOTATION_COLUMNS = ("annotator_id", "date", "event_kind", "start", "end")
 
+_HHMM = [f"{hh:02d}:{mm:02d}" for hh in range(24) for mm in range(60)]  # by minute of day
+
 
 def parse_timestamp(text: str) -> int:
     """'YYYY-MM-DD HH:MM' -> absolute minute."""
@@ -36,8 +41,46 @@ def parse_timestamp(text: str) -> int:
 
 def format_timestamp(minute: int) -> str:
     days, rem = divmod(int(minute), 1440)
-    hh, mm = divmod(rem, 60)
-    return f"{_EPOCH + timedelta(days=days):%Y-%m-%d} {hh:02d}:{mm:02d}"
+    try:
+        day = _EPOCH + timedelta(days=days)
+    except OverflowError:
+        raise InputError(f"minute {minute} lies outside the years 1-9999")
+    return f"{day:%Y-%m-%d} {_HHMM[rem]}"
+
+
+class _StampParser:
+    """`parse_timestamp` that converts each calendar day once.
+
+    A stamp of 16 ASCII characters whose 11-character date prefix equals
+    the last parsed one and whose tail is an in-range "HH:MM" reuses that
+    day; anything else goes through `parse_timestamp`, so every accepted
+    stamp, value and error message is the same as there.
+    """
+
+    def __init__(self):
+        self._day = None  # date prefix of the last canonical stamp
+        self._base = 0  # its day's first minute
+
+    def __call__(self, text: str) -> int:
+        if text[:11] == self._day and len(text) == 16:
+            minute = _minute_of_day(text[11:])
+            if minute is not None:
+                return self._base + minute
+        absolute = parse_timestamp(text)
+        if len(text) == 16 and text.isascii():
+            minute = _minute_of_day(text[11:])
+            if minute is not None:
+                self._day, self._base = text[:11], absolute - minute
+        return absolute
+
+
+def _minute_of_day(hhmm: str) -> int | None:
+    """Minute of the day of an ASCII "HH:MM" in range, else None."""
+    hh, mm = hhmm[:2], hhmm[3:]
+    if hhmm[2:3] != ":" or not (hhmm.isascii() and hh.isdigit() and mm.isdigit()):
+        return None
+    hours, minutes = int(hh), int(mm)
+    return hours * 60 + minutes if hours < 24 and minutes < 60 else None
 
 
 def _parse_hhmm(text: str, line_no: int) -> int:
@@ -82,6 +125,7 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
         if missing:
             raise ParseError(f"missing columns: {', '.join(missing)}", reader.line_num)
         records = []
+        day_bases: dict[str, int] = {}
         for row in reader:
             line_no = reader.line_num
             absent = [c for c in ANNOTATION_COLUMNS if row[c] is None]
@@ -89,11 +133,13 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
                 raise ParseError(f"row is missing fields: {', '.join(absent)}", line_no)
             if None in row:
                 raise ParseError(f"row has {len(row[None])} extra field(s)", line_no)
-            try:
-                day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
-            except ValueError:
-                raise ParseError(f"bad date {row['date']!r}, expected YYYY-MM-DD", line_no)
-            base = (day - _EPOCH).days * 1440
+            base = day_bases.get(row["date"])
+            if base is None:
+                try:
+                    day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
+                except ValueError:
+                    raise ParseError(f"bad date {row['date']!r}, expected YYYY-MM-DD", line_no)
+                base = day_bases[row["date"]] = (day - _EPOCH).days * 1440
             start = base + _parse_hhmm(row["start"], line_no)
             end = base + _parse_hhmm(row["end"], line_no)
             if end <= start:
@@ -119,77 +165,124 @@ class _CommentedCsv(csv.DictReader):
 
     Each comment line reaches the parser as a blank line, which is skipped
     but still counted, so `line_num` is the file line of the row just
-    returned (or of the header, before the first row).
+    returned (or of the header, before the first row). Undecodable bytes
+    and rows the csv module rejects (a field over its size limit) raise
+    ParseError.
     """
 
     def __init__(self, handle):
-        super().__init__("\n" if line.lstrip().startswith("#") else line for line in handle)
-        self.fieldnames = next((row for row in self.reader if row), None)
+        super().__init__(_uncommented(handle))
+        try:
+            self.fieldnames = next((row for row in self.reader if row), None)
+        except csv.Error as exc:
+            raise ParseError(str(exc), self.reader.line_num) from exc
 
     def __next__(self) -> dict:
-        row = super().__next__()
+        try:
+            row = super().__next__()
+        except csv.Error as exc:
+            raise ParseError(str(exc), self.reader.line_num) from exc
         # DictReader takes line_num before it skips blank lines
         self.line_num = self.reader.line_num
         return row
 
 
+def _uncommented(handle):
+    try:
+        for line in handle:
+            yield "\n" if line.lstrip().startswith("#") else line
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from exc
+
+
 def config_header(config: dict) -> str:
-    """Deterministic '#'-comment block embedding the effective config."""
-    lines = [f"# {key}={config[key]}" for key in sorted(config)]
+    """Deterministic '#'-comment block embedding the effective config.
+
+    Backslashes and line breaks in values are written as \\\\, \\n and \\r, so
+    each entry stays on its own comment line.
+    """
+    lines = [f"# {key}={_escape_config_value(format(config[key]))}" for key in sorted(config)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _escape_config_value(text: str) -> str:
+    return text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+
+
 def write_label_csv(path, series: LabelSeries, config: dict | None = None):
+    """One "timestamp,value" row per slot, values formatted with `.12g`."""
+    body = _label_rows(series.window_start, series.values)
     with open(path, "w", newline="") as handle:
-        if config:
-            handle.write(config_header(config))
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["timestamp", "value"])
-        for minute, value in zip(series.slot_starts(), series.values):
-            writer.writerow([format_timestamp(minute), f"{value:.12g}"])
+        handle.write((config_header(config) if config else "") + "timestamp,value\n" + body)
+
+
+def _label_rows(window_start: int, values: np.ndarray) -> str:
+    # a label series holds few distinct values (ramp steps, 0 and 1): format
+    # each once, keyed by its bits so that -0.0 keeps its own text
+    distinct, which = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
+    cells = [texts[k] for k in which.tolist()]
+    lines: list[str] = []
+    day, first = divmod(window_start, 1440)
+    done = 0
+    while done < len(cells):
+        prefix = format_timestamp(day * 1440)[:-5]  # "YYYY-MM-DD "
+        count = min(1440 - first, len(cells) - done)
+        lines += [
+            f"{prefix}{hhmm},{cell}"
+            for hhmm, cell in zip(_HHMM[first : first + count], cells[done : done + count])
+        ]
+        done += count
+        day, first = day + 1, 0
+    return "\n".join(lines) + "\n"
+
+
+def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[list[int], list[float]]:
+    """Minutes and values of a timestamped CSV, each problem with its file line.
+
+    `value_col` None takes the first column other than 'timestamp'.
+    """
+    minutes: list[int] = []
+    values: list[float] = []
+    stamp = _StampParser()
+    with open(path, newline="") as handle:
+        reader = _CommentedCsv(handle)
+        fields = reader.fieldnames
+        if value_col is None:
+            if fields is None or "timestamp" not in fields:
+                raise ParseError(f"{what} CSV needs 'timestamp' and a value column")
+            value_col = next((c for c in fields if c != "timestamp"), None)
+            if value_col is None:
+                raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
+        elif fields is None or "timestamp" not in fields or value_col not in fields:
+            raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
+        for row in reader:
+            text, value = row["timestamp"], row[value_col]
+            if text is None or value is None:
+                absent = [c for c, v in (("timestamp", text), (value_col, value)) if v is None]
+                raise ParseError(f"row is missing fields: {', '.join(absent)}", reader.line_num)
+            try:
+                minutes.append(stamp(text))
+            except InputError as exc:
+                raise ParseError(str(exc), reader.line_num) from exc
+            try:
+                values.append(float(value))
+            except ValueError:
+                raise ParseError(f"bad value {value!r}", reader.line_num)
+    if not minutes:
+        raise ParseError(f"{what} CSV has no rows")
+    return minutes, values
 
 
 def read_label_csv(path) -> LabelSeries:
-    minutes: list[int] = []
-    values: list[float] = []
-    with open(path, newline="") as handle:
-        reader = _CommentedCsv(handle)
-        if reader.fieldnames is None or "timestamp" not in reader.fieldnames or "value" not in reader.fieldnames:
-            raise ParseError("label CSV needs 'timestamp' and 'value' columns")
-        for row in reader:
-            line_no = reader.line_num
-            minutes.append(parse_timestamp(row["timestamp"]))
-            try:
-                values.append(float(row["value"]))
-            except ValueError:
-                raise ParseError(f"bad value {row['value']!r}", line_no)
-    if not minutes:
-        raise ParseError("label CSV has no rows")
+    minutes, values = _read_grid_csv(path, "value", "label")
     if len(minutes) > 1 and np.any(np.diff(minutes) != 1):
         raise InputError("label CSV must cover a contiguous 1-minute grid")
     return LabelSeries(window_start=minutes[0], values=np.array(values))
 
 
 def read_sensor_csv(path) -> SensorSeries:
-    minutes: list[int] = []
-    values: list[float] = []
-    with open(path, newline="") as handle:
-        reader = _CommentedCsv(handle)
-        if reader.fieldnames is None or "timestamp" not in reader.fieldnames:
-            raise ParseError("sensor CSV needs 'timestamp' and a value column")
-        value_col = next((c for c in reader.fieldnames if c != "timestamp"), None)
-        if value_col is None:
-            raise ParseError("sensor CSV needs a value column next to 'timestamp'")
-        for row in reader:
-            line_no = reader.line_num
-            minutes.append(parse_timestamp(row["timestamp"]))
-            try:
-                values.append(float(row[value_col]))
-            except ValueError:
-                raise ParseError(f"bad value {row[value_col]!r}", line_no)
-    if not minutes:
-        raise ParseError("sensor CSV has no rows")
-    return SensorSeries.from_timestamps(minutes, values)
+    return SensorSeries.from_timestamps(*_read_grid_csv(path, None, "sensor"))
 
 
 def write_table_csv(path, rows: list[dict], config: dict | None = None):

@@ -2,12 +2,14 @@
 
 Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
-midpoint quadrature of the uniform density, and state paths from trying
-every possible path.
+midpoint quadrature of the uniform density, state paths from trying
+every possible path, and label CSV bytes from formatting row by row.
 """
 
+import csv
 import itertools
 import math
+from datetime import date, timedelta
 
 import numpy as np
 
@@ -108,3 +110,20 @@ def exhaustive_forward_backward(initial, transition, means, variances, values):
         if t + 1 < t_max:
             np.add.at(xi_sum, (paths[:, t], paths[:, t + 1]), weights)
     return top + math.log(total), gamma / total, xi_sum / total
+
+
+def reference_write_label_csv(path, series, header=""):
+    """Label CSV written one row at a time: a date and a strftime per row.
+
+    `header` is the '#' comment block to put first.
+    """
+    epoch = date(1970, 1, 1)
+    with open(path, "w", newline="") as handle:
+        handle.write(header)
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["timestamp", "value"])
+        for i, value in enumerate(series.values):
+            days, rem = divmod(series.window_start + i, 1440)
+            hh, mm = divmod(rem, 60)
+            stamp = f"{epoch + timedelta(days=days):%Y-%m-%d} {hh:02d}:{mm:02d}"
+            writer.writerow([stamp, f"{value:.12g}"])

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tempolabel.cli import main
 from tempolabel.ingest import (
@@ -207,6 +209,29 @@ def test_soft_labels_escape_annotator_id(runner, tmp_path):
     assert [p.name for p in out_dir.iterdir()] == ["softlabel_a%2Fb_000.csv"]
 
 
+def test_soft_labels_escape_line_breaks_in_header(runner, tmp_path):
+    path = _write(
+        tmp_path / "newline.csv",
+        'annotator_id,date,event_kind,start,end\n"a\nb",2024-03-01,shower,08:00,08:30\n',
+    )
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    (label_file,) = out_dir.iterdir()
+    assert "# annotator_id=a\\nb\n" in label_file.read_text()
+    assert len(read_label_csv(label_file)) > 30
+
+
+def test_soft_labels_past_year_9999_exits_2(runner, tmp_path):
+    path = _write(
+        tmp_path / "late.csv",
+        "annotator_id,date,event_kind,start,end\np01,9999-12-31,shower,23:10,23:50\n",
+    )
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(tmp_path / "labels")])
+    assert result.exit_code == 2
+    assert "outside the years 1-9999" in result.output
+
+
 def test_histogram_cmd(runner, tmp_path):
     path = _write(
         tmp_path / "ann.csv",
@@ -382,6 +407,33 @@ def test_evaluate_misaligned_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_evaluate_bad_timestamp_reports_file_line(runner, tmp_path):
+    labels = tmp_path / "a.csv"
+    write_label_csv(labels, LabelSeries(0, np.array([0.0, 1.0, 1.0])), {"delta": 0.1})
+    bad = _write(
+        tmp_path / "b.csv",
+        "# predictions\ntimestamp,value\n1970-01-01 00:00,0\n# gap\n1970-01-01 24:01,1\n",
+    )
+    result = runner.invoke(
+        main,
+        ["evaluate", "--labels", str(labels), "--predictions", bad, "--out", str(tmp_path / "m.json")],
+    )
+    assert result.exit_code == 2
+    assert "error: line 5: bad timestamp '1970-01-01 24:01'" in result.output
+
+
+def test_detect_bad_timestamp_reports_file_line(runner, tmp_path):
+    sensor, _, params = _detect_fixture(tmp_path)
+    lines = sensor.read_text().splitlines(keepends=True)
+    lines[100] = "2024-05-01 07:99,45.0\n"
+    sensor.write_text("# humidity export\n" + "".join(lines))
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--out", str(tmp_path / "p.csv")]
+    )
+    assert result.exit_code == 2
+    assert "error: line 102: bad timestamp '2024-05-01 07:99'" in result.output
+
+
 def test_simulate_cmd_writes_tables(runner, tmp_path):
     out = tmp_path / "sim"
     result = runner.invoke(
@@ -446,3 +498,76 @@ def test_simulate_tables_match_golden_digests(runner, tmp_path):
     assert result.exit_code == 0, result.output
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == GOLDEN_SIMULATE_SHA256
+
+
+_JUNK_LINE = st.text(alphabet='0123456789-:,. "#\r\n\tabeinfx+', max_size=24)
+_IDS = ["p1", "p2", '"a\nb"', ""]
+_DATES = ["2024-03-01", "2024-02-29", "0001-01-01", "9999-12-31", "2024-3-1"]
+_GRID_STARTS = ["2024-02-28 23:50", "1969-12-31 23:55", "0001-01-01 00:00", "9999-12-31 23:30"]
+_VALUES = ["0", "1", "0.25", "-0", "0.5", "40.5", "1e200", "1e400", "nan", "-inf", "2", "x", ""]
+
+
+@st.composite
+def _hostile_input(draw):
+    """A command and the text of a CSV for it: valid rows, then damage."""
+    kind = draw(st.sampled_from(["soft-labels", "evaluate", "detect"]))
+    if kind == "soft-labels":
+        n = draw(st.integers(0, 6))
+        header = "annotator_id,date,event_kind,start,end"
+        rows = []
+        for _ in range(n):
+            start = draw(st.integers(0, 1438))
+            end = min(start + draw(st.integers(1, 120)), 1439)
+            rows.append(
+                f"{draw(st.sampled_from(_IDS))},{draw(st.sampled_from(_DATES))},"
+                f"shower,{start // 60:02d}:{start % 60:02d},{end // 60:02d}:{end % 60:02d}"
+            )
+    else:
+        n = draw(st.integers(0, 25))
+        header = "timestamp,value" if kind == "evaluate" else "timestamp,humidity"
+        base = parse_timestamp(draw(st.sampled_from(_GRID_STARTS)))
+        pool = _VALUES[:5] if kind == "evaluate" else _VALUES[5:7]
+        rows = [f"{format_timestamp(base + i)},{draw(st.sampled_from(pool))}" for i in range(n)]
+    lines = [header, *rows]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        damage = draw(st.one_of(_JUNK_LINE, st.sampled_from(_VALUES)))
+        if draw(st.booleans()) and at < len(lines):
+            lines[at] = lines[at][: draw(st.integers(0, len(lines[at])))] + damage
+        else:
+            lines.insert(at, damage)
+    text = "\n".join(lines).encode()
+    if draw(st.booleans()):
+        text += draw(st.binary(max_size=4))
+    return kind, text, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_hostile_input())
+def test_cli_survives_hostile_csv(tmp_path_factory, case):
+    kind, text, fit = case
+    tmp = tmp_path_factory.mktemp("fuzz")
+    path = tmp / "input.csv"
+    path.write_bytes(text)
+    if kind == "soft-labels":
+        args = ["soft-labels", str(path), "--out", str(tmp / "labels")]
+    elif kind == "evaluate":
+        args = ["evaluate", "--labels", str(path), "--predictions", str(path)]
+        args += ["--out", str(tmp / "m.json")]
+    else:
+        params = tmp / "hmm.json"
+        params.write_text(
+            json.dumps(
+                {
+                    "initial": [0.5, 0.5],
+                    "transition": [[0.9, 0.1], [0.1, 0.9]],
+                    "means": [40.0, 41.0],
+                    "variances": [1.0, 1.0],
+                }
+            )
+        )
+        args = ["detect", str(path), "--params", str(params), "--out", str(tmp / "p.csv")]
+        args += ["--fit"] if fit else []
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

@@ -1,5 +1,9 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from tempolabel import (
     DegenerateModelError,
@@ -10,7 +14,9 @@ from tempolabel import (
     viterbi,
 )
 
+from tempolabel.cli import main
 from tempolabel.hmm import _forward_backward
+from tempolabel.ingest import format_timestamp
 
 from .oracles import exhaustive_forward_backward, exhaustive_state_path
 
@@ -263,11 +269,26 @@ def test_single_spike_fits():
     assert np.all(np.diff(fit.log_likelihoods) >= -1e-9)
 
 
-def test_unrepresentable_reading_is_degeneracy_error():
+def test_unrepresentable_reading_is_degeneracy_error(tmp_path):
     # the squared distance to every mean overflows, so no state can emit it
     values = np.full(20, 40.0)
     values[7] = 1e200
-    with pytest.raises(DegenerateModelError, match="step 7"):
-        fit_emissions(SensorSeries(0, values), _spike_guess())
-    with pytest.raises(DegenerateModelError, match="step 7"):
-        viterbi(_spike_guess(), SensorSeries(0, values))
+    sensor = tmp_path / "sensor.csv"
+    sensor.write_text(
+        "timestamp,humidity\n"
+        + "".join(f"{format_timestamp(i)},{v!r}\n" for i, v in enumerate(values.tolist()))
+    )
+    params = tmp_path / "hmm.json"
+    params.write_text(json.dumps(_spike_guess().to_dict()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported once, as the error
+        with pytest.raises(DegenerateModelError, match="step 7"):
+            fit_emissions(SensorSeries(0, values), _spike_guess())
+        with pytest.raises(DegenerateModelError, match="step 7"):
+            viterbi(_spike_guess(), SensorSeries(0, values))
+        result = CliRunner().invoke(
+            main,
+            ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(tmp_path / "p.csv")],
+        )
+    assert result.exit_code == 3, result.output
+    assert "step 7" in result.output

@@ -1,0 +1,180 @@
+import locale
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tempolabel.errors import InputError
+from tempolabel.ingest import (
+    ParseError,
+    _StampParser,
+    config_header,
+    format_timestamp,
+    parse_timestamp,
+    read_annotations_csv,
+    read_label_csv,
+    read_sensor_csv,
+    write_label_csv,
+)
+from tempolabel.labels import LabelSeries
+
+from .oracles import reference_write_label_csv
+
+_NEW_YEAR_2024 = parse_timestamp("2024-01-01 00:00")
+_AWKWARD = np.array([5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 2 / 3, 1e-5, 0.5, -0.0])
+
+_window_starts = st.one_of(
+    st.integers(-(10**8), -1),  # before 1970
+    st.integers(0, 3000).map(lambda k: 20_000 * 1440 - k),  # ends past a midnight
+    st.integers(0, 3000).map(lambda k: _NEW_YEAR_2024 - k),  # ends past a new year
+    st.integers(-(10**7), 10**7),
+)
+
+
+def _values(rng, n, kinds):
+    pools = {
+        "binary": lambda: rng.integers(0, 2, n).astype(float),
+        "ramp": lambda: rng.integers(0, 31, n) / 30.0,
+        "random": lambda: rng.random(n),
+        "awkward": lambda: rng.choice(_AWKWARD, n),
+    }
+    drawn = np.stack([pools[kind]() for kind in kinds])
+    return drawn[rng.integers(0, len(kinds), n), np.arange(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window_start=_window_starts,
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.lists(st.sampled_from(["binary", "ramp", "random", "awkward"]), min_size=1, unique=True),
+    with_config=st.booleans(),
+)
+def test_label_writer_matches_row_by_row_oracle(tmp_path_factory, window_start, n, seed, kinds, with_config):
+    series = LabelSeries(window_start, _values(np.random.default_rng(seed), n, kinds))
+    config = {"annotator_id": "p01", "delta": 0.1} if with_config else None
+    tmp = tmp_path_factory.mktemp("codec")
+    write_label_csv(tmp / "fast.csv", series, config)
+    reference_write_label_csv(tmp / "slow.csv", series, config_header(config) if config else "")
+    assert (tmp / "fast.csv").read_bytes() == (tmp / "slow.csv").read_bytes()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except InputError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2024-03-01 00:00",
+        "2024-03-01 10:07",
+        "2024-03-01 23:59",
+        "2024-03-02 00:00",
+        "1969-12-31 23:59",
+        "2024-1-5 3:07",
+        "2024-03-01 3:07",
+        " 2024-03-01 10:00",
+        "2024-03-01 10:00 ",
+        "2024-03-01  9:00",
+        "2024-02-30 10:00",
+        "2024-03-01 24:00",
+        "2024-03-01 10:60",
+        "2024-03-01 1:000",
+        "2024-03-01T10:00",
+        "2024-03-01 -1:00",
+        "２０２４-03-01 10:00",
+        "2024-03-01 １０:００",
+        "2024-03-01 10:0",
+        "",
+    ],
+)
+def test_day_cache_matches_parse_timestamp(text):
+    # most cases share the primed date, so the fast path is tried first
+    parse = _StampParser()
+    parse("2024-03-01 12:00")
+    assert _outcome(parse, text) == _outcome(parse_timestamp, text)
+    # a rejected or odd stamp leaves the cache usable
+    assert parse("2024-03-01 12:34") == parse_timestamp("2024-03-01 12:34")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prime=st.sampled_from(["2024-03-01 12:00", " 2024-3-1  12:00", "0999-12-31 23:59"]),
+    tail=st.text(alphabet="0123456789: １", min_size=0, max_size=6),
+)
+def test_day_cache_matches_parse_timestamp_on_mangled_times(prime, tail):
+    parse = _StampParser()
+    parse(prime)
+    text = prime[:11] + tail
+    assert _outcome(parse, text) == _outcome(parse_timestamp, text)
+
+
+def test_label_read_uses_file_line_for_bad_timestamp(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text(
+        "# a comment\n"
+        "timestamp,value\n"
+        "2024-03-01 10:00,0\n"
+        "# another\n"
+        "2024-03-01 25:00,1\n"
+    )
+    with pytest.raises(ParseError, match=r"^line 5: bad timestamp '2024-03-01 25:00'"):
+        read_label_csv(path)
+
+
+def test_sensor_read_reports_missing_value_field(tmp_path):
+    path = tmp_path / "sensor.csv"
+    path.write_text("timestamp,humidity\n2024-03-01 10:00,40\n2024-03-01 10:01\n")
+    with pytest.raises(ParseError, match=r"^line 3: row is missing fields: humidity"):
+        read_sensor_csv(path)
+
+
+def test_label_rows_cross_days_and_keep_values(tmp_path):
+    start = parse_timestamp("2023-12-31 23:58")
+    series = LabelSeries(start, np.array([0.0, 0.25, 1.0, 0.25]))
+    path = tmp_path / "labels.csv"
+    write_label_csv(path, series)
+    assert path.read_text() == (
+        "timestamp,value\n"
+        "2023-12-31 23:58,0\n"
+        "2023-12-31 23:59,0.25\n"
+        "2024-01-01 00:00,1\n"
+        "2024-01-01 00:01,0.25\n"
+    )
+    again = read_label_csv(path)
+    assert again.window_start == start
+    np.testing.assert_array_equal(again.values, series.values)
+
+
+def test_config_header_escapes_line_breaks():
+    header = config_header({"annotator_id": "a\nb\\c\rd", "delta": 0.1})
+    assert header == "# annotator_id=a\\nb\\\\c\\rd\n# delta=0.1\n"
+
+
+def test_minutes_past_year_9999_are_input_errors():
+    last = parse_timestamp("9999-12-31 23:59")
+    assert format_timestamp(last) == "9999-12-31 23:59"
+    with pytest.raises(InputError, match="outside the years 1-9999"):
+        format_timestamp(last + 1)
+
+
+@pytest.mark.skipif(
+    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
+    reason="input files are read in the locale's encoding",
+)
+def test_undecodable_bytes_are_parse_errors(tmp_path):
+    path = tmp_path / "diary.csv"
+    path.write_bytes(b"annotator_id,date,event_kind,start,end\np\xff,2024-03-01,shower,08:00,08:30\n")
+    with pytest.raises(ParseError, match="not utf-8 text"):
+        read_annotations_csv(path)
+
+
+def test_oversized_field_is_parse_error(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text('timestamp,value\n"' + "x" * 200_000 + "\n")
+    with pytest.raises(ParseError, match="field larger than field limit"):
+        read_label_csv(path)
