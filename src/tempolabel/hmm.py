@@ -77,6 +77,8 @@ class HmmParams:
         transition = np.asarray(self.transition, dtype=float)
         means = np.asarray(self.means, dtype=float)
         variances = np.asarray(self.variances, dtype=float)
+        if initial.ndim != 1:
+            raise InputError("initial distribution must be a 1-d vector")
         n = initial.shape[0]
         if not all(np.all(np.isfinite(a)) for a in (initial, transition, means, variances)):
             raise InputError("HMM parameters must be finite")
@@ -111,16 +113,21 @@ class HmmParams:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "HmmParams":
-        try:
-            return cls(
-                initial=d["initial"],
-                transition=d["transition"],
-                means=d["means"],
-                variances=d["variances"],
-            )
-        except KeyError as exc:
-            raise InputError(f"HMM parameter file missing key {exc}") from exc
+    def from_dict(cls, d) -> "HmmParams":
+        """Parameters from a parsed JSON object of numeric arrays."""
+        if not isinstance(d, dict):
+            raise InputError(f"HMM parameter file must hold an object, got {type(d).__name__}")
+        arrays = {}
+        for key in ("initial", "transition", "means", "variances"):
+            if key not in d:
+                raise InputError(f"HMM parameter file missing key {key!r}")
+            try:
+                arrays[key] = np.asarray(d[key], dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InputError(
+                    f"HMM parameter {key!r} is not an array of numbers: {exc}"
+                ) from exc
+        return cls(**arrays)
 
 
 @dataclass(frozen=True)

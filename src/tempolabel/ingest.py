@@ -126,13 +126,11 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
             raise ParseError(f"missing columns: {', '.join(missing)}", reader.line_num)
         records = []
         day_bases: dict[str, int] = {}
-        for row in reader:
+        for fields in reader:
             line_no = reader.line_num
-            absent = [c for c in ANNOTATION_COLUMNS if row[c] is None]
-            if absent:
-                raise ParseError(f"row is missing fields: {', '.join(absent)}", line_no)
-            if None in row:
-                raise ParseError(f"row has {len(row[None])} extra field(s)", line_no)
+            if len(fields) != len(reader.fieldnames):
+                _check_width(fields, reader, ANNOTATION_COLUMNS)
+            row = {c: fields[reader.columns[c]] for c in ANNOTATION_COLUMNS}
             base = day_bases.get(row["date"])
             if base is None:
                 try:
@@ -160,31 +158,51 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
     return records
 
 
-class _CommentedCsv(csv.DictReader):
-    """DictReader over a CSV that may hold '#' comment lines anywhere.
+class _CommentedCsv:
+    """csv.reader over a CSV that may hold '#' comment lines anywhere.
 
-    Each comment line reaches the parser as a blank line, which is skipped
-    but still counted, so `line_num` is the file line of the row just
-    returned (or of the header, before the first row). Undecodable bytes
-    and rows the csv module rejects (a field over its size limit) raise
-    ParseError.
+    `fieldnames` is the first non-blank row (None for a file without one)
+    and `columns` maps each of its names to its index, the last one for a
+    repeated name, as csv.DictReader keys it. Iterating yields the remaining
+    non-blank rows as lists of fields. Each comment line reaches the parser
+    as a blank line, which is skipped but still counted, so `line_num` is
+    the file line of the row just returned (or of the header, before the
+    first row). Undecodable bytes and rows the csv module rejects (a field
+    over its size limit) raise ParseError.
     """
 
     def __init__(self, handle):
-        super().__init__(_uncommented(handle))
-        try:
-            self.fieldnames = next((row for row in self.reader if row), None)
-        except csv.Error as exc:
-            raise ParseError(str(exc), self.reader.line_num) from exc
+        self._reader = csv.reader(_uncommented(handle))
+        self.fieldnames = next(self, None)
+        self.columns = {name: i for i, name in enumerate(self.fieldnames or ())}
 
-    def __next__(self) -> dict:
+    @property
+    def line_num(self) -> int:
+        return self._reader.line_num
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> list[str]:
         try:
-            row = super().__next__()
+            row = next(self._reader)
+            while not row:
+                row = next(self._reader)
         except csv.Error as exc:
-            raise ParseError(str(exc), self.reader.line_num) from exc
-        # DictReader takes line_num before it skips blank lines
-        self.line_num = self.reader.line_num
+            raise ParseError(str(exc), self._reader.line_num) from exc
         return row
+
+
+def _check_width(row: list[str], reader: _CommentedCsv, needed) -> None:
+    """ParseError, with the row's file line, for a row that lacks one of the
+    `needed` columns or has more fields than the header. A short row that
+    holds every needed column passes."""
+    absent = [c for c in needed if reader.columns[c] >= len(row)]
+    if absent:
+        raise ParseError(f"row is missing fields: {', '.join(absent)}", reader.line_num)
+    if len(row) > len(reader.fieldnames):
+        extra = len(row) - len(reader.fieldnames)
+        raise ParseError(f"row has {extra} extra field(s)", reader.line_num)
 
 
 def _uncommented(handle):
@@ -256,11 +274,13 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[list[int], l
                 raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
         elif fields is None or "timestamp" not in fields or value_col not in fields:
             raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
+        needed = ("timestamp", value_col)
+        at_stamp, at_value = (reader.columns[c] for c in needed)
+        width = len(fields)
         for row in reader:
-            text, value = row["timestamp"], row[value_col]
-            if text is None or value is None:
-                absent = [c for c, v in (("timestamp", text), (value_col, value)) if v is None]
-                raise ParseError(f"row is missing fields: {', '.join(absent)}", reader.line_num)
+            if len(row) != width:
+                _check_width(row, reader, needed)
+            text, value = row[at_stamp], row[at_value]
             try:
                 minutes.append(stamp(text))
             except InputError as exc:
@@ -306,14 +326,16 @@ def _format_cell(value) -> str:
 
 
 def write_json(path, payload: dict):
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(text)
 
 
 def read_json(path) -> dict:
     with open(path) as handle:
         try:
             return json.load(handle)
-        except json.JSONDecodeError as exc:
+        # ValueError covers syntax errors, undecodable bytes and integers
+        # past Python's digit limit; RecursionError, nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}") from exc

@@ -132,19 +132,26 @@ class LabelSeries:
         }
 
 
+def ramp(t, lo, half_width) -> np.ndarray:
+    """Uniform-boundary CDF: 0 up to `lo`, rising linearly to 1 at
+    `lo + 2 * half_width`. Arguments broadcast element-wise."""
+    return np.clip((t - lo) / (2.0 * half_width), 0.0, 1.0)
+
+
+def indicator(t, start, end) -> np.ndarray:
+    """1.0 where start <= t < end, else 0.0. Arguments broadcast element-wise."""
+    return ((t >= start) & (t < end)).astype(float)
+
+
 def start_probability(dist: BoundaryDistribution, t) -> float | np.ndarray:
     """P(true start <= t): linear ramp from 0 at lo to 1 at hi."""
-    t = np.asarray(t, dtype=float)
-    ramp = (t - dist.lo) / (2.0 * dist.half_width)
-    out = np.clip(ramp, 0.0, 1.0)
+    out = ramp(np.asarray(t, dtype=float), dist.lo, dist.half_width)
     return float(out) if out.ndim == 0 else out
 
 
 def end_probability(dist: BoundaryDistribution, t) -> float | np.ndarray:
     """P(true end > t): complement ramp, 1 at lo falling to 0 at hi."""
-    t = np.asarray(t, dtype=float)
-    ramp = (t - dist.lo) / (2.0 * dist.half_width)
-    out = 1.0 - np.clip(ramp, 0.0, 1.0)
+    out = 1.0 - ramp(np.asarray(t, dtype=float), dist.lo, dist.half_width)
     return float(out) if out.ndim == 0 else out
 
 
@@ -199,9 +206,7 @@ def hard_series(start: int, end: int, window: TimeWindow) -> LabelSeries:
         raise InputError(
             f"window [{window.start}, {window.end}) does not cover [{start}, {end})"
         )
-    mid = window.midpoints()
-    values = ((mid >= start) & (mid < end)).astype(float)
-    return LabelSeries(window_start=window.start, values=values)
+    return LabelSeries(window_start=window.start, values=indicator(window.midpoints(), start, end))
 
 
 def hard_label(event: EventAnnotation, window: TimeWindow) -> LabelSeries:

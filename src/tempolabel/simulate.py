@@ -17,6 +17,17 @@ Every experiment infers categories through the inference module rather than
 reusing the resolution it simulated with, so the full pipeline is exercised.
 All randomness flows from per-run derived seeds (never a shared stream), so
 rerunning any experiment with the same seed reproduces it bit for bit.
+
+The MSE and F1 sweeps score all records of a sweep point on one flat label
+grid: the records' windows laid end to end, `_GRID_RECORDS` records at a
+time so memory stays bounded for any number of events. Truth, hard and soft
+values come from the same element-wise operations as `hard_series` and
+`soft_series`, and each record's sums are NumPy reductions over its own
+contiguous slice, as `mse` and `soft_confusion` compute them on a record's
+series, so the tables are exactly those of scoring record by record. The
+error-rate sweep seeds every trial as before, from (seed, 30, period, n,
+trial), passed to NumPy as uint32 words, and counts all trials of a point
+with one bincount.
 """
 
 from __future__ import annotations
@@ -27,8 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CategoryCatalog
-from .errors import ConfigError
-from .evaluation import SoftConfusionMatrix, boundary_slot_mask, f1, mse, soft_confusion
+from .errors import ConfigError, InputError
+from .evaluation import SoftConfusionMatrix, f1
 from .inference import (
     MINUTES_PER_HOUR,
     AnnotationSet,
@@ -38,12 +49,17 @@ from .inference import (
     category_posterior,
     habit_posterior,
 )
-from .labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
+from .labels import indicator, ramp
 
 MINUTES_PER_DAY = 1440
 
 DEFAULT_RESOLUTIONS = (1, 5, 10, 15, 30)
 DEFAULT_N_SWEEP = (1, 2, 5, 10, 20, 50, 100)
+
+# Records per label grid. A record's window is about 100-200 slots, so this
+# keeps each flat array of a grid near 100 kB however many events a sweep
+# point has.
+_GRID_RECORDS = 64
 
 
 @dataclass(frozen=True)
@@ -91,6 +107,20 @@ class SimRecord:
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
+
+
+def _seed_words(*values: int) -> np.ndarray:
+    """The uint32 entropy `np.random.SeedSequence` makes of a list of ints:
+    each int in little-endian 32-bit words, 0 as one zero word."""
+    words = []
+    for value in map(int, values):
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(value & 0xFFFFFFFF)
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+    return np.array(words, dtype=np.uint32)
 
 
 def round_to_resolution(t: float, resolution: int) -> int:
@@ -158,52 +188,166 @@ def generate_events(config: SimConfig) -> list[SimRecord]:
     return records
 
 
-def _infer_boundary_categories(records, catalog, model):
-    """MAP category per annotated boundary, via the full inference pipeline.
-
-    Evidence order is [start_0, end_0, start_1, end_1, ...], so record i's
-    boundaries map to rows 2i and 2i+1.
-    """
-    stamps: list[int] = []
-    for rec in records:
-        stamps.append(rec.annotated_start)
-        stamps.append(rec.annotated_end)
+def _boundary_periods(records, catalog, model) -> np.ndarray:
+    """(records, 2) periods of the MAP categories of each record's start and
+    end, via the full inference pipeline (evidence [start_0, end_0, ...])."""
+    stamps = [t for rec in records for t in (rec.annotated_start, rec.annotated_end)]
     evidence = AnnotationSet.from_timestamps("simulated", stamps)
     habit = habit_posterior(evidence, catalog, model)
-    rows = category_posterior(evidence, catalog, model, habit=habit)
-    cats = rows.map_categories()
-    return [(cats[2 * i], cats[2 * i + 1]) for i in range(len(records))], habit
+    cats = category_posterior(evidence, catalog, model, habit=habit).map_categories()
+    return np.array([cat.period_minutes for cat in cats]).reshape(-1, 2)
 
 
-def _event_window(rec: SimRecord, config: SimConfig) -> TimeWindow:
-    pad = _placement_margin(config)
-    lo = min(rec.true_start, rec.annotated_start) - pad
-    hi = max(rec.true_end, rec.annotated_end) + pad
-    return TimeWindow(lo, hi)
+@dataclass(frozen=True)
+class _LabelGrid:
+    """Truth, hard and soft labels of consecutive records on one flat grid.
+
+    Record i owns slots offsets[i]:offsets[i + 1], its window of whole
+    minutes; `record` names each slot's record and `minutes` its start.
+    """
+
+    offsets: np.ndarray
+    record: np.ndarray
+    minutes: np.ndarray
+    true_start: np.ndarray  # per record
+    true_end: np.ndarray
+    truth: np.ndarray
+    hard: np.ndarray
+    soft: np.ndarray
+
+    def segments(self):
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
 
 
-def _event_series(rec: SimRecord, cat_s, cat_e, config: SimConfig):
-    """Truth, hard and soft series for one record on its own grid.
+# What TimeWindow, hard_series (truth, then annotation), BoundaryDistribution
+# (start, then end) and soft_series raise, in the order they check; filled
+# with a record's lo, hi, ts, te, a_s, a_e, half_s, half_e, lo_s, hi_s, lo_e
+# and hi_e
+_LABEL_ERRORS = (
+    "window end must exceed start, got [{0}, {1})",
+    "end must not precede start, got start={2} end={3}",
+    "window [{0}, {1}) does not cover [{2}, {3})",
+    "end must not precede start, got start={4} end={5}",
+    "window [{0}, {1}) does not cover [{4}, {5})",
+    "half-width below 0.5 is finer than the 1-minute grid, got {6}",
+    "half-width below 0.5 is finer than the 1-minute grid, got {7}",
+    "window [{0}, {1}) too small for ramps [{8}, {9}] and [{10}, {11}]",
+)
 
-    Soft ramps are centered on the annotation minus the injected bias: the
+
+def _label_grids(records, periods, config: SimConfig):
+    """Yield the label grids of `records`, `_GRID_RECORDS` records at a time.
+
+    Record i's window is [min(true, annotated) start - pad, max(true,
+    annotated) end + pad), pad being the placement margin. Values are those
+    of `hard_series` and `soft_series` on that window, slot for slot; soft
+    ramps are centered on the annotation minus the injected bias: the
     simulator knows the offset it added, and removing it restores the
     zero-mean rounding the soft label's uniform ramp is built to cover.
+
+    Every check those functions make runs on a whole block at once. The
+    first record that fails one raises the error the per-record functions
+    raise for it, once the records before it have been yielded.
     """
-    window = _event_window(rec, config)
-    truth = hard_series(rec.true_start, rec.true_end, window)
-    hard = hard_series(rec.annotated_start, rec.annotated_end, window)
-    soft = soft_series(
-        BoundaryDistribution(
-            center=rec.annotated_start - rec.bias_minutes,
-            half_width=cat_s.period_minutes / 2.0,
-        ),
-        BoundaryDistribution(
-            center=rec.annotated_end - rec.bias_minutes,
-            half_width=cat_e.period_minutes / 2.0,
-        ),
-        window,
+    pad = _placement_margin(config)
+    for first in range(0, len(records), _GRID_RECORDS):
+        block = records[first : first + _GRID_RECORDS]
+        ts, te, a_s, a_e = np.array(
+            [(r.true_start, r.true_end, r.annotated_start, r.annotated_end) for r in block]
+        ).T
+        bias = np.array([r.bias_minutes for r in block])
+        half_s, half_e = (periods[first : first + len(block)] / 2.0).T
+        lo = np.minimum(ts, a_s) - pad
+        hi = np.maximum(te, a_e) + pad
+        lo_s, hi_s = a_s - bias - half_s, a_s - bias + half_s
+        lo_e, hi_e = a_e - bias - half_e, a_e - bias + half_e
+        failed = np.array(
+            [  # per check, in the order of _LABEL_ERRORS, and per record
+                hi <= lo,
+                te < ts,
+                (ts < lo) | (te > hi),
+                a_e < a_s,
+                (a_s < lo) | (a_e > hi),
+                half_s < 0.5,
+                half_e < 0.5,
+                (lo > lo_s) | (hi < hi_e),
+            ]
+        )
+        bad = np.flatnonzero(failed.any(axis=0))
+        n_ok = int(bad[0]) if bad.size else len(block)
+        error = None
+        if bad.size:
+            values = (lo, hi, ts, te, a_s, a_e, half_s, half_e, lo_s, hi_s, lo_e, hi_e)
+            error = _LABEL_ERRORS[int(np.argmax(failed[:, n_ok]))].format(
+                *(v[n_ok].item() for v in values)
+            )
+
+        lengths = (hi - lo)[:n_ok]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        record = np.repeat(np.arange(n_ok), lengths)
+        minutes = np.arange(offsets[-1]) + (lo[:n_ok] - offsets[:-1])[record]
+        mid = minutes + 0.5
+        soft = ramp(mid, lo_s[record], half_s[record]) * (
+            1.0 - ramp(mid, lo_e[record], half_e[record])
+        )
+        out_of_range = np.flatnonzero(~((soft >= 0.0) & (soft <= 1.0)))
+        if out_of_range.size:
+            n_ok = int(record[out_of_range[0]])
+            error = "label values must lie in [0, 1]"
+        if n_ok:
+            end = offsets[n_ok]
+            record, minutes, mid = record[:end], minutes[:end], mid[:end]
+            yield _LabelGrid(
+                offsets=offsets[: n_ok + 1],
+                record=record,
+                minutes=minutes,
+                true_start=ts[:n_ok],
+                true_end=te[:n_ok],
+                truth=indicator(mid, ts[record], te[record]),
+                hard=indicator(mid, a_s[record], a_e[record]),
+                soft=soft[:end],
+            )
+        if error is not None:
+            raise InputError(error)
+
+
+def _boundary_mse(grid: _LabelGrid, halfwidth: int) -> tuple[list[float], list[float]]:
+    """Per record: MSE of its hard and of its soft labels against the truth
+    on the slots within ±halfwidth of a true boundary, computed as
+    `mse(truth, x, slots=boundary_slot_mask(truth, (start, end), halfwidth))`
+    computes it: the selected squared differences are summed as one
+    contiguous array and divided by their count."""
+    starts = grid.true_start[grid.record]
+    ends = grid.true_end[grid.record]
+    near = (np.abs(grid.minutes - starts) <= halfwidth) | (np.abs(grid.minutes - ends) <= halfwidth)
+    selected = np.concatenate(([0], np.cumsum(near)))[grid.offsets]
+    counts = np.diff(selected)
+    if not counts.all():
+        raise InputError("slot selection is empty")
+    # rows C-contiguous, so that reducing a slice along axis 1 runs NumPy's
+    # pairwise sum over each row, exactly as np.mean does over one series
+    squares = np.stack([(d * d)[near] for d in (grid.truth - grid.hard, grid.truth - grid.soft)])
+    hard: list[float] = []
+    soft: list[float] = []
+    for a, b in zip(selected[:-1].tolist(), selected[1:].tolist()):
+        h, s = (np.add.reduce(squares[:, a:b], axis=1) / (b - a)).tolist()
+        hard.append(h)
+        soft.append(s)
+    return hard, soft
+
+
+def _confusion_sums(grid: _LabelGrid) -> list[list[float]]:
+    """Per record: tp, fp, fn, tn of its hard labels, then of its soft
+    labels, each summed as `soft_confusion` sums it."""
+    r = grid.truth
+    cells = np.stack(
+        [
+            cell
+            for p in (grid.hard, grid.soft)
+            for cell in (r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p))
+        ]
     )
-    return truth, hard, soft
+    return [np.add.reduce(cells[:, a:b], axis=1).tolist() for a, b in grid.segments()]
 
 
 def run_mse_experiment(
@@ -218,16 +362,13 @@ def run_mse_experiment(
     for res in resolutions:
         config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
         records = generate_events(config)
-        cats, _ = _infer_boundary_categories(records, catalog, model)
-        hard_scores = []
-        soft_scores = []
-        for rec, (cat_s, cat_e) in zip(records, cats):
-            truth, hard, soft = _event_series(rec, cat_s, cat_e, config)
-            mask = boundary_slot_mask(
-                truth, (rec.true_start, rec.true_end), config.boundary_halfwidth
-            )
-            hard_scores.append(mse(truth, hard, slots=mask))
-            soft_scores.append(mse(truth, soft, slots=mask))
+        periods = _boundary_periods(records, catalog, model)
+        hard_scores: list[float] = []
+        soft_scores: list[float] = []
+        for grid in _label_grids(records, periods, config):
+            hard, soft = _boundary_mse(grid, config.boundary_halfwidth)
+            hard_scores += hard
+            soft_scores += soft
         rows.append(
             {
                 "resolution_minutes": res,
@@ -249,7 +390,8 @@ def run_f1_experiment(
     """Micro-averaged F1 of hard and soft labels vs truth, per resolution and bias.
 
     The same true events are reused across bias settings of one resolution,
-    so bias is the only thing that changes between those rows.
+    so bias is the only thing that changes between those rows. Confusion
+    counts are added record by record, in record order.
     """
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=base.delta)
@@ -263,20 +405,18 @@ def run_f1_experiment(
                 seed=_derived_seed(base.seed, 20, res),
             )
             records = generate_events(config)
-            cats, _ = _infer_boundary_categories(records, catalog, model)
-            total_hard = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
-            total_soft = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
-            for rec, (cat_s, cat_e) in zip(records, cats):
-                truth, hard, soft = _event_series(rec, cat_s, cat_e, config)
-                total_hard = total_hard + soft_confusion(truth, hard)
-                total_soft = total_soft + soft_confusion(truth, soft)
+            periods = _boundary_periods(records, catalog, model)
+            totals = [0.0] * 8
+            for grid in _label_grids(records, periods, config):
+                for sums in _confusion_sums(grid):
+                    totals = [t + v for t, v in zip(totals, sums)]
             rows.append(
                 {
                     "resolution_minutes": res,
                     "bias_fraction": bias,
                     "n_events": len(records),
-                    "f1_hard": f1(total_hard),
-                    "f1_soft": f1(total_soft),
+                    "f1_hard": f1(SoftConfusionMatrix(*totals[:4])),
+                    "f1_soft": f1(SoftConfusionMatrix(*totals[4:])),
                 }
             )
     return rows
@@ -294,8 +434,9 @@ def run_error_rate_experiment(
 
     Each trial draws annotation minutes uniformly from the true category's
     member set, runs the posterior, and counts per-annotation MAP mistakes.
-    Trials use independently derived seeds, so order never matters. The
-    trials of one (period, n) point share one batched posterior call: a
+    Trial t of a point draws from `_rng(seed, 30, period, n, t)`, so order
+    never matters; its seed words are the point's words with t appended.
+    The trials of one (period, n) point share one batched posterior call: a
     trial is its minute histogram, and every annotation at minute m has the
     MAP category of table row m.
     """
@@ -309,11 +450,17 @@ def run_error_rate_experiment(
         true_cat = catalog.by_period(period)
         members = np.array(sorted(true_cat.members))
         for n in n_values:
-            counts = np.zeros((trials, MINUTES_PER_HOUR), dtype=np.int64)
+            point = _seed_words(seed, 30, period, n)
+            words = np.empty((trials, len(point) + 1), dtype=np.uint32)
+            words[:, :-1] = point
+            words[:, -1] = np.arange(trials)
+            draws = np.empty((trials, n), dtype=np.int64)
             for trial in range(trials):
-                rng = _rng(seed, 30, period, n, trial)
-                minutes = members[rng.integers(0, len(members), size=n)]
-                counts[trial] = np.bincount(minutes, minlength=MINUTES_PER_HOUR)
+                rng = np.random.default_rng(np.random.SeedSequence(words[trial]))
+                draws[trial] = rng.integers(0, len(members), size=n)
+            slots = members[draws] + MINUTES_PER_HOUR * np.arange(trials)[:, None]
+            counts = np.bincount(slots.ravel(), minlength=trials * MINUTES_PER_HOUR)
+            counts = counts.reshape(trials, MINUTES_PER_HOUR)
             habit = _habit_probs(counts, catalog, model)
             _, map_index = _category_tables(habit, catalog, model)
             wrong = map_index != true_cat.index - 1

@@ -3,15 +3,39 @@
 Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
-every possible path, and label CSV bytes from formatting row by row.
+every possible path, label CSV bytes from formatting row by row, and the
+MSE and F1 sweeps from one label series per simulated record.
 """
 
 import csv
 import itertools
 import math
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
+
+from tempolabel.catalog import CategoryCatalog
+from tempolabel.evaluation import (
+    SoftConfusionMatrix,
+    boundary_slot_mask,
+    f1,
+    mse,
+    soft_confusion,
+)
+from tempolabel.inference import (
+    AnnotationSet,
+    SwitchModel,
+    category_posterior,
+    habit_posterior,
+)
+from tempolabel.labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
+from tempolabel.simulate import (
+    DEFAULT_RESOLUTIONS,
+    _derived_seed,
+    _placement_margin,
+    generate_events,
+)
 
 
 def enumerate_posteriors(minutes, periods=(30, 15, 10, 5, 1), delta=0.1):
@@ -127,3 +151,110 @@ def reference_write_label_csv(path, series, header=""):
             hh, mm = divmod(rem, 60)
             stamp = f"{epoch + timedelta(days=days):%Y-%m-%d} {hh:02d}:{mm:02d}"
             writer.writerow([stamp, f"{value:.12g}"])
+
+
+def _infer_boundary_categories(records, catalog, model):
+    """MAP category per annotated boundary, via the full inference pipeline.
+
+    Evidence order is [start_0, end_0, start_1, end_1, ...], so record i's
+    boundaries map to rows 2i and 2i+1.
+    """
+    stamps: list[int] = []
+    for rec in records:
+        stamps.append(rec.annotated_start)
+        stamps.append(rec.annotated_end)
+    evidence = AnnotationSet.from_timestamps("simulated", stamps)
+    habit = habit_posterior(evidence, catalog, model)
+    rows = category_posterior(evidence, catalog, model, habit=habit)
+    cats = rows.map_categories()
+    return [(cats[2 * i], cats[2 * i + 1]) for i in range(len(records))]
+
+
+def reference_event_series(rec, cat_s, cat_e, config):
+    """Truth, hard and soft series for one record on its own grid.
+
+    Soft ramps are centered on the annotation minus the injected bias.
+    """
+    pad = _placement_margin(config)
+    lo = min(rec.true_start, rec.annotated_start) - pad
+    hi = max(rec.true_end, rec.annotated_end) + pad
+    window = TimeWindow(lo, hi)
+    truth = hard_series(rec.true_start, rec.true_end, window)
+    hard = hard_series(rec.annotated_start, rec.annotated_end, window)
+    soft = soft_series(
+        BoundaryDistribution(
+            center=rec.annotated_start - rec.bias_minutes,
+            half_width=cat_s.period_minutes / 2.0,
+        ),
+        BoundaryDistribution(
+            center=rec.annotated_end - rec.bias_minutes,
+            half_width=cat_e.period_minutes / 2.0,
+        ),
+        window,
+    )
+    return truth, hard, soft
+
+
+def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=None):
+    """`run_mse_experiment` with one label series and one `mse` call per record."""
+    catalog = catalog or CategoryCatalog.default()
+    model = SwitchModel(delta=base.delta)
+    rows = []
+    for res in resolutions:
+        config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
+        records = generate_events(config)
+        cats = _infer_boundary_categories(records, catalog, model)
+        hard_scores = []
+        soft_scores = []
+        for rec, (cat_s, cat_e) in zip(records, cats):
+            truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
+            mask = boundary_slot_mask(
+                truth, (rec.true_start, rec.true_end), config.boundary_halfwidth
+            )
+            hard_scores.append(mse(truth, hard, slots=mask))
+            soft_scores.append(mse(truth, soft, slots=mask))
+        rows.append(
+            {
+                "resolution_minutes": res,
+                "bias_fraction": config.bias_fraction,
+                "n_events": len(records),
+                "mse_hard": float(np.mean(hard_scores)),
+                "mse_soft": float(np.mean(soft_scores)),
+            }
+        )
+    return rows
+
+
+def reference_run_f1_experiment(
+    base, resolutions=DEFAULT_RESOLUTIONS, bias_fractions=(0.0, 0.5), catalog=None
+):
+    """`run_f1_experiment` with one `soft_confusion` call per record and series."""
+    catalog = catalog or CategoryCatalog.default()
+    model = SwitchModel(delta=base.delta)
+    rows = []
+    for res in resolutions:
+        for bias in bias_fractions:
+            config = replace(
+                base,
+                resolution_minutes=res,
+                bias_fraction=bias,
+                seed=_derived_seed(base.seed, 20, res),
+            )
+            records = generate_events(config)
+            cats = _infer_boundary_categories(records, catalog, model)
+            total_hard = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
+            total_soft = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
+            for rec, (cat_s, cat_e) in zip(records, cats):
+                truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
+                total_hard = total_hard + soft_confusion(truth, hard)
+                total_soft = total_soft + soft_confusion(truth, soft)
+            rows.append(
+                {
+                    "resolution_minutes": res,
+                    "bias_fraction": bias,
+                    "n_events": len(records),
+                    "f1_hard": f1(total_hard),
+                    "f1_soft": f1(total_soft),
+                }
+            )
+    return rows

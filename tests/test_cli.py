@@ -434,6 +434,76 @@ def test_detect_bad_timestamp_reports_file_line(runner, tmp_path):
     assert "error: line 102: bad timestamp '2024-05-01 07:99'" in result.output
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([1, 2], "must hold an object, got list"),
+        (
+            {
+                "initial": "ab",
+                "transition": [[0.9, 0.1], [0.1, 0.9]],
+                "means": [45.0, 80.0],
+                "variances": [9.0, 16.0],
+            },
+            "'initial' is not an array of numbers",
+        ),
+    ],
+)
+def test_detect_malformed_params_exits_2(runner, tmp_path, payload, message):
+    sensor, _, _ = _detect_fixture(tmp_path)
+    params = tmp_path / "bad.json"
+    params.write_text(json.dumps(payload))
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--out", str(tmp_path / "p.csv")]
+    )
+    assert result.exit_code == 2
+    assert "error:" in result.output and message in result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe{}", b'{"initial": 1' + b"0" * 5000 + b"}", b"[" * 100_000, b'{"a": '],
+    ids=["undecodable", "huge-int", "deep", "truncated"],
+)
+def test_detect_unreadable_params_exits_2(runner, tmp_path, raw):
+    sensor, _, _ = _detect_fixture(tmp_path)
+    params = tmp_path / "bad.json"
+    params.write_bytes(raw)
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--out", str(tmp_path / "p.csv")]
+    )
+    assert result.exit_code == 2
+    assert "error: bad JSON" in result.output
+
+
+def test_evaluate_label_row_with_extra_field_exits_2(runner, tmp_path):
+    labels = tmp_path / "a.csv"
+    write_label_csv(labels, LabelSeries(0, np.array([0.0, 1.0, 1.0])))
+    bad = _write(
+        tmp_path / "b.csv",
+        "# predictions\ntimestamp,value\n1970-01-01 00:00,0\n1970-01-01 00:01,0.5,junk\n",
+    )
+    result = runner.invoke(
+        main,
+        ["evaluate", "--labels", str(labels), "--predictions", bad, "--out", str(tmp_path / "m.json")],
+    )
+    assert result.exit_code == 2
+    assert "error: line 4: row has 1 extra field(s)" in result.output
+
+
+def test_detect_sensor_row_with_extra_field_exits_2(runner, tmp_path):
+    sensor, _, params = _detect_fixture(tmp_path)
+    lines = sensor.read_text().splitlines(keepends=True)
+    lines[50] = lines[50].rstrip("\r\n") + ",1,2\n"
+    sensor.write_text("".join(lines))
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--out", str(tmp_path / "p.csv")]
+    )
+    assert result.exit_code == 2
+    assert "error: line 51: row has 2 extra field(s)" in result.output
+
+
 def test_simulate_cmd_writes_tables(runner, tmp_path):
     out = tmp_path / "sim"
     result = runner.invoke(
@@ -507,11 +577,14 @@ _GRID_STARTS = ["2024-02-28 23:50", "1969-12-31 23:55", "0001-01-01 00:00", "999
 _VALUES = ["0", "1", "0.25", "-0", "0.5", "40.5", "1e200", "1e400", "nan", "-inf", "2", "x", ""]
 
 
+_DIARY_COMMANDS = ("soft-labels", "infer-habit", "histogram")
+
+
 @st.composite
 def _hostile_input(draw):
     """A command and the text of a CSV for it: valid rows, then damage."""
-    kind = draw(st.sampled_from(["soft-labels", "evaluate", "detect"]))
-    if kind == "soft-labels":
+    kind = draw(st.sampled_from([*_DIARY_COMMANDS, "evaluate", "detect"]))
+    if kind in _DIARY_COMMANDS:
         n = draw(st.integers(0, 6))
         header = "annotator_id,date,event_kind,start,end"
         rows = []
@@ -549,8 +622,8 @@ def test_cli_survives_hostile_csv(tmp_path_factory, case):
     tmp = tmp_path_factory.mktemp("fuzz")
     path = tmp / "input.csv"
     path.write_bytes(text)
-    if kind == "soft-labels":
-        args = ["soft-labels", str(path), "--out", str(tmp / "labels")]
+    if kind in _DIARY_COMMANDS:
+        args = [kind, str(path), "--out", str(tmp / "out")]
     elif kind == "evaluate":
         args = ["evaluate", "--labels", str(path), "--predictions", str(path)]
         args += ["--out", str(tmp / "m.json")]
@@ -569,5 +642,64 @@ def test_cli_survives_hostile_csv(tmp_path_factory, case):
         args = ["detect", str(path), "--params", str(params), "--out", str(tmp / "p.csv")]
         args += ["--fit"] if fit else []
     result = CliRunner().invoke(main, args)
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
+_GOOD_PARAMS = {
+    "initial": [0.5, 0.5],
+    "transition": [[0.9, 0.1], [0.1, 0.9]],
+    "means": [40.0, 41.0],
+    "variances": [1.0, 1.0],
+}
+_JUNK_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**70), 2**70),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(alphabet="ab0.1-e", max_size=4),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(list(_GOOD_PARAMS)), inner)
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _hostile_params(draw):
+    """A parsed-JSON value for `detect --params`: valid parameters with some
+    entries replaced, dropped or reshaped, or something else entirely."""
+    if draw(st.booleans()):
+        return draw(_JUNK_JSON)
+    params = dict(_GOOD_PARAMS)
+    for key in draw(st.lists(st.sampled_from(list(_GOOD_PARAMS)), max_size=3)):
+        params[key] = draw(
+            st.one_of(
+                _JUNK_JSON,
+                st.just(np.ravel(_GOOD_PARAMS[key]).tolist()),
+                st.just([_GOOD_PARAMS[key]]),
+            )
+        )
+    for key in draw(st.lists(st.sampled_from(list(_GOOD_PARAMS)), max_size=1)):
+        params.pop(key, None)
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=_hostile_params(), fit=st.booleans())
+def test_cli_survives_hostile_params(tmp_path_factory, params, fit):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    sensor = tmp / "sensor.csv"
+    base = parse_timestamp("2024-05-01 06:00")
+    sensor.write_text(
+        "timestamp,humidity\n"
+        + "".join(f"{format_timestamp(base + i)},{40 + (i // 5) % 2}\n" for i in range(30))
+    )
+    path = tmp / "hmm.json"
+    path.write_text(json.dumps(params))  # NaN and Infinity as Python's json writes them
+    args = ["detect", str(sensor), "--params", str(path), "--out", str(tmp / "p.csv")]
+    result = CliRunner().invoke(main, args + (["--fit"] if fit else []))
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

@@ -1,3 +1,6 @@
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,7 @@ from tempolabel import (
     AnnotationSet,
     CategoryCatalog,
     ConfigError,
+    InputError,
     SwitchModel,
     category_posterior,
     SimConfig,
@@ -16,7 +20,10 @@ from tempolabel import (
     run_f1_experiment,
     run_mse_experiment,
 )
-from tempolabel.simulate import _rng
+from tempolabel import simulate
+from tempolabel.simulate import _rng, _seed_words
+
+from .oracles import reference_run_f1_experiment, reference_run_mse_experiment
 
 
 def test_rounding_examples():
@@ -159,3 +166,122 @@ def test_error_rate_experiment_custom_periods():
     assert len(rows) == 1
     assert rows[0]["category_period"] == 5
     assert 0.0 <= rows[0]["error_rate"] <= 1.0
+
+
+def _outcome(fn, *args, **kwargs):
+    """The rows `fn` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # compared against the reference's outcome
+        return type(exc), str(exc)
+
+
+_CATALOGS = [(30, 15, 10, 5, 1), (60, 30, 15, 5, 1), (60, 20, 1), (12, 4, 1)]
+
+
+@st.composite
+def _sweep_case(draw):
+    width = draw(st.integers(150, 1440))
+    w0 = draw(st.integers(0, 1440 - width))
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**40)),
+        n_events=draw(st.integers(1, 60)),
+        events_per_day=draw(st.integers(1, 3)),
+        day_window=(w0, w0 + width),
+        delta=draw(st.floats(0.01, 0.5)),
+        bias_fraction=draw(st.sampled_from([0.0, 0.5, 0.9])),  # the MSE sweep's bias
+        # below 0 no slot is near a boundary; below -31 the label window no
+        # longer covers the ramps, then the events
+        boundary_halfwidth=draw(
+            st.one_of(st.just(15), st.integers(0, 20), st.integers(-100, -1))
+        ),
+    )
+    resolutions = draw(
+        st.lists(st.sampled_from([1, 5, 10, 12, 15, 20, 30, 60]), min_size=1, max_size=3)
+    )
+    biases = draw(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3)
+    )
+    catalog = CategoryCatalog.from_periods(draw(st.sampled_from(_CATALOGS)))
+    block = draw(st.sampled_from([1, 3, simulate._GRID_RECORDS]))
+    return config, resolutions, biases, catalog, block
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_sweep_case())
+def test_sweeps_match_per_record_reference(case):
+    config, resolutions, biases, catalog, block = case
+    with mock.patch.object(simulate, "_GRID_RECORDS", block):
+        got_mse = _outcome(run_mse_experiment, config, resolutions, catalog)
+        got_f1 = _outcome(run_f1_experiment, config, resolutions, biases, catalog)
+    assert got_mse == _outcome(reference_run_mse_experiment, config, resolutions, catalog)
+    assert got_f1 == _outcome(reference_run_f1_experiment, config, resolutions, biases, catalog)
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        # a 54-minute bias with a 30-minute ramp half-width: the start ramp
+        # reaches past the padded window
+        (SimConfig(seed=1, n_events=40, bias_fraction=0.9), "too small for ramps"),
+        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-1), "slot selection is empty"),
+        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-60), "does not cover"),
+        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-100), "window end must exceed"),
+    ],
+)
+def test_sweep_errors_match_reference(config, message):
+    catalog = CategoryCatalog.from_periods((60, 30, 15, 5, 1))
+    got = _outcome(run_mse_experiment, config, (60,), catalog)
+    assert got == _outcome(reference_run_mse_experiment, config, (60,), catalog)
+    assert got[0] is InputError and message in got[1]
+    got = _outcome(run_f1_experiment, config, (60,), (config.bias_fraction,), catalog)
+    expected = _outcome(
+        reference_run_f1_experiment, config, (60,), (config.bias_fraction,), catalog
+    )
+    assert got == expected
+
+
+def test_sweeps_span_several_grid_blocks():
+    config = SimConfig(seed=6, n_events=2 * simulate._GRID_RECORDS + 7)
+    assert run_mse_experiment(config, (5, 30)) == reference_run_mse_experiment(config, (5, 30))
+    assert run_f1_experiment(config, (15,), (0.0, 0.5)) == reference_run_f1_experiment(
+        config, (15,), (0.0, 0.5)
+    )
+
+
+SEEDS = [0, 3, 7, 2**32 - 1, 2**32, 2**64 + 5]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_words_match_seed_sequence(seed):
+    tags = (seed, 30, 5, 2**32 + 1, 0)
+    words = _seed_words(*tags)
+    assert words.dtype == np.uint32
+    np.testing.assert_array_equal(
+        np.random.SeedSequence(words).generate_state(4),
+        np.random.SeedSequence(list(tags)).generate_state(4),
+    )
+
+
+def test_seed_words_reject_negative_ints_like_seed_sequence():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([-1])
+    with pytest.raises(ValueError):
+        _seed_words(0, -1)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_error_rate_trials_draw_from_their_own_seeds(seed):
+    catalog = CategoryCatalog.default()
+    model = SwitchModel(0.1)
+    trials = 4
+    for row in run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=trials):
+        period, n = row["category_period"], row["n_annotations"]
+        members = sorted(catalog.by_period(period).members)
+        errors = 0
+        for trial in range(trials):
+            draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
+            evidence = AnnotationSet("t", tuple(members[i] for i in draws))
+            cats = category_posterior(evidence, catalog, model).map_categories()
+            errors += sum(cat.period_minutes != period for cat in cats)
+        assert row["error_rate"] == errors / (trials * n), row
