@@ -33,10 +33,11 @@ from .ingest import (
     write_label_csv,
     write_table_csv,
 )
-from .labels import LabelSeries, padded_window, soft_label
+from .labels import LabelSeries, label_grids, padded_bounds
 from .simulate import (
     DEFAULT_N_SWEEP,
     DEFAULT_RESOLUTIONS,
+    MINUTES_PER_DAY,
     SimConfig,
     run_error_rate_experiment,
     run_f1_experiment,
@@ -176,6 +177,8 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
 @_guard
 def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     """Write one soft-label series CSV per annotated event."""
+    if not 0 <= pad <= MINUTES_PER_DAY:
+        raise ConfigError(f"pad must lie in [0, {MINUTES_PER_DAY}] minutes, got {pad}")
     run = RunConfig.build(catalog_spec, delta)
     records = read_annotations_csv(annotations_csv)
     out_dir = Path(out)
@@ -184,23 +187,25 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     for annotator_id, (recs, ann_set) in sorted(_group_by_annotator(records).items()):
         habit = habit_posterior(ann_set, run.catalog, run.model)
         cats = category_posterior(ann_set, run.catalog, run.model, habit=habit).map_categories()
-        for k, rec in enumerate(recs):
-            cat_s, cat_e = cats[2 * k], cats[2 * k + 1]
-            event = rec.to_event()
-            series = soft_label(event, cat_s, cat_e, padded_window(event, cat_s, cat_e, pad))
-            config = {
-                "annotator_id": annotator_id,
-                "date": rec.date,
-                "event_kind": rec.event_kind,
-                "delta": run.model.delta,
-                "catalog": ",".join(str(p) for p in run.catalog.periods),
-                "start_period": cat_s.period_minutes,
-                "end_period": cat_e.period_minutes,
-            }
-            # percent-escaped, so any id names one file inside out_dir
-            path = out_dir / f"softlabel_{quote(annotator_id, safe='')}_{k:03d}.csv"
-            write_label_csv(path, series, config)
-            written += 1
+        stamps = np.array([(rec.start, rec.end) for rec in recs])
+        half_widths = np.array([cat.period_minutes for cat in cats]).reshape(-1, 2) / 2.0
+        lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
+        for grid in label_grids(lo, hi, stamps, half_widths):
+            for k, (a, b) in zip(grid.records, grid.segments()):
+                rec, cat_s, cat_e = recs[k], cats[2 * k], cats[2 * k + 1]
+                config = {
+                    "annotator_id": annotator_id,
+                    "date": rec.date,
+                    "event_kind": rec.event_kind,
+                    "delta": run.model.delta,
+                    "catalog": ",".join(str(p) for p in run.catalog.periods),
+                    "start_period": cat_s.period_minutes,
+                    "end_period": cat_e.period_minutes,
+                }
+                # percent-escaped, so any id names one file inside out_dir
+                path = out_dir / f"softlabel_{quote(annotator_id, safe='')}_{k:03d}.csv"
+                write_label_csv(path, LabelSeries(lo[k].item(), grid.soft[a:b]), config)
+                written += 1
     click.echo(f"wrote {written} label series to {out_dir}")
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError, ParseError
 from .hmm import SensorSeries
-from .labels import EventAnnotation, LabelSeries
+from .labels import LabelSeries
 
 _EPOCH = date(1970, 1, 1)
 
@@ -105,14 +105,6 @@ class AnnotationRecord:
     event_kind: str
     start: int
     end: int
-
-    def to_event(self) -> EventAnnotation:
-        return EventAnnotation(
-            start=self.start,
-            end=self.end,
-            annotator_id=self.annotator_id,
-            event_kind=self.event_kind,
-        )
 
 
 def read_annotations_csv(path) -> list[AnnotationRecord]:

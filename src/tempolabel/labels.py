@@ -12,11 +12,17 @@ soft value is their product (boundaries treated as independent).
 Sampling at midpoints keeps the finest category exact: a width-1 ramp puts
 its 0-to-1 transition entirely between two midpoints, so the soft series of
 a 1-minute category equals the hard series slot for slot.
+
+`label_grids` is the batched builder that `soft-labels` and the simulate
+sweeps use: it lays many records' windows end to end on one flat minute
+grid, `_GRID_RECORDS` records at a time, with the same element-wise
+operations as `soft_series` and `hard_series`. Those per-record functions
+stay the definition: a record the grid rejects is rebuilt through them, so
+every check and error message lives in them alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,8 +226,98 @@ def padded_window(
     pad: int = 15,
 ) -> TimeWindow:
     """Smallest whole-minute window covering the event, its ramps and `pad`."""
-    half_s = cat_start.period_minutes / 2.0
-    half_e = cat_end.period_minutes / 2.0
-    lo = math.floor(event.start - half_s) - pad
-    hi = math.ceil(event.end + half_e) + pad
-    return TimeWindow(lo, hi)
+    lo, hi = padded_bounds(
+        event.start, event.end, cat_start.period_minutes / 2.0, cat_end.period_minutes / 2.0, pad
+    )
+    return TimeWindow(int(lo), int(hi))
+
+
+def padded_bounds(start, end, half_start, half_end, pad: int):
+    """Start and end minute of the smallest whole-minute windows covering
+    events from `start` to `end`, ramps of half-widths `half_start` and
+    `half_end`, and `pad` more minutes on each side. Arguments broadcast
+    element-wise."""
+    lo = np.floor(np.subtract(start, half_start)).astype(np.int64) - pad
+    hi = np.ceil(np.add(end, half_end)).astype(np.int64) + pad
+    return lo, hi
+
+
+# Records per label grid. A record's window is about 100-200 slots, so this
+# keeps each flat array of a grid near 100 kB however many records there are.
+_GRID_RECORDS = 64
+
+
+@dataclass(frozen=True)
+class LabelGrid:
+    """Soft and hard labels of consecutive records on one flat minute grid.
+
+    The k-th record of `records` owns slots offsets[k]:offsets[k + 1], its
+    window of whole minutes; `record` names each slot's record and `minutes`
+    its start.
+    """
+
+    records: range
+    offsets: np.ndarray
+    record: np.ndarray
+    minutes: np.ndarray
+    soft: np.ndarray
+    hard: tuple[np.ndarray, ...]  # one per hard span
+
+    def segments(self):
+        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+
+
+def label_grids(lo, hi, centers, half_widths, spans=()):
+    """Yield the labels of records 0 to N - 1, `_GRID_RECORDS` at a time.
+
+    Record i's window is [lo[i], hi[i]). Its soft label has start and end
+    ramps centered on centers[i] with half-widths half_widths[i], both
+    (N, 2), and each (N, 2) array of start and end minutes in `spans` gives
+    it one hard label. Values are those `soft_series` and `hard_series`
+    sample on that window, slot for slot.
+
+    Their checks run on all records at once. The first record that fails
+    one is rebuilt through `TimeWindow`, `hard_series`,
+    `BoundaryDistribution` and `soft_series` once the records before it have
+    been yielded, so it raises exactly their error.
+    """
+    ramp_lo, ramp_hi = centers - half_widths, centers + half_widths
+    # the comparisons those functions make, so that NaN passes them here too
+    bad = (hi <= lo) | (half_widths < 0.5).any(axis=1)
+    bad |= (lo > ramp_lo[:, 0]) | (hi < ramp_hi[:, 1])
+    for span in spans:
+        bad |= (span[:, 1] < span[:, 0]) | (span[:, 0] < lo) | (span[:, 1] > hi)
+    stop = int(np.argmax(bad)) if bad.any() else len(lo)
+    for first in range(0, stop, _GRID_RECORDS):
+        records = range(first, min(first + _GRID_RECORDS, stop))
+        grid = _label_grid(records, lo, hi, ramp_lo, half_widths, spans)
+        out_of_range = np.flatnonzero(~((grid.soft >= 0.0) & (grid.soft <= 1.0)))
+        if out_of_range.size:
+            stop = int(grid.record[out_of_range[0]])
+            if stop > first:
+                yield _label_grid(range(first, stop), lo, hi, ramp_lo, half_widths, spans)
+            break
+        yield grid
+    if stop < len(lo):
+        window = TimeWindow(lo[stop].item(), hi[stop].item())
+        for span in spans:
+            hard_series(*span[stop].tolist(), window)
+        (center_s, center_e), (half_s, half_e) = centers[stop].tolist(), half_widths[stop].tolist()
+        soft_series(
+            BoundaryDistribution(center_s, half_s), BoundaryDistribution(center_e, half_e), window
+        )
+        raise AssertionError(f"record {stop} fails a grid check but no per-record one")
+
+
+def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGrid:
+    index = np.arange(records.start, records.stop)
+    lengths = hi[index] - lo[index]
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    record = np.repeat(index, lengths)
+    minutes = np.arange(offsets[-1]) + np.repeat(lo[index] - offsets[:-1], lengths)
+    mid = minutes + 0.5
+    soft = ramp(mid, ramp_lo[record, 0], half_widths[record, 0]) * (
+        1.0 - ramp(mid, ramp_lo[record, 1], half_widths[record, 1])
+    )
+    hard = tuple(indicator(mid, span[record, 0], span[record, 1]) for span in spans)
+    return LabelGrid(records, offsets, record, minutes, soft, hard)

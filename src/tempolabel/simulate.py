@@ -18,16 +18,15 @@ reusing the resolution it simulated with, so the full pipeline is exercised.
 All randomness flows from per-run derived seeds (never a shared stream), so
 rerunning any experiment with the same seed reproduces it bit for bit.
 
-The MSE and F1 sweeps score all records of a sweep point on one flat label
-grid: the records' windows laid end to end, `_GRID_RECORDS` records at a
-time so memory stays bounded for any number of events. Truth, hard and soft
-values come from the same element-wise operations as `hard_series` and
-`soft_series`, and each record's sums are NumPy reductions over its own
-contiguous slice, as `mse` and `soft_confusion` compute them on a record's
-series, so the tables are exactly those of scoring record by record. The
-error-rate sweep seeds every trial as before, from (seed, 30, period, n,
-trial), passed to NumPy as uint32 words, and counts all trials of a point
-with one bincount.
+The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
+point with `labels.label_grids`, the flat label grid that `soft-labels`
+uses too; this module only chooses each record's window and bias-shifted
+ramp centers, and scores. Each record's sums are NumPy reductions over its
+own contiguous slice of the grid, as `mse` and `soft_confusion` compute
+them on a record's series, so the tables are exactly those of scoring
+record by record. The error-rate sweep seeds every trial as before, from
+(seed, 30, period, n, trial), passed to NumPy as uint32 words, and counts
+all trials of a point with one bincount.
 """
 
 from __future__ import annotations
@@ -49,17 +48,12 @@ from .inference import (
     category_posterior,
     habit_posterior,
 )
-from .labels import indicator, ramp
+from .labels import LabelGrid, label_grids
 
 MINUTES_PER_DAY = 1440
 
 DEFAULT_RESOLUTIONS = (1, 5, 10, 15, 30)
 DEFAULT_N_SWEEP = (1, 2, 5, 10, 20, 50, 100)
-
-# Records per label grid. A record's window is about 100-200 slots, so this
-# keeps each flat array of a grid near 100 kB however many events a sweep
-# point has.
-_GRID_RECORDS = 64
 
 
 @dataclass(frozen=True)
@@ -75,6 +69,8 @@ class SimConfig:
     boundary_halfwidth: int = 15
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         w0, w1 = self.day_window
         if not 0 <= w0 < w1 <= MINUTES_PER_DAY:
             raise ConfigError(f"day window must lie within one day, got {self.day_window}")
@@ -198,127 +194,32 @@ def _boundary_periods(records, catalog, model) -> np.ndarray:
     return np.array([cat.period_minutes for cat in cats]).reshape(-1, 2)
 
 
-@dataclass(frozen=True)
-class _LabelGrid:
-    """Truth, hard and soft labels of consecutive records on one flat grid.
-
-    Record i owns slots offsets[i]:offsets[i + 1], its window of whole
-    minutes; `record` names each slot's record and `minutes` its start.
-    """
-
-    offsets: np.ndarray
-    record: np.ndarray
-    minutes: np.ndarray
-    true_start: np.ndarray  # per record
-    true_end: np.ndarray
-    truth: np.ndarray
-    hard: np.ndarray
-    soft: np.ndarray
-
-    def segments(self):
-        return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
-
-
-# What TimeWindow, hard_series (truth, then annotation), BoundaryDistribution
-# (start, then end) and soft_series raise, in the order they check; filled
-# with a record's lo, hi, ts, te, a_s, a_e, half_s, half_e, lo_s, hi_s, lo_e
-# and hi_e
-_LABEL_ERRORS = (
-    "window end must exceed start, got [{0}, {1})",
-    "end must not precede start, got start={2} end={3}",
-    "window [{0}, {1}) does not cover [{2}, {3})",
-    "end must not precede start, got start={4} end={5}",
-    "window [{0}, {1}) does not cover [{4}, {5})",
-    "half-width below 0.5 is finer than the 1-minute grid, got {6}",
-    "half-width below 0.5 is finer than the 1-minute grid, got {7}",
-    "window [{0}, {1}) too small for ramps [{8}, {9}] and [{10}, {11}]",
-)
-
-
 def _label_grids(records, periods, config: SimConfig):
-    """Yield the label grids of `records`, `_GRID_RECORDS` records at a time.
+    """The (records, 2) true spans of `records`, and their label grids with
+    the truth, then the annotation, as hard labels.
 
     Record i's window is [min(true, annotated) start - pad, max(true,
-    annotated) end + pad), pad being the placement margin. Values are those
-    of `hard_series` and `soft_series` on that window, slot for slot; soft
-    ramps are centered on the annotation minus the injected bias: the
-    simulator knows the offset it added, and removing it restores the
-    zero-mean rounding the soft label's uniform ramp is built to cover.
-
-    Every check those functions make runs on a whole block at once. The
-    first record that fails one raises the error the per-record functions
-    raise for it, once the records before it have been yielded.
+    annotated) end + pad), pad being the placement margin. Soft ramps are
+    centered on the annotation minus the injected bias: the simulator knows
+    the offset it added, and removing it restores the zero-mean rounding the
+    soft label's uniform ramp is built to cover.
     """
     pad = _placement_margin(config)
-    for first in range(0, len(records), _GRID_RECORDS):
-        block = records[first : first + _GRID_RECORDS]
-        ts, te, a_s, a_e = np.array(
-            [(r.true_start, r.true_end, r.annotated_start, r.annotated_end) for r in block]
-        ).T
-        bias = np.array([r.bias_minutes for r in block])
-        half_s, half_e = (periods[first : first + len(block)] / 2.0).T
-        lo = np.minimum(ts, a_s) - pad
-        hi = np.maximum(te, a_e) + pad
-        lo_s, hi_s = a_s - bias - half_s, a_s - bias + half_s
-        lo_e, hi_e = a_e - bias - half_e, a_e - bias + half_e
-        failed = np.array(
-            [  # per check, in the order of _LABEL_ERRORS, and per record
-                hi <= lo,
-                te < ts,
-                (ts < lo) | (te > hi),
-                a_e < a_s,
-                (a_s < lo) | (a_e > hi),
-                half_s < 0.5,
-                half_e < 0.5,
-                (lo > lo_s) | (hi < hi_e),
-            ]
-        )
-        bad = np.flatnonzero(failed.any(axis=0))
-        n_ok = int(bad[0]) if bad.size else len(block)
-        error = None
-        if bad.size:
-            values = (lo, hi, ts, te, a_s, a_e, half_s, half_e, lo_s, hi_s, lo_e, hi_e)
-            error = _LABEL_ERRORS[int(np.argmax(failed[:, n_ok]))].format(
-                *(v[n_ok].item() for v in values)
-            )
-
-        lengths = (hi - lo)[:n_ok]
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        record = np.repeat(np.arange(n_ok), lengths)
-        minutes = np.arange(offsets[-1]) + (lo[:n_ok] - offsets[:-1])[record]
-        mid = minutes + 0.5
-        soft = ramp(mid, lo_s[record], half_s[record]) * (
-            1.0 - ramp(mid, lo_e[record], half_e[record])
-        )
-        out_of_range = np.flatnonzero(~((soft >= 0.0) & (soft <= 1.0)))
-        if out_of_range.size:
-            n_ok = int(record[out_of_range[0]])
-            error = "label values must lie in [0, 1]"
-        if n_ok:
-            end = offsets[n_ok]
-            record, minutes, mid = record[:end], minutes[:end], mid[:end]
-            yield _LabelGrid(
-                offsets=offsets[: n_ok + 1],
-                record=record,
-                minutes=minutes,
-                true_start=ts[:n_ok],
-                true_end=te[:n_ok],
-                truth=indicator(mid, ts[record], te[record]),
-                hard=indicator(mid, a_s[record], a_e[record]),
-                soft=soft[:end],
-            )
-        if error is not None:
-            raise InputError(error)
+    stamps = [(r.true_start, r.true_end, r.annotated_start, r.annotated_end) for r in records]
+    truth, annotated = np.hsplit(np.array(stamps), 2)
+    bias = np.array([[r.bias_minutes] for r in records])
+    lo = np.minimum(truth[:, 0], annotated[:, 0]) - pad
+    hi = np.maximum(truth[:, 1], annotated[:, 1]) + pad
+    return truth, label_grids(lo, hi, annotated - bias, periods / 2.0, (truth, annotated))
 
 
-def _boundary_mse(grid: _LabelGrid, halfwidth: int) -> tuple[list[float], list[float]]:
+def _boundary_mse(grid: LabelGrid, truth, halfwidth: int) -> tuple[list[float], list[float]]:
     """Per record: MSE of its hard and of its soft labels against the truth
     on the slots within ±halfwidth of a true boundary, computed as
     `mse(truth, x, slots=boundary_slot_mask(truth, (start, end), halfwidth))`
     computes it: the selected squared differences are summed as one
     contiguous array and divided by their count."""
-    starts = grid.true_start[grid.record]
-    ends = grid.true_end[grid.record]
+    starts, ends = truth[grid.record].T
     near = (np.abs(grid.minutes - starts) <= halfwidth) | (np.abs(grid.minutes - ends) <= halfwidth)
     selected = np.concatenate(([0], np.cumsum(near)))[grid.offsets]
     counts = np.diff(selected)
@@ -326,7 +227,8 @@ def _boundary_mse(grid: _LabelGrid, halfwidth: int) -> tuple[list[float], list[f
         raise InputError("slot selection is empty")
     # rows C-contiguous, so that reducing a slice along axis 1 runs NumPy's
     # pairwise sum over each row, exactly as np.mean does over one series
-    squares = np.stack([(d * d)[near] for d in (grid.truth - grid.hard, grid.truth - grid.soft)])
+    r, p = grid.hard  # truth, annotation
+    squares = np.stack([(d * d)[near] for d in (r - p, r - grid.soft)])
     hard: list[float] = []
     soft: list[float] = []
     for a, b in zip(selected[:-1].tolist(), selected[1:].tolist()):
@@ -336,14 +238,14 @@ def _boundary_mse(grid: _LabelGrid, halfwidth: int) -> tuple[list[float], list[f
     return hard, soft
 
 
-def _confusion_sums(grid: _LabelGrid) -> list[list[float]]:
+def _confusion_sums(grid: LabelGrid) -> list[list[float]]:
     """Per record: tp, fp, fn, tn of its hard labels, then of its soft
     labels, each summed as `soft_confusion` sums it."""
-    r = grid.truth
+    r, hard = grid.hard  # truth, annotation
     cells = np.stack(
         [
             cell
-            for p in (grid.hard, grid.soft)
+            for p in (hard, grid.soft)
             for cell in (r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p))
         ]
     )
@@ -360,13 +262,15 @@ def run_mse_experiment(
     model = SwitchModel(delta=base.delta)
     rows = []
     for res in resolutions:
-        config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
+        config = replace(base, resolution_minutes=res)  # checks res before it seeds
+        config = replace(config, seed=_derived_seed(base.seed, 10, res))
         records = generate_events(config)
         periods = _boundary_periods(records, catalog, model)
         hard_scores: list[float] = []
         soft_scores: list[float] = []
-        for grid in _label_grids(records, periods, config):
-            hard, soft = _boundary_mse(grid, config.boundary_halfwidth)
+        truth, grids = _label_grids(records, periods, config)
+        for grid in grids:
+            hard, soft = _boundary_mse(grid, truth, config.boundary_halfwidth)
             hard_scores += hard
             soft_scores += soft
         rows.append(
@@ -398,16 +302,13 @@ def run_f1_experiment(
     rows = []
     for res in resolutions:
         for bias in bias_fractions:
-            config = replace(
-                base,
-                resolution_minutes=res,
-                bias_fraction=bias,
-                seed=_derived_seed(base.seed, 20, res),
-            )
+            config = replace(base, resolution_minutes=res, bias_fraction=bias)
+            config = replace(config, seed=_derived_seed(base.seed, 20, res))
             records = generate_events(config)
             periods = _boundary_periods(records, catalog, model)
             totals = [0.0] * 8
-            for grid in _label_grids(records, periods, config):
+            _, grids = _label_grids(records, periods, config)
+            for grid in grids:
                 for sums in _confusion_sums(grid):
                     totals = [t + v for t, v in zip(totals, sums)]
             rows.append(
@@ -443,8 +344,12 @@ def run_error_rate_experiment(
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=delta)
     periods = tuple(periods) if periods is not None else catalog.periods
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
+    if any(n < 1 for n in n_values):
+        raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
     rows = []
     for period in periods:
         true_cat = catalog.by_period(period)

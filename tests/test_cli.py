@@ -232,6 +232,75 @@ def test_soft_labels_past_year_9999_exits_2(runner, tmp_path):
     assert "outside the years 1-9999" in result.output
 
 
+# A diary whose MAP categories cover all five default periods, with events
+# near midnight, an id that needs percent-escaping and one holding a newline.
+GOLDEN_DIARY = (
+    "annotator_id,date,event_kind,start,end\n"
+    "a/b c%,2024-03-01,shower,08:00,08:30\n"
+    "a/b c%,2024-03-01,cook,12:15,12:45\n"
+    "a/b c%,2024-03-02,shower,07:10,07:20\n"
+    "a/b c%,2024-03-02,cook,23:35,23:55\n"
+    "a/b c%,2024-03-03,shower,00:07,00:43\n"
+    '"x\ny",2024-03-01,shower,06:10,06:20\n'
+    '"x\ny",2024-03-02,shower,06:40,07:50\n'
+    '"x\ny",2024-03-03,shower,23:20,23:50\n'
+    "p1,1970-01-01,sleep,00:03,00:58\n"
+    "p1,2024-02-29,sleep,23:01,23:59\n"
+    "p1,2024-03-01,sleep,00:00,00:17\n"
+    "q,2024-03-01,walk,09:15,09:45\n"
+    "q,2024-03-01,walk,10:45,11:15\n"
+    "q,2024-12-31,walk,23:45,23:59\n"
+    "r,2024-03-05,nap,08:00,08:30\n"
+    "r,2024-03-05,nap,13:30,14:00\n"
+    "r,2024-03-06,nap,11:00,12:30\n"
+)
+
+# SHA-256 of the files `soft-labels` wrote for GOLDEN_DIARY (default options)
+# when it built each event's series with `soft_label`.
+GOLDEN_SOFT_LABELS_SHA256 = {
+    "softlabel_a%2Fb%20c%25_000.csv": "ec23cd66666c405bfaa5805573c2e7996301134dd1f1970553ebfe81813813d6",
+    "softlabel_a%2Fb%20c%25_001.csv": "44936f36662fbfd6312905eb44a25bcfcc903833c288e37c1c6f56491512d587",
+    "softlabel_a%2Fb%20c%25_002.csv": "0788d665a1e2a85565d90162d1abb4a6c515058ffd9ac8bb52191b4101d188be",
+    "softlabel_a%2Fb%20c%25_003.csv": "82277080c7438a1696dbdd79ca905756f80b14c6242908b85c85d8c942dac77b",
+    "softlabel_a%2Fb%20c%25_004.csv": "976ec8106a6762582686524e217247f53e0ac53d3ccf5979e49132b891a3906e",
+    "softlabel_p1_000.csv": "9763ed1991d61819614edab4e08b15541411fd0e5a73d68ee6080309a7ec9fae",
+    "softlabel_p1_001.csv": "e401ed1dae25229f3dae212476bfb7730784803c87d6d73b71e71a59ea5d4edb",
+    "softlabel_p1_002.csv": "08ac3259b3a75b9368567497fbae79f84e5cab9cb3ed161cb04113b182492392",
+    "softlabel_q_000.csv": "c6b9809fbff72529f6b4fd0dbb5def7fbd071cb9e5750b5ffdabf734a4907e87",
+    "softlabel_q_001.csv": "cc825cf6a145a820d45a766ebbe193b15c9b8c3f7f6d019fd23f4b4c169a7cca",
+    "softlabel_q_002.csv": "a6ebb032972434fa0c3560edd737c46f88ee37d7b42f7ac66a8f86c2f819948e",
+    "softlabel_r_000.csv": "228780f5e76f5239432bba4772fa012217147b339ab94b9bbaf8070bdb7ff6f7",
+    "softlabel_r_001.csv": "2e28d1d3e45f8a6caa6d3bed6d39d87e001ba1ac1b49c2f06481558b149af6a9",
+    "softlabel_r_002.csv": "a59470b9fb9bdd9402e4670d2ed616242fa9798c765ffa21e2c117896356141a",
+    "softlabel_x%0Ay_000.csv": "b7a19edb4494669c2c913de4c67cf071d680f7dee8a10fd773617da67dd73c1f",
+    "softlabel_x%0Ay_001.csv": "87eb93f6f434292a3720b05ed1315a023bc2e0f36d91fcfbb911e6f381142e5b",
+    "softlabel_x%0Ay_002.csv": "1d56ab52b28c3fd8113855e61f6d17ed70562a521154e62fc98089454f49f9cc",
+}
+
+
+def test_soft_labels_match_golden_digests(runner, tmp_path):
+    path = _write(tmp_path / "diary.csv", GOLDEN_DIARY)
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    texts = [p.read_text() for p in out_dir.iterdir()]
+    for period in (30, 15, 10, 5, 1):
+        assert any(f"# start_period={period}\n" in text for text in texts), period
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.iterdir()}
+    assert digests == GOLDEN_SOFT_LABELS_SHA256
+
+
+@pytest.mark.parametrize("pad", ["-1", "1441", str(10**20)])
+def test_soft_labels_pad_out_of_range_exits_2(runner, annotations_csv, tmp_path, pad):
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(
+        main, ["soft-labels", str(annotations_csv), "--pad", pad, "--out", str(out_dir)]
+    )
+    assert result.exit_code == 2
+    assert f"error: pad must lie in [0, 1440] minutes, got {pad}" in result.output
+    assert not out_dir.exists()
+
+
 def test_histogram_cmd(runner, tmp_path):
     path = _write(
         tmp_path / "ann.csv",
@@ -552,6 +621,25 @@ def test_simulate_bad_catalog_exits_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seed", "-1"], "seed must be non-negative, got -1"),
+        (["--experiment", "error-rate", "--n-sweep", "-1"], "annotation counts must be positive"),
+        (["--experiment", "error-rate", "--n-sweep", "0"], "annotation counts must be positive"),
+        (["--experiment", "f1", "--resolutions", "-1"], "resolution must divide 60, got -1"),
+        (["--experiment", "mse", "--resolutions", "-1"], "resolution must divide 60, got -1"),
+    ],
+)
+def test_simulate_bad_options_exit_2(runner, tmp_path, args, message):
+    result = runner.invoke(
+        main,
+        ["simulate", *args, "--events", "5", "--trials", "2", "--out", str(tmp_path / "sim")],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+
+
 # SHA-256 of the tables written by `simulate --seed 42 --trials 30` (CLI
 # defaults otherwise) before the error-rate sweep was batched. The tables
 # embed tool_version, so a version bump changes these digests too.
@@ -701,5 +789,59 @@ def test_cli_survives_hostile_params(tmp_path_factory, params, fit):
     path.write_text(json.dumps(params))  # NaN and Infinity as Python's json writes them
     args = ["detect", str(sensor), "--params", str(path), "--out", str(tmp / "p.csv")]
     result = CliRunner().invoke(main, args + (["--fit"] if fit else []))
+    assert result.exit_code in (0, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+
+
+def _joined(values, min_size=0):
+    return st.lists(st.sampled_from(values), min_size=min_size, max_size=3).map(",".join)
+
+
+# per `simulate` option: a strategy for valid values and one for hostile ones
+_SIM_OPTIONS = {
+    "--seed": (
+        st.one_of(st.integers(0, 50), st.sampled_from([2**32, 2**70])).map(str),
+        st.sampled_from(["-1", "-3", str(-(2**70)), "1.5", "x"]),
+    ),
+    "--events": (st.integers(1, 5).map(str), st.sampled_from(["-1", "0", "x"])),
+    "--trials": (st.integers(1, 3).map(str), st.sampled_from(["-1", "0", "x"])),
+    "--n-sweep": (
+        _joined(["1", "2", "5", "7"], min_size=1),
+        st.one_of(_joined(["-1", "0", "1.5", "x", ""]), st.text("0123456789,-", max_size=5)),
+    ),
+    "--resolutions": (
+        _joined(["1", "5", "10", "12", "15", "20", "30", "60"], min_size=1),
+        _joined(["-1", "0", "7", "90", "2.5", "x", "", "30"]),
+    ),
+    "--biases": (
+        _joined(["0", "0.25", "0.5", "0.9", "0.99"], min_size=1),
+        _joined(["1", "-0.1", "1.5", "nan", "inf", "x", "", "0"]),
+    ),
+    "--delta": (
+        st.sampled_from(["0", "0.1", "0.5", "1"]),
+        st.sampled_from(["-0.5", "1.5", "nan", "inf", "x", ""]),
+    ),
+    "--catalog": (
+        st.sampled_from(["30,15,10,5,1", "60,30,15,5,1", "60,20,1", "12,4,1", "30"]),
+        st.sampled_from(["15,30,1", "7,1", "0", "-30,1", "", "60,60", "x"]),
+    ),
+}
+
+
+@st.composite
+def _hostile_simulate_args(draw):
+    """`simulate` options at small sizes, up to two of them hostile."""
+    hostile = draw(st.sets(st.sampled_from(list(_SIM_OPTIONS)), max_size=2))
+    args = ["--experiment", draw(st.sampled_from(["all", "mse", "f1", "error-rate"]))]
+    for option, (valid, bad) in _SIM_OPTIONS.items():
+        args += [option, draw(bad if option in hostile else valid)]
+    return args
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=_hostile_simulate_args())
+def test_cli_survives_hostile_simulate_options(tmp_path_factory, args):
+    out = tmp_path_factory.mktemp("fuzz") / "sim"
+    result = CliRunner().invoke(main, ["simulate", *args, "--out", str(out)])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception

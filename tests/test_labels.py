@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,11 @@ from tempolabel import (
     soft_value,
     start_probability,
 )
+from tempolabel import labels
 from tempolabel.catalog import CategoryCatalog
 
 from .oracles import quadrature_started_prob
+from .test_simulate import _CATALOGS
 
 EIGHT_AM = 8 * 60  # absolute minute within day zero
 
@@ -161,3 +165,56 @@ def test_product_bound_property(start, duration, period_s, period_e):
     up = start_probability(BoundaryDistribution.for_category(event.start, cat_s), mids)
     down = end_probability(BoundaryDistribution.for_category(event.end, cat_e), mids)
     assert np.all(series.values <= np.minimum(up, down) + 1e-15)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    events=st.lists(
+        # day, start minute relative to its midnight, duration, and the
+        # start and end categories' positions in the catalogue
+        st.tuples(
+            st.integers(-2, 2),
+            st.integers(-90, 90),
+            st.integers(1, 300),
+            st.integers(0, 4),
+            st.integers(0, 4),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    periods=st.sampled_from(_CATALOGS),
+    # a negative pad can cut a ramp, which both paths must reject alike
+    pad=st.one_of(st.integers(0, 60), st.integers(-3, -1)),
+    block=st.sampled_from([1, 3, labels._GRID_RECORDS]),
+)
+def test_label_grids_match_soft_label(events, periods, pad, block):
+    catalog = CategoryCatalog.from_periods(periods)
+    cases = []
+    for day, offset, duration, i, j in events:
+        start = day * 1440 + offset
+        event = EventAnnotation(start=start, end=start + duration)
+        cases.append((event, catalog[i % len(catalog)], catalog[j % len(catalog)]))
+    stamps = np.array([(event.start, event.end) for event, _, _ in cases])
+    half_widths = np.array(
+        [(s.period_minutes / 2.0, e.period_minutes / 2.0) for _, s, e in cases]
+    )
+    lo, hi = labels.padded_bounds(*stamps.T, *half_widths.T, pad)
+    # per event, its window start and value bytes; then the error, if any
+    got = []
+    with mock.patch.object(labels, "_GRID_RECORDS", block):
+        try:
+            for grid in labels.label_grids(lo, hi, stamps, half_widths):
+                for k, (a, b) in zip(grid.records, grid.segments()):
+                    assert k == len(got)
+                    got.append((int(lo[k]), grid.soft[a:b].tobytes()))
+        except InputError as exc:
+            got.append(str(exc))
+    expected = []
+    for event, cat_s, cat_e in cases:
+        try:
+            series = soft_label(event, cat_s, cat_e, padded_window(event, cat_s, cat_e, pad))
+        except InputError as exc:
+            expected.append(str(exc))
+            break
+        expected.append((series.window_start, series.values.tobytes()))
+    assert got == expected

@@ -20,7 +20,7 @@ from tempolabel import (
     run_f1_experiment,
     run_mse_experiment,
 )
-from tempolabel import simulate
+from tempolabel import labels
 from tempolabel.simulate import _rng, _seed_words
 
 from .oracles import reference_run_f1_experiment, reference_run_mse_experiment
@@ -161,6 +161,19 @@ def test_error_rate_experiment_rejects_no_trials():
         run_error_rate_experiment(seed=0, n_values=(1,), trials=0)
 
 
+def test_negative_seed_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        SimConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        run_error_rate_experiment(seed=-1, n_values=(1,), trials=1)
+
+
+@pytest.mark.parametrize("n_values", [(0,), (-1,), (1, 0, 2)])
+def test_error_rate_experiment_rejects_annotation_counts_below_one(n_values):
+    with pytest.raises(ConfigError, match="annotation counts must be positive"):
+        run_error_rate_experiment(seed=0, n_values=n_values, trials=1)
+
+
 def test_error_rate_experiment_custom_periods():
     rows = run_error_rate_experiment(seed=3, n_values=(1,), trials=20, periods=(5,))
     assert len(rows) == 1
@@ -203,7 +216,7 @@ def _sweep_case(draw):
         st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]), min_size=1, max_size=3)
     )
     catalog = CategoryCatalog.from_periods(draw(st.sampled_from(_CATALOGS)))
-    block = draw(st.sampled_from([1, 3, simulate._GRID_RECORDS]))
+    block = draw(st.sampled_from([1, 3, labels._GRID_RECORDS]))
     return config, resolutions, biases, catalog, block
 
 
@@ -211,7 +224,7 @@ def _sweep_case(draw):
 @given(case=_sweep_case())
 def test_sweeps_match_per_record_reference(case):
     config, resolutions, biases, catalog, block = case
-    with mock.patch.object(simulate, "_GRID_RECORDS", block):
+    with mock.patch.object(labels, "_GRID_RECORDS", block):
         got_mse = _outcome(run_mse_experiment, config, resolutions, catalog)
         got_f1 = _outcome(run_f1_experiment, config, resolutions, biases, catalog)
     assert got_mse == _outcome(reference_run_mse_experiment, config, resolutions, catalog)
@@ -242,7 +255,7 @@ def test_sweep_errors_match_reference(config, message):
 
 
 def test_sweeps_span_several_grid_blocks():
-    config = SimConfig(seed=6, n_events=2 * simulate._GRID_RECORDS + 7)
+    config = SimConfig(seed=6, n_events=2 * labels._GRID_RECORDS + 7)
     assert run_mse_experiment(config, (5, 30)) == reference_run_mse_experiment(config, (5, 30))
     assert run_f1_experiment(config, (15,), (0.0, 0.5)) == reference_run_f1_experiment(
         config, (15,), (0.0, 0.5)
