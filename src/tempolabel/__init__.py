@@ -55,7 +55,6 @@ from .labels import (
 )
 from .simulate import (
     SimConfig,
-    SimRecord,
     annotate,
     generate_events,
     round_to_resolution,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
@@ -66,40 +65,27 @@ def _guard(fn):
     return wrapper
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind, what: str) -> tuple:
+    """The non-empty comma-separated list of `kind` values in `text`."""
     try:
-        return tuple(int(p.strip()) for p in text.split(",") if p.strip())
+        values = tuple(kind(p.strip()) for p in text.split(",") if p.strip())
     except ValueError:
-        raise ConfigError(f"expected a comma-separated list of integers, got {text!r}")
+        values = ()
+    if not values:
+        raise ConfigError(f"expected a comma-separated list of {what}, got {text!r}")
+    return values
+
+
+def _parse_int_list(text: str) -> tuple[int, ...]:
+    return _parse_list(text, int, "integers")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(p.strip()) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated list of numbers, got {text!r}")
+    return _parse_list(text, float, "numbers")
 
 
 def _catalog_from(text: str) -> CategoryCatalog:
     return CategoryCatalog.from_periods(_parse_int_list(text))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of the knobs shared by the annotation commands."""
-
-    catalog: CategoryCatalog
-    model: SwitchModel
-
-    @classmethod
-    def build(cls, catalog_spec: str, delta: float):
-        return cls(catalog=_catalog_from(catalog_spec), model=SwitchModel(delta=delta))
-
-    def describe(self) -> dict:
-        return {
-            "delta": self.model.delta,
-            "catalog": list(self.catalog.periods),
-        }
 
 
 _CATALOG_OPT = click.option(
@@ -144,18 +130,18 @@ def main():
 @_guard
 def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
     """Infer each annotator's habitual time resolution from a diary CSV."""
-    run = RunConfig.build(catalog_spec, delta)
+    catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     records = read_annotations_csv(annotations_csv)
     evidence = _group_by_annotator(records)
     if annotator is not None:
         evidence = {k: v for k, v in evidence.items() if k == annotator}
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
-    report = {"config": run.describe(), "annotators": []}
+    report = {"config": {"delta": model.delta, "catalog": list(catalog.periods)}, "annotators": []}
     for annotator_id in sorted(evidence):
         _, ann_set = evidence[annotator_id]
-        habit = habit_posterior(ann_set, run.catalog, run.model)
-        rows = category_posterior(ann_set, run.catalog, run.model, habit=habit)
+        habit = habit_posterior(ann_set, catalog, model)
+        rows = category_posterior(ann_set, catalog, model, habit=habit)
         report["annotators"].append(
             {
                 "annotator_id": annotator_id,
@@ -179,14 +165,14 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     """Write one soft-label series CSV per annotated event."""
     if not 0 <= pad <= MINUTES_PER_DAY:
         raise ConfigError(f"pad must lie in [0, {MINUTES_PER_DAY}] minutes, got {pad}")
-    run = RunConfig.build(catalog_spec, delta)
+    catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     records = read_annotations_csv(annotations_csv)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     for annotator_id, (recs, ann_set) in sorted(_group_by_annotator(records).items()):
-        habit = habit_posterior(ann_set, run.catalog, run.model)
-        cats = category_posterior(ann_set, run.catalog, run.model, habit=habit).map_categories()
+        habit = habit_posterior(ann_set, catalog, model)
+        cats = category_posterior(ann_set, catalog, model, habit=habit).map_categories()
         stamps = np.array([(rec.start, rec.end) for rec in recs])
         half_widths = np.array([cat.period_minutes for cat in cats]).reshape(-1, 2) / 2.0
         lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
@@ -197,8 +183,8 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
                     "annotator_id": annotator_id,
                     "date": rec.date,
                     "event_kind": rec.event_kind,
-                    "delta": run.model.delta,
-                    "catalog": ",".join(str(p) for p in run.catalog.periods),
+                    "delta": model.delta,
+                    "catalog": ",".join(str(p) for p in catalog.periods),
                     "start_period": cat_s.period_minutes,
                     "end_period": cat_e.period_minutes,
                 }
@@ -308,14 +294,16 @@ def _flatten_metrics(payload: dict) -> list[dict]:
 def simulate_cmd(
     seed, events, trials, resolutions, biases, n_sweep, delta, catalog_spec, experiment, out
 ):
-    """Run the synthetic experiments and write their tables as CSV."""
-    run = RunConfig.build(catalog_spec, delta)
-    catalog = run.catalog
+    """Run the synthetic experiments and write their tables as CSV.
+
+    Every requested table is computed before `--out` is created, so an
+    invalid option exits 2 without leaving a partial result.
+    """
+    catalog = _catalog_from(catalog_spec)
+    SwitchModel(delta=delta)  # check --delta before any sweep runs
     res_list = _parse_int_list(resolutions)
     bias_list = _parse_float_list(biases)
     n_list = _parse_int_list(n_sweep)
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = SimConfig(seed=seed, n_events=events, delta=delta)
     shared = {
         "seed": seed,
@@ -323,22 +311,25 @@ def simulate_cmd(
         "catalog": ",".join(str(p) for p in catalog.periods),
         "tool_version": __version__,
     }
+    tables = {}  # file name -> rows and header config
     if experiment in ("all", "mse"):
         table = run_mse_experiment(base, resolutions=res_list, catalog=catalog)
-        write_table_csv(out_dir / "mse.csv", table, {**shared, "n_events": events})
-        click.echo(f"wrote {out_dir / 'mse.csv'}")
+        tables["mse.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "f1"):
         table = run_f1_experiment(
             base, resolutions=res_list, bias_fractions=bias_list, catalog=catalog
         )
-        write_table_csv(out_dir / "f1.csv", table, {**shared, "n_events": events})
-        click.echo(f"wrote {out_dir / 'f1.csv'}")
+        tables["f1.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "error-rate"):
         table = run_error_rate_experiment(
             seed=seed, n_values=n_list, trials=trials, delta=delta, catalog=catalog
         )
-        write_table_csv(out_dir / "error_rate.csv", table, {**shared, "trials": trials})
-        click.echo(f"wrote {out_dir / 'error_rate.csv'}")
+        tables["error_rate.csv"] = table, {**shared, "trials": trials}
+    out_dir = Path(out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, (table, config) in tables.items():
+        write_table_csv(out_dir / name, table, config)
+        click.echo(f"wrote {out_dir / name}")
 
 
 @main.command("detect")

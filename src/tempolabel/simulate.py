@@ -1,6 +1,11 @@
 """Synthetic benchmarks: generate events, round them like an annotator would,
 and score the resulting hard and soft labels against the known ground truth.
 
+The traffic is fixed: one true event per day, 20 to 90 minutes long, kept
+46 minutes from either midnight, so that the widest ramp (30 minutes) and
+the ±15-minute boundary band fit inside its day. `generate_events` returns
+a sweep point's true and annotated events as two (events, 2) arrays.
+
 Three experiments:
 
 * MSE sweep: per annotation resolution, mean squared label error within
@@ -20,18 +25,17 @@ rerunning any experiment with the same seed reproduces it bit for bit.
 
 The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
 point with `labels.label_grids`, the flat label grid that `soft-labels`
-uses too; this module only chooses each record's window and bias-shifted
-ramp centers, and scores. Each record's sums are NumPy reductions over its
+uses too; this module only chooses each event's window and bias-shifted
+ramp centers, and scores. Each event's sums are NumPy reductions over its
 own contiguous slice of the grid, as `mse` and `soft_confusion` compute
-them on a record's series, so the tables are exactly those of scoring
-record by record. The error-rate sweep seeds every trial as before, from
+them on an event's series, so the tables are exactly those of scoring
+event by event. The error-rate sweep seeds every trial as before, from
 (seed, 30, period, n, trial), passed to NumPy as uint32 words, and counts
 all trials of a point with one bincount.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -56,29 +60,32 @@ DEFAULT_RESOLUTIONS = (1, 5, 10, 15, 30)
 DEFAULT_N_SWEEP = (1, 2, 5, 10, 20, 50, 100)
 
 
+# The simulated traffic: one event a day, 20 to 90 minutes long, at least
+# PLACEMENT_MARGIN minutes from midnight: room for the widest ramp (30
+# minutes), the ±BOUNDARY_HALFWIDTH-minute band the MSE sweep scores, and
+# one slot. The margin also pads each event's label window.
+DURATION_RANGE = (20, 90)
+BOUNDARY_HALFWIDTH = 15
+PLACEMENT_MARGIN = 30 + BOUNDARY_HALFWIDTH + 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """One sweep point: the seed and number of events to draw, how the
+    annotator rounds them (resolution, and bias as a fraction of it), and
+    the switch probability `delta` of the model that infers categories."""
+
     seed: int = 0
     n_events: int = 500
-    day_window: tuple[int, int] = (0, MINUTES_PER_DAY)
-    duration_range: tuple[int, int] = (20, 90)
     resolution_minutes: int = 30
     bias_fraction: float = 0.0
-    events_per_day: int = 1
     delta: float = 0.1
-    boundary_halfwidth: int = 15
 
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        w0, w1 = self.day_window
-        if not 0 <= w0 < w1 <= MINUTES_PER_DAY:
-            raise ConfigError(f"day window must lie within one day, got {self.day_window}")
-        dmin, dmax = self.duration_range
-        if not 1 <= dmin <= dmax:
-            raise ConfigError(f"bad duration range {self.duration_range}")
-        if self.n_events < 1 or self.events_per_day < 1:
-            raise ConfigError("n_events and events_per_day must be positive")
+        if self.n_events < 1:
+            raise ConfigError(f"n_events must be positive, got {self.n_events}")
         if not 0.0 <= self.bias_fraction < 1.0:
             raise ConfigError(f"bias fraction must be in [0, 1), got {self.bias_fraction}")
         if self.resolution_minutes < 1 or 60 % self.resolution_minutes != 0:
@@ -87,18 +94,6 @@ class SimConfig:
     @property
     def bias_minutes(self) -> float:
         return self.bias_fraction * self.resolution_minutes
-
-
-@dataclass(frozen=True)
-class SimRecord:
-    """One simulated event and its rounded (possibly biased) annotation."""
-
-    true_start: int
-    true_end: int
-    annotated_start: int
-    annotated_end: int
-    resolution_minutes: int
-    bias_minutes: float
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
@@ -119,98 +114,61 @@ def _seed_words(*values: int) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def round_to_resolution(t: float, resolution: int) -> int:
-    """Nearest multiple of `resolution`; exact midpoints round up."""
-    return int(math.floor(t / resolution + 0.5)) * resolution
+def round_to_resolution(t, resolution: int):
+    """Nearest multiple of `resolution`; exact midpoints round up. Arrays
+    round element-wise to int64; a scalar gives an int."""
+    out = np.floor(np.divide(t, resolution) + 0.5).astype(np.int64) * resolution
+    return int(out) if out.ndim == 0 else out
 
 
-def annotate(true_time: int, resolution: int, bias_minutes: float = 0.0) -> int:
-    """Apply the offset first, then round — the annotator's recalled time."""
-    return round_to_resolution(true_time + bias_minutes, resolution)
+def annotate(true_time, resolution: int, bias_minutes: float = 0.0):
+    """Apply the offset first, then round — the annotator's recalled time.
+    Broadcasts like `round_to_resolution`."""
+    return round_to_resolution(np.add(true_time, bias_minutes), resolution)
 
 
-def _placement_margin(config: SimConfig) -> int:
-    # room for the widest ramp plus the boundary evaluation band
-    return 30 + config.boundary_halfwidth + 1
+def generate_events(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one true event per day and round it like an annotator would.
 
-
-def generate_events(config: SimConfig) -> list[SimRecord]:
-    """Draw non-overlapping true events and their rounded annotations.
-
-    Events fill successive days, `events_per_day` per day, each kept far
-    enough from the window edges that label ramps and boundary bands fit.
+    Returns two (n_events, 2) int64 arrays of absolute start and end
+    minutes: `truth`, then `annotated`. Event i falls on day i, its duration
+    drawn from DURATION_RANGE, then its start so that it keeps
+    PLACEMENT_MARGIN minutes from either midnight.
     """
     rng = _rng(config.seed, 1)
-    w0, w1 = config.day_window
-    dmin, dmax = config.duration_range
-    margin = _placement_margin(config)
-    if (w1 - w0) < config.events_per_day * (dmax + 2 * margin):
-        raise ConfigError(
-            f"day window of {w1 - w0} minutes cannot hold {config.events_per_day} "
-            f"events of up to {dmax} minutes with {margin}-minute margins"
-        )
-    records: list[SimRecord] = []
-    day = 0
-    while len(records) < config.n_events:
-        placed: list[tuple[int, int]] = []
-        base = day * MINUTES_PER_DAY
-        target = min(config.events_per_day, config.n_events - len(records))
-        attempts = 0
-        while len(placed) < target:
-            if attempts > 200 * config.events_per_day:
-                raise ConfigError("could not place events without overlap; widen the day window")
-            attempts += 1
-            dur = int(rng.integers(dmin, dmax + 1))
-            start = int(rng.integers(w0 + margin, w1 - margin - dur + 1))
-            if any(start < e and start + dur > s for s, e in placed):
-                continue
-            placed.append((start, start + dur))
-        for start, end in sorted(placed):
-            records.append(
-                SimRecord(
-                    true_start=base + start,
-                    true_end=base + end,
-                    annotated_start=annotate(
-                        base + start, config.resolution_minutes, config.bias_minutes
-                    ),
-                    annotated_end=annotate(
-                        base + end, config.resolution_minutes, config.bias_minutes
-                    ),
-                    resolution_minutes=config.resolution_minutes,
-                    bias_minutes=config.bias_minutes,
-                )
-            )
-        day += 1
-    return records
+    dmin, dmax = DURATION_RANGE
+    truth = np.empty((config.n_events, 2), dtype=np.int64)
+    for day in range(config.n_events):
+        dur = int(rng.integers(dmin, dmax + 1))
+        start = int(rng.integers(PLACEMENT_MARGIN, MINUTES_PER_DAY - PLACEMENT_MARGIN - dur + 1))
+        start += day * MINUTES_PER_DAY
+        truth[day] = start, start + dur
+    return truth, annotate(truth, config.resolution_minutes, config.bias_minutes)
 
 
-def _boundary_periods(records, catalog, model) -> np.ndarray:
-    """(records, 2) periods of the MAP categories of each record's start and
+def _boundary_periods(annotated, catalog, model) -> np.ndarray:
+    """(events, 2) periods of the MAP categories of each annotated start and
     end, via the full inference pipeline (evidence [start_0, end_0, ...])."""
-    stamps = [t for rec in records for t in (rec.annotated_start, rec.annotated_end)]
-    evidence = AnnotationSet.from_timestamps("simulated", stamps)
+    evidence = AnnotationSet.from_timestamps("simulated", annotated.ravel())
     habit = habit_posterior(evidence, catalog, model)
     cats = category_posterior(evidence, catalog, model, habit=habit).map_categories()
     return np.array([cat.period_minutes for cat in cats]).reshape(-1, 2)
 
 
-def _label_grids(records, periods, config: SimConfig):
-    """The (records, 2) true spans of `records`, and their label grids with
-    the truth, then the annotation, as hard labels.
+def _label_grids(truth, annotated, periods, config: SimConfig):
+    """The label grids of the events, with the truth, then the annotation,
+    as hard labels.
 
-    Record i's window is [min(true, annotated) start - pad, max(true,
-    annotated) end + pad), pad being the placement margin. Soft ramps are
+    Event i's window is [min(true, annotated) start - pad, max(true,
+    annotated) end + pad), pad being PLACEMENT_MARGIN. Soft ramps are
     centered on the annotation minus the injected bias: the simulator knows
     the offset it added, and removing it restores the zero-mean rounding the
     soft label's uniform ramp is built to cover.
     """
-    pad = _placement_margin(config)
-    stamps = [(r.true_start, r.true_end, r.annotated_start, r.annotated_end) for r in records]
-    truth, annotated = np.hsplit(np.array(stamps), 2)
-    bias = np.array([[r.bias_minutes] for r in records])
-    lo = np.minimum(truth[:, 0], annotated[:, 0]) - pad
-    hi = np.maximum(truth[:, 1], annotated[:, 1]) + pad
-    return truth, label_grids(lo, hi, annotated - bias, periods / 2.0, (truth, annotated))
+    lo = np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN
+    hi = np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN
+    centers = annotated - config.bias_minutes
+    return label_grids(lo, hi, centers, periods / 2.0, (truth, annotated))
 
 
 def _boundary_mse(grid: LabelGrid, truth, halfwidth: int) -> tuple[list[float], list[float]]:
@@ -264,20 +222,19 @@ def run_mse_experiment(
     for res in resolutions:
         config = replace(base, resolution_minutes=res)  # checks res before it seeds
         config = replace(config, seed=_derived_seed(base.seed, 10, res))
-        records = generate_events(config)
-        periods = _boundary_periods(records, catalog, model)
+        truth, annotated = generate_events(config)
+        periods = _boundary_periods(annotated, catalog, model)
         hard_scores: list[float] = []
         soft_scores: list[float] = []
-        truth, grids = _label_grids(records, periods, config)
-        for grid in grids:
-            hard, soft = _boundary_mse(grid, truth, config.boundary_halfwidth)
+        for grid in _label_grids(truth, annotated, periods, config):
+            hard, soft = _boundary_mse(grid, truth, BOUNDARY_HALFWIDTH)
             hard_scores += hard
             soft_scores += soft
         rows.append(
             {
                 "resolution_minutes": res,
                 "bias_fraction": config.bias_fraction,
-                "n_events": len(records),
+                "n_events": config.n_events,
                 "mse_hard": float(np.mean(hard_scores)),
                 "mse_soft": float(np.mean(soft_scores)),
             }
@@ -295,7 +252,7 @@ def run_f1_experiment(
 
     The same true events are reused across bias settings of one resolution,
     so bias is the only thing that changes between those rows. Confusion
-    counts are added record by record, in record order.
+    counts are added event by event, in event order.
     """
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=base.delta)
@@ -304,18 +261,17 @@ def run_f1_experiment(
         for bias in bias_fractions:
             config = replace(base, resolution_minutes=res, bias_fraction=bias)
             config = replace(config, seed=_derived_seed(base.seed, 20, res))
-            records = generate_events(config)
-            periods = _boundary_periods(records, catalog, model)
+            truth, annotated = generate_events(config)
+            periods = _boundary_periods(annotated, catalog, model)
             totals = [0.0] * 8
-            _, grids = _label_grids(records, periods, config)
-            for grid in grids:
+            for grid in _label_grids(truth, annotated, periods, config):
                 for sums in _confusion_sums(grid):
                     totals = [t + v for t, v in zip(totals, sums)]
             rows.append(
                 {
                     "resolution_minutes": res,
                     "bias_fraction": bias,
-                    "n_events": len(records),
+                    "n_events": config.n_events,
                     "f1_hard": f1(SoftConfusionMatrix(*totals[:4])),
                     "f1_soft": f1(SoftConfusionMatrix(*totals[4:])),
                 }

@@ -12,6 +12,7 @@ import itertools
 import math
 from dataclasses import replace
 from datetime import date, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +32,10 @@ from tempolabel.inference import (
 )
 from tempolabel.labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
 from tempolabel.simulate import (
+    BOUNDARY_HALFWIDTH,
     DEFAULT_RESOLUTIONS,
+    PLACEMENT_MARGIN,
     _derived_seed,
-    _placement_margin,
     generate_events,
 )
 
@@ -153,6 +155,19 @@ def reference_write_label_csv(path, series, header=""):
             writer.writerow([stamp, f"{value:.12g}"])
 
 
+class _SimulatedEvent(NamedTuple):
+    true_start: int
+    true_end: int
+    annotated_start: int
+    annotated_end: int
+
+
+def _simulated_events(config):
+    """`generate_events`' true and annotated spans, one record per event."""
+    truth, annotated = generate_events(config)
+    return [_SimulatedEvent(*t, *a) for t, a in zip(truth.tolist(), annotated.tolist())]
+
+
 def _infer_boundary_categories(records, catalog, model):
     """MAP category per annotated boundary, via the full inference pipeline.
 
@@ -175,7 +190,7 @@ def reference_event_series(rec, cat_s, cat_e, config):
 
     Soft ramps are centered on the annotation minus the injected bias.
     """
-    pad = _placement_margin(config)
+    pad = PLACEMENT_MARGIN
     lo = min(rec.true_start, rec.annotated_start) - pad
     hi = max(rec.true_end, rec.annotated_end) + pad
     window = TimeWindow(lo, hi)
@@ -183,11 +198,11 @@ def reference_event_series(rec, cat_s, cat_e, config):
     hard = hard_series(rec.annotated_start, rec.annotated_end, window)
     soft = soft_series(
         BoundaryDistribution(
-            center=rec.annotated_start - rec.bias_minutes,
+            center=rec.annotated_start - config.bias_minutes,
             half_width=cat_s.period_minutes / 2.0,
         ),
         BoundaryDistribution(
-            center=rec.annotated_end - rec.bias_minutes,
+            center=rec.annotated_end - config.bias_minutes,
             half_width=cat_e.period_minutes / 2.0,
         ),
         window,
@@ -202,15 +217,13 @@ def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=
     rows = []
     for res in resolutions:
         config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
-        records = generate_events(config)
+        records = _simulated_events(config)
         cats = _infer_boundary_categories(records, catalog, model)
         hard_scores = []
         soft_scores = []
         for rec, (cat_s, cat_e) in zip(records, cats):
             truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
-            mask = boundary_slot_mask(
-                truth, (rec.true_start, rec.true_end), config.boundary_halfwidth
-            )
+            mask = boundary_slot_mask(truth, (rec.true_start, rec.true_end), BOUNDARY_HALFWIDTH)
             hard_scores.append(mse(truth, hard, slots=mask))
             soft_scores.append(mse(truth, soft, slots=mask))
         rows.append(
@@ -240,7 +253,7 @@ def reference_run_f1_experiment(
                 bias_fraction=bias,
                 seed=_derived_seed(base.seed, 20, res),
             )
-            records = generate_events(config)
+            records = _simulated_events(config)
             cats = _infer_boundary_categories(records, catalog, model)
             total_hard = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
             total_soft = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)

@@ -640,6 +640,28 @@ def test_simulate_bad_options_exit_2(runner, tmp_path, args, message):
     assert f"error: {message}" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--n-sweep", "0"], "annotation counts must be positive"),
+        (["--trials", "0"], "trials must be positive, got 0"),
+        (["--biases", "1.5"], "bias fraction must be in [0, 1), got 1.5"),
+        (["--biases="], "expected a comma-separated list of numbers, got ''"),
+        (["--resolutions", " , "], "expected a comma-separated list of integers, got ' , '"),
+        (["--n-sweep", ""], "expected a comma-separated list of integers, got ''"),
+        (["--events", "0"], "n_events must be positive, got 0"),
+    ],
+)
+def test_simulate_invalid_options_leave_no_out_dir(runner, tmp_path, args, message):
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main, ["simulate", "--events", "5", "--trials", "2", *args, "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {message}" in result.output
+    assert not out.exists()
+
+
 # SHA-256 of the tables written by `simulate --seed 42 --trials 30` (CLI
 # defaults otherwise) before the error-rate sweep was batched. The tables
 # embed tool_version, so a version bump changes these digests too.
@@ -845,3 +867,4 @@ def test_cli_survives_hostile_simulate_options(tmp_path_factory, args):
     result = CliRunner().invoke(main, ["simulate", *args, "--out", str(out)])
     assert result.exit_code in (0, 2, 3), result.output
     assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 0 or not out.exists(), result.output

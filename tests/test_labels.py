@@ -15,6 +15,7 @@ from tempolabel import (
     hard_series,
     padded_window,
     soft_label,
+    soft_series,
     soft_value,
     start_probability,
 )
@@ -218,3 +219,55 @@ def test_label_grids_match_soft_label(events, periods, pad, block):
             break
         expected.append((series.window_start, series.values.tobytes()))
     assert got == expected
+
+
+def _span_starts_before_window(lo, hi, span):
+    span[2, 0] = lo[2] - 10
+
+
+def _span_ends_before_start(lo, hi, span):
+    span[2] = span[2, ::-1]
+
+
+def _window_is_empty(lo, hi, span):
+    hi[2] = lo[2]
+
+
+@pytest.mark.parametrize("block", [1, labels._GRID_RECORDS])
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(_span_starts_before_window, "does not cover", id="does not cover"),
+        pytest.param(_span_ends_before_start, "must not precede start", id="end before start"),
+        pytest.param(_window_is_empty, "window end must exceed start", id="window end must exceed"),
+    ],
+)
+def test_label_grids_errors_match_per_record(corrupt, message, block):
+    # four records a day apart; the third is corrupted
+    lo = np.arange(4) * 1440 + 100
+    hi = lo + 200
+    centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
+    half_widths = np.full((4, 2), 15.0)
+    span = np.stack([lo + 60, lo + 140], axis=1)
+    corrupt(lo, hi, span)
+    got = []
+    with mock.patch.object(labels, "_GRID_RECORDS", block):
+        with pytest.raises(InputError) as raised:
+            for grid in labels.label_grids(lo, hi, centers, half_widths, (span,)):
+                for k, (a, b) in zip(grid.records, grid.segments()):
+                    got.append((k, grid.soft[a:b].tobytes(), grid.hard[0][a:b].tobytes()))
+    expected = []
+    for k in range(2):
+        window = TimeWindow(lo[k].item(), hi[k].item())
+        soft = soft_series(
+            BoundaryDistribution(centers[k, 0].item(), 15.0),
+            BoundaryDistribution(centers[k, 1].item(), 15.0),
+            window,
+        )
+        hard = hard_series(*span[k].tolist(), window)
+        expected.append((k, soft.values.tobytes(), hard.values.tobytes()))
+    assert got == expected
+    with pytest.raises(InputError) as per_record:
+        hard_series(*span[2].tolist(), TimeWindow(lo[2].item(), hi[2].item()))
+    assert str(raised.value) == str(per_record.value)
+    assert message in str(raised.value)

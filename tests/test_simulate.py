@@ -10,8 +10,11 @@ from tempolabel import (
     CategoryCatalog,
     ConfigError,
     InputError,
+    LabelSeries,
     SwitchModel,
+    boundary_slot_mask,
     category_posterior,
+    mse,
     SimConfig,
     annotate,
     generate_events,
@@ -21,7 +24,7 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
-from tempolabel.simulate import _rng, _seed_words
+from tempolabel.simulate import _boundary_mse, _label_grids, _rng, _seed_words
 
 from .oracles import reference_run_f1_experiment, reference_run_mse_experiment
 
@@ -41,64 +44,49 @@ def test_midpoint_rounds_up():
 
 @settings(deadline=None, max_examples=100)
 @given(
-    st.integers(0, 100_000),
+    st.lists(st.integers(0, 100_000), min_size=1, max_size=20),
     st.sampled_from([1, 5, 10, 15, 30]),
     st.floats(0.0, 0.99),
 )
-def test_rounding_residual_bound(true_time, resolution, bias_fraction):
+def test_rounding_residual_bound(true_times, resolution, bias_fraction):
     bias = bias_fraction * resolution
-    annotated = annotate(true_time, resolution, bias)
-    assert abs(annotated - (true_time + bias)) <= resolution / 2
+    # an array rounds element by element exactly as each scalar does
+    annotated = annotate(np.array(true_times), resolution, bias)
+    assert annotated.dtype == np.int64
+    assert annotated.tolist() == [annotate(t, resolution, bias) for t in true_times]
+    for true_time in true_times:
+        got = annotate(true_time, resolution, bias)
+        assert type(got) is int
+        assert abs(got - (true_time + bias)) <= resolution / 2
 
 
 def test_generate_events_deterministic_and_sane():
     config = SimConfig(seed=11, n_events=40, resolution_minutes=15)
-    records = generate_events(config)
-    assert records == generate_events(config)
-    assert len(records) == 40
-    for rec in records:
-        assert rec.true_end > rec.true_start
-        assert 20 <= rec.true_end - rec.true_start <= 90
-        assert rec.annotated_start % 15 == 0
-        assert rec.annotated_end % 15 == 0
-        assert rec.annotated_end >= rec.annotated_start
-        day = rec.true_start // 1440
-        assert rec.true_end // 1440 == day  # no midnight wrap
-
-
-def test_generate_events_nonoverlapping_within_day():
-    config = SimConfig(
-        seed=5, n_events=12, events_per_day=3, duration_range=(20, 60)
-    )
-    records = generate_events(config)
-    by_day = {}
-    for rec in records:
-        by_day.setdefault(rec.true_start // 1440, []).append(rec)
-    assert all(len(v) == 3 for v in by_day.values())
-    for recs in by_day.values():
-        recs = sorted(recs, key=lambda r: r.true_start)
-        for a, b in zip(recs, recs[1:]):
-            assert a.true_end <= b.true_start
-
-
-def test_window_too_small_is_config_error():
-    with pytest.raises(ConfigError):
-        generate_events(SimConfig(seed=1, n_events=4, day_window=(0, 180)))
-    with pytest.raises(ConfigError):
-        SimConfig(seed=1, n_events=4, day_window=(100, 90))
+    truth, annotated = generate_events(config)
+    again = generate_events(config)
+    np.testing.assert_array_equal(truth, again[0])
+    np.testing.assert_array_equal(annotated, again[1])
+    assert truth.shape == annotated.shape == (40, 2)
+    assert truth.dtype == annotated.dtype == np.int64
+    for (true_start, true_end), (annotated_start, annotated_end) in zip(
+        truth.tolist(), annotated.tolist()
+    ):
+        assert true_end > true_start
+        assert 20 <= true_end - true_start <= 90
+        assert annotated_start % 15 == 0
+        assert annotated_end % 15 == 0
+        assert annotated_end >= annotated_start
+        day = true_start // 1440
+        assert true_end // 1440 == day  # no midnight wrap
 
 
 def test_debiased_ramp_support_always_covers_truth():
     # with bias <= resolution/2 the true boundary must sit inside the
     # re-centered ramp support [center - T/2, center + T/2]
     config = SimConfig(seed=9, n_events=200, resolution_minutes=30, bias_fraction=0.5)
-    for rec in generate_events(config):
-        for true_t, ann in (
-            (rec.true_start, rec.annotated_start),
-            (rec.true_end, rec.annotated_end),
-        ):
-            center = ann - rec.bias_minutes
-            assert abs(true_t - center) <= 15.0
+    truth, annotated = generate_events(config)
+    center = annotated - config.bias_minutes
+    assert np.all(np.abs(truth - center) <= 15.0)
 
 
 def test_mse_experiment_rows_and_resolution_one():
@@ -194,20 +182,11 @@ _CATALOGS = [(30, 15, 10, 5, 1), (60, 30, 15, 5, 1), (60, 20, 1), (12, 4, 1)]
 
 @st.composite
 def _sweep_case(draw):
-    width = draw(st.integers(150, 1440))
-    w0 = draw(st.integers(0, 1440 - width))
     config = SimConfig(
         seed=draw(st.integers(0, 2**40)),
         n_events=draw(st.integers(1, 60)),
-        events_per_day=draw(st.integers(1, 3)),
-        day_window=(w0, w0 + width),
         delta=draw(st.floats(0.01, 0.5)),
         bias_fraction=draw(st.sampled_from([0.0, 0.5, 0.9])),  # the MSE sweep's bias
-        # below 0 no slot is near a boundary; below -31 the label window no
-        # longer covers the ramps, then the events
-        boundary_halfwidth=draw(
-            st.one_of(st.just(15), st.integers(0, 20), st.integers(-100, -1))
-        ),
     )
     resolutions = draw(
         st.lists(st.sampled_from([1, 5, 10, 12, 15, 20, 30, 60]), min_size=1, max_size=3)
@@ -237,9 +216,6 @@ def test_sweeps_match_per_record_reference(case):
         # a 54-minute bias with a 30-minute ramp half-width: the start ramp
         # reaches past the padded window
         (SimConfig(seed=1, n_events=40, bias_fraction=0.9), "too small for ramps"),
-        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-1), "slot selection is empty"),
-        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-60), "does not cover"),
-        (SimConfig(seed=1, n_events=5, boundary_halfwidth=-100), "window end must exceed"),
     ],
 )
 def test_sweep_errors_match_reference(config, message):
@@ -252,6 +228,21 @@ def test_sweep_errors_match_reference(config, message):
         reference_run_f1_experiment, config, (60,), (config.bias_fraction,), catalog
     )
     assert got == expected
+
+
+def test_boundary_mse_empty_selection_matches_mse():
+    # a negative half-width selects no slot, which `mse` rejects too
+    config = SimConfig(seed=1, n_events=5)
+    truth, annotated = generate_events(config)
+    periods = np.full(truth.shape, 30)
+    (grid,) = _label_grids(truth, annotated, periods, config)
+    with pytest.raises(InputError) as raised:
+        _boundary_mse(grid, truth, -1)
+    a, b = next(grid.segments())
+    reference = LabelSeries(grid.minutes[a].item(), grid.hard[0][a:b])
+    with pytest.raises(InputError) as expected:
+        mse(reference, reference, slots=boundary_slot_mask(reference, truth[0].tolist(), -1))
+    assert str(raised.value) == str(expected.value) == "slot selection is empty"
 
 
 def test_sweeps_span_several_grid_blocks():
