@@ -33,6 +33,7 @@ from .inference import (
     CategoryPosterior,
     HabitPosterior,
     SwitchModel,
+    boundary_periods,
     category_posterior,
     habit_posterior,
     likelihood,

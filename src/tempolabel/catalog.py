@@ -11,30 +11,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, InputError
 
 DEFAULT_PERIODS = (30, 15, 10, 5, 1)
 
 
-def _check_minute(minute: int) -> int:
-    if not isinstance(minute, (int,)) or isinstance(minute, bool):
+def _is_integer(value) -> bool:
+    """True for a Python or NumPy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_minute(minute) -> int:
+    if not _is_integer(minute):
         raise InputError(f"minute must be an integer, got {minute!r}")
     if not 0 <= minute <= 59:
         raise InputError(f"minute must be in 0..59, got {minute}")
-    return minute
+    return int(minute)
 
 
 @dataclass(frozen=True)
 class ResolutionCategory:
     """One granularity level: a period and its admissible minutes-of-hour."""
 
-    index: int  # 1-based position in the catalogue, coarsest first
     period_minutes: int
     members: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        if self.index < 1:
-            raise ConfigError(f"category index must be >= 1, got {self.index}")
         if self.period_minutes < 1 or 60 % self.period_minutes != 0:
             raise ConfigError(
                 f"period must be a divisor of 60, got {self.period_minutes}"
@@ -52,9 +56,6 @@ class ResolutionCategory:
     def contains(self, minute: int) -> bool:
         """True iff `minute` is one of this category's admissible values."""
         return _check_minute(minute) in self.members
-
-    def __str__(self) -> str:
-        return f"{self.period_minutes}min"
 
 
 @dataclass(frozen=True)
@@ -82,19 +83,10 @@ class CategoryCatalog:
                 "finest category must admit every minute (period 1), "
                 f"got period {self.categories[-1].period_minutes}"
             )
-        for pos, cat in enumerate(self.categories, start=1):
-            if cat.index != pos:
-                raise ConfigError(
-                    f"category at position {pos} has index {cat.index}"
-                )
 
     @classmethod
     def from_periods(cls, periods=DEFAULT_PERIODS) -> "CategoryCatalog":
-        cats = tuple(
-            ResolutionCategory(index=i, period_minutes=int(p))
-            for i, p in enumerate(periods, start=1)
-        )
-        return cls(categories=cats)
+        return cls(categories=tuple(ResolutionCategory(int(p)) for p in periods))
 
     @classmethod
     def default(cls) -> "CategoryCatalog":
@@ -108,10 +100,6 @@ class CategoryCatalog:
 
     def __getitem__(self, pos: int) -> ResolutionCategory:
         return self.categories[pos]
-
-    @property
-    def n_categories(self) -> int:
-        return len(self.categories)
 
     @property
     def periods(self) -> tuple[int, ...]:
@@ -128,7 +116,7 @@ class CategoryCatalog:
 
         Always resolves: the finest category admits every minute.
         """
-        _check_minute(minute)
+        minute = _check_minute(minute)
         for cat in self.categories:
             if minute in cat.members:
                 return cat

@@ -22,7 +22,13 @@ from .catalog import DEFAULT_PERIODS, CategoryCatalog
 from .errors import ConfigError, DegenerateModelError, InputError
 from .evaluation import boundary_mse, metrics_report, mse, soft_confusion
 from .hmm import HmmParams, fit_emissions, viterbi
-from .inference import AnnotationSet, SwitchModel, category_posterior, habit_posterior
+from .inference import (
+    AnnotationSet,
+    SwitchModel,
+    boundary_periods,
+    category_posterior,
+    habit_posterior,
+)
 from .ingest import (
     read_annotations_csv,
     read_json,
@@ -100,19 +106,16 @@ _DELTA_OPT = click.option(
 )
 
 
-def _group_by_annotator(records):
-    """Evidence per annotator, file order, start then end per event."""
+def _group_by_annotator(records) -> dict[str, tuple[list, np.ndarray]]:
+    """Per annotator: its records in file order and their (events, 2) start
+    and end minutes."""
     grouped: dict[str, list] = defaultdict(list)
     for rec in records:
         grouped[rec.annotator_id].append(rec)
-    evidence = {}
-    for annotator_id, recs in grouped.items():
-        stamps = []
-        for rec in recs:
-            stamps.append(rec.start)
-            stamps.append(rec.end)
-        evidence[annotator_id] = (recs, AnnotationSet.from_timestamps(annotator_id, stamps))
-    return evidence
+    return {
+        annotator_id: (recs, np.array([(rec.start, rec.end) for rec in recs]))
+        for annotator_id, recs in grouped.items()
+    }
 
 
 @click.group()
@@ -139,7 +142,8 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
     report = {"config": {"delta": model.delta, "catalog": list(catalog.periods)}, "annotators": []}
     for annotator_id in sorted(evidence):
-        _, ann_set = evidence[annotator_id]
+        _, stamps = evidence[annotator_id]
+        ann_set = AnnotationSet.from_timestamps(annotator_id, stamps.ravel())
         habit = habit_posterior(ann_set, catalog, model)
         rows = category_posterior(ann_set, catalog, model, habit=habit)
         report["annotators"].append(
@@ -170,23 +174,22 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
-    for annotator_id, (recs, ann_set) in sorted(_group_by_annotator(records).items()):
-        habit = habit_posterior(ann_set, catalog, model)
-        cats = category_posterior(ann_set, catalog, model, habit=habit).map_categories()
-        stamps = np.array([(rec.start, rec.end) for rec in recs])
-        half_widths = np.array([cat.period_minutes for cat in cats]).reshape(-1, 2) / 2.0
+    for annotator_id, (recs, stamps) in sorted(_group_by_annotator(records).items()):
+        periods = boundary_periods(stamps, catalog, model)
+        half_widths = periods / 2.0
         lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
         for grid in label_grids(lo, hi, stamps, half_widths):
             for k, (a, b) in zip(grid.records, grid.segments()):
-                rec, cat_s, cat_e = recs[k], cats[2 * k], cats[2 * k + 1]
+                rec = recs[k]
+                start_period, end_period = periods[k].tolist()
                 config = {
                     "annotator_id": annotator_id,
                     "date": rec.date,
                     "event_kind": rec.event_kind,
                     "delta": model.delta,
                     "catalog": ",".join(str(p) for p in catalog.periods),
-                    "start_period": cat_s.period_minutes,
-                    "end_period": cat_e.period_minutes,
+                    "start_period": start_period,
+                    "end_period": end_period,
                 }
                 # percent-escaped, so any id names one file inside out_dir
                 path = out_dir / f"softlabel_{quote(annotator_id, safe='')}_{k:03d}.csv"
@@ -365,24 +368,18 @@ def histogram_cmd(annotations_csv, catalog_spec, out):
     """Per-annotator counts of the coarsest category containing each minute."""
     catalog = _catalog_from(catalog_spec)
     records = read_annotations_csv(annotations_csv)
-    counts: dict[tuple[str, int], int] = {}
-    annotators = sorted({rec.annotator_id for rec in records})
-    for annotator_id in annotators:
-        for cat in catalog:
-            counts[(annotator_id, cat.period_minutes)] = 0
-    for rec in records:
-        for stamp in (rec.start, rec.end):
-            cat = catalog.coarsest_containing(stamp % 60)
-            counts[(rec.annotator_id, cat.period_minutes)] += 1
-    rows = [
-        {
-            "annotator_id": annotator_id,
-            "period_minutes": period,
-            "count": counts[(annotator_id, period)],
-        }
-        for annotator_id in annotators
-        for period in catalog.periods
-    ]
+    # coarsest[m, c] is 1 where category c is the coarsest containing minute m
+    coarsest = np.array(
+        [[catalog.coarsest_containing(m) is cat for cat in catalog] for m in range(60)],
+        dtype=np.int64,
+    )
+    rows = []
+    for annotator_id, (_, stamps) in sorted(_group_by_annotator(records).items()):
+        counts = AnnotationSet.from_timestamps(annotator_id, stamps.ravel()).histogram() @ coarsest
+        rows += [
+            {"annotator_id": annotator_id, "period_minutes": period, "count": count}
+            for period, count in zip(catalog.periods, counts.tolist())
+        ]
     write_table_csv(out, rows, {"catalog": ",".join(str(p) for p in catalog.periods)})
     click.echo(f"wrote {out}")
 

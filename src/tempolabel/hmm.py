@@ -25,9 +25,6 @@ from .labels import LabelSeries
 _ROW_TOL = 1e-12
 _VAR_FLOOR = 1e-10
 
-STATE_OFF = 0
-STATE_ON = 1
-
 
 @dataclass(frozen=True)
 class SensorSeries:
@@ -65,7 +62,8 @@ class SensorSeries:
 
 @dataclass(frozen=True)
 class HmmParams:
-    """Initial/transition distributions plus Gaussian emissions per state."""
+    """Initial/transition distributions plus Gaussian emissions for the two
+    states, off (0) and on (1)."""
 
     initial: np.ndarray
     transition: np.ndarray
@@ -80,6 +78,8 @@ class HmmParams:
         if initial.ndim != 1:
             raise InputError("initial distribution must be a 1-d vector")
         n = initial.shape[0]
+        if n != 2:
+            raise InputError(f"the HMM must have 2 states (off, on), got {n}")
         if not all(np.all(np.isfinite(a)) for a in (initial, transition, means, variances)):
             raise InputError("HMM parameters must be finite")
         if transition.shape != (n, n) or means.shape != (n,) or variances.shape != (n,):

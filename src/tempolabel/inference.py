@@ -10,12 +10,16 @@ when admissible and 0 otherwise.
 Both posteriors are exact, and both depend on an annotator's evidence only
 through its 60-bin minute-of-hour histogram:
 
-* habit: log prior + counts @ log E, where E[h, m] = sum_c S[c, h] L[c, m]
-  is the probability of minute m under habit h; a final softmax over habits
-  replaces the normalizing constant, so long evidence sets cannot underflow.
+* habit: log(1/C) + counts @ log E, a uniform prior over the C habits, where
+  E[h, m] = sum_c S[c, h] L[c, m] is the probability of minute m under
+  habit h; a final softmax over habits replaces the normalizing constant,
+  so long evidence sets cannot underflow.
 * per-annotation category: a posterior row depends only on its minute, so
-  the posterior is a (60, n_categories) table whose row m is the Bayes
-  inversion P(category | m, habit) mixed over the habit posterior.
+  the posterior is a (60, C) table whose row m is the Bayes inversion
+  P(category | m, habit) mixed over the habit posterior, plus a (60,) MAP
+  index: the position of each row's MAP category. Every per-annotation MAP
+  answer (`CategoryPosterior.map_category`, `map_periods`,
+  `boundary_periods`) reads that index.
 
 The core works on a batch of histograms at once, so many annotators or
 simulated trials share one call.
@@ -31,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .catalog import CategoryCatalog, ResolutionCategory, _check_minute
+from .catalog import CategoryCatalog, ResolutionCategory, _check_minute, _is_integer
 from .errors import ConfigError, DegenerateModelError, InputError
 
 _SUM_TOL = 1e-12
@@ -42,6 +46,22 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """`values` as a 1-d array, checked as a whole to hold only Python or
+    NumPy integers (no bools); otherwise InputError names the first entry
+    that is not one."""
+    if isinstance(values, np.ndarray):
+        typed = values.dtype.kind in "iu" and values.ndim == 1
+    else:
+        values = list(values)
+        kinds = set(map(type, values))
+        typed = all(issubclass(t, (int, np.integer)) and t is not bool for t in kinds)
+    if typed:
+        return np.asarray(values)
+    bad = next((v for v in values if not _is_integer(v)), values)
+    raise InputError(f"{what} must be an integer, got {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -57,14 +77,17 @@ class AnnotationSet:
     minutes: tuple[int, ...]
 
     def __post_init__(self):
-        for m in self.minutes:
-            _check_minute(int(m))
-        object.__setattr__(self, "minutes", tuple(int(m) for m in self.minutes))
+        minutes = _integers(self.minutes, "minute")
+        if not np.all((minutes >= 0) & (minutes <= 59)):
+            for m in minutes.tolist():  # raises at the first minute out of range
+                _check_minute(m)
+        object.__setattr__(self, "minutes", tuple(minutes.astype(np.int64).tolist()))
 
     @classmethod
     def from_timestamps(cls, annotator_id: str, timestamps_minutes) -> "AnnotationSet":
         """Build from absolute minute timestamps; the hour is ignored."""
-        return cls(annotator_id, tuple(int(t) % 60 for t in timestamps_minutes))
+        stamps = _integers(timestamps_minutes, "timestamp")
+        return cls(annotator_id, (stamps % MINUTES_PER_HOUR).astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.minutes)
@@ -121,26 +144,33 @@ class CategoryPosterior:
 
     `table` holds one row per minute-of-hour, shape (60, n_categories); an
     annotation's row is the table row of its minute, and `rows` gathers them
-    in annotation order. Only rows of annotated minutes are checked to be
-    distributions: a minute the habit posterior rules out has an all-zero row.
+    in annotation order. `map_index` holds, per minute, the catalogue
+    position of that row's MAP category. Only rows of annotated minutes are
+    checked to be distributions: a minute the habit posterior rules out has
+    an all-zero row.
     """
 
     catalog: CategoryCatalog
     minutes: tuple[int, ...]
     table: np.ndarray
+    map_index: np.ndarray
 
     def __post_init__(self):
         table = _frozen_array(self.table)
+        map_index = _frozen_array(self.map_index, dtype=np.intp)
         if table.shape != (MINUTES_PER_HOUR, len(self.catalog)):
             raise InputError(
                 f"table shape {table.shape} does not match "
                 f"{MINUTES_PER_HOUR} minutes x {len(self.catalog)} categories"
             )
+        if map_index.shape != (MINUTES_PER_HOUR,):
+            raise InputError(f"MAP index shape {map_index.shape} is not ({MINUTES_PER_HOUR},)")
         observed = table[sorted(set(self.minutes))]
         sums = observed.sum(axis=1)
         if np.any(observed < 0) or np.any(np.abs(sums - 1.0) > _SUM_TOL):
             raise InputError("every category posterior row must sum to 1")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "map_index", map_index)
 
     def __len__(self) -> int:
         return len(self.minutes)
@@ -150,17 +180,14 @@ class CategoryPosterior:
         """(n_annotations, n_categories) posterior rows in annotation order."""
         return _frozen_array(self.table[list(self.minutes)])
 
-    @cached_property
-    def _map_by_minute(self) -> tuple[ResolutionCategory, ...]:
-        # argmax returns the first maximum; the catalogue is ordered coarsest first
-        return tuple(self.catalog[int(i)] for i in np.argmax(self.table, axis=1))
-
     def map_category(self, i: int) -> ResolutionCategory:
-        return self._map_by_minute[self.minutes[i]]
+        """The MAP category of annotation i."""
+        return self.catalog[int(self.map_index[self.minutes[i]])]
 
-    def map_categories(self) -> list[ResolutionCategory]:
-        by_minute = self._map_by_minute
-        return [by_minute[m] for m in self.minutes]
+    def map_periods(self) -> np.ndarray:
+        """(n_annotations,) periods of the MAP categories, in annotation order."""
+        periods = np.array(self.catalog.periods)
+        return periods[self.map_index[list(self.minutes)]]
 
     def to_dict(self) -> dict:
         probs = self.table.tolist()
@@ -170,10 +197,10 @@ class CategoryPosterior:
                 {
                     "index": i,
                     "minute": m,
-                    "map_period": cat.period_minutes,
+                    "map_period": period,
                     "probs": list(probs[m]),
                 }
-                for i, (m, cat) in enumerate(zip(self.minutes, self.map_categories()))
+                for i, (m, period) in enumerate(zip(self.minutes, self.map_periods().tolist()))
             ],
         }
 
@@ -196,26 +223,11 @@ def switch_prob(
     A single-category catalogue leaves nowhere to switch to, so only the
     no-switch model (delta = 0) is defined on it.
     """
-    if n_categories == 1 and (model.delta > 0 or category.index != habit.index):
+    if n_categories == 1 and (model.delta > 0 or category != habit):
         raise ConfigError("switch probability undefined for a single-category catalogue")
-    if category.index == habit.index:
+    if category == habit:
         return 1.0 - model.delta
     return model.delta / (n_categories - 1)
-
-
-@lru_cache(maxsize=None)
-def _likelihood_matrix(catalog: CategoryCatalog) -> np.ndarray:
-    """L[c, m] = P(minute m | category c), shape (n_categories, 60)."""
-    return _frozen_array(
-        [[likelihood(cat, m) for m in range(MINUTES_PER_HOUR)] for cat in catalog]
-    )
-
-
-@lru_cache(maxsize=None)
-def _switch_matrix(model: SwitchModel, catalog: CategoryCatalog) -> np.ndarray:
-    """S[c, h] = P(category c | habit h)."""
-    n = len(catalog)
-    return _frozen_array([[switch_prob(model, c, h, n) for h in catalog] for c in catalog])
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +242,10 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
     * cond (H, 60 * C): P(category | minute, habit), minute-major, 0 where
       the minute is impossible under the habit.
     """
-    lik = _likelihood_matrix(catalog)  # (C, 60)
-    switch = _switch_matrix(model, catalog)  # (C, H)
+    n = len(catalog)
+    # L[c, m] = P(minute m | category c), S[c, h] = P(category c | habit h)
+    lik = np.array([[likelihood(cat, m) for m in range(MINUTES_PER_HOUR)] for cat in catalog])
+    switch = np.array([[switch_prob(model, c, h, n) for h in catalog] for c in catalog])
     evidence = switch.T @ lik  # (H, 60)
     possible = evidence > 0.0
     log_evidence = np.log(evidence, out=np.zeros_like(evidence), where=possible)
@@ -242,34 +256,22 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
     return (
         _frozen_array(log_evidence.T),
         _frozen_array(~possible.T, dtype=bool),
-        _frozen_array(cond.reshape(len(catalog), -1)),
+        _frozen_array(cond.reshape(n, -1)),
     )
 
 
-def _validate_prior(prior, n: int) -> np.ndarray:
-    if prior is None:
-        return np.full(n, 1.0 / n)
-    arr = np.asarray(prior, dtype=float)
-    if arr.shape != (n,) or np.any(arr < 0) or arr.sum() <= 0:
-        raise ConfigError("prior must be a nonnegative vector over the catalogue")
-    return arr / arr.sum()
-
-
-def _habit_probs(
-    counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel, prior=None
-) -> np.ndarray:
-    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each."""
+def _habit_probs(counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
+    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each,
+    under a uniform prior over the habits."""
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=1) == 0):
         raise InputError("cannot infer a habit from an empty annotation set")
     log_evidence, impossible, _ = _minute_model(catalog, model)
-    with np.errstate(divide="ignore"):
-        scores = np.log(_validate_prior(prior, len(catalog))) + counts @ log_evidence
+    scores = np.log(np.full(len(catalog), 1.0 / len(catalog))) + counts @ log_evidence
     scores[(counts > 0) @ impossible] = -np.inf
     if not np.isfinite(scores).any(axis=1).all():
         raise DegenerateModelError(
-            "no habit has nonzero posterior mass; "
-            "check the prior and the switch model"
+            "no habit has nonzero posterior mass; check the switch model"
         )
     scores -= scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
@@ -291,13 +293,10 @@ def _category_tables(
 
 
 def habit_posterior(
-    annotations: AnnotationSet,
-    catalog: CategoryCatalog,
-    model: SwitchModel,
-    prior=None,
+    annotations: AnnotationSet, catalog: CategoryCatalog, model: SwitchModel
 ) -> HabitPosterior:
     """Posterior over the annotator's habit given all annotated minutes."""
-    probs = _habit_probs(annotations.histogram()[None, :], catalog, model, prior)
+    probs = _habit_probs(annotations.histogram()[None, :], catalog, model)
     return HabitPosterior(catalog=catalog, probs=probs[0])
 
 
@@ -306,7 +305,6 @@ def category_posterior(
     catalog: CategoryCatalog,
     model: SwitchModel,
     habit: HabitPosterior | None = None,
-    prior=None,
 ) -> CategoryPosterior:
     """Per-annotation category posteriors, mixing over the habit posterior.
 
@@ -315,9 +313,20 @@ def category_posterior(
     Categories whose member set excludes the annotated minute get exactly 0.
     """
     if habit is None:
-        habit = habit_posterior(annotations, catalog, model, prior=prior)
-    table, _ = _category_tables(habit.probs[None, :], catalog, model)
-    return CategoryPosterior(catalog=catalog, minutes=annotations.minutes, table=table[0])
+        habit = habit_posterior(annotations, catalog, model)
+    table, map_index = _category_tables(habit.probs[None, :], catalog, model)
+    return CategoryPosterior(
+        catalog=catalog, minutes=annotations.minutes, table=table[0], map_index=map_index[0]
+    )
+
+
+def boundary_periods(stamps, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
+    """(events, 2) start and end minutes -> (events, 2) periods of their MAP
+    categories, inferred from the events as one annotator's evidence
+    [start_0, end_0, start_1, end_1, ...]."""
+    evidence = AnnotationSet.from_timestamps("", np.ravel(stamps))
+    habit = habit_posterior(evidence, catalog, model)
+    return category_posterior(evidence, catalog, model, habit=habit).map_periods().reshape(-1, 2)
 
 
 def map_category(row, catalog: CategoryCatalog) -> ResolutionCategory:

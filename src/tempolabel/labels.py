@@ -42,10 +42,6 @@ class TimeWindow:
         if self.end <= self.start:
             raise InputError(f"window end must exceed start, got [{self.start}, {self.end})")
 
-    @property
-    def n_slots(self) -> int:
-        return self.end - self.start
-
     def slot_starts(self) -> np.ndarray:
         return np.arange(self.start, self.end)
 

@@ -45,12 +45,10 @@ from .errors import ConfigError, InputError
 from .evaluation import SoftConfusionMatrix, f1
 from .inference import (
     MINUTES_PER_HOUR,
-    AnnotationSet,
     SwitchModel,
     _category_tables,
     _habit_probs,
-    category_posterior,
-    habit_posterior,
+    boundary_periods,
 )
 from .labels import LabelGrid, label_grids
 
@@ -146,15 +144,6 @@ def generate_events(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return truth, annotate(truth, config.resolution_minutes, config.bias_minutes)
 
 
-def _boundary_periods(annotated, catalog, model) -> np.ndarray:
-    """(events, 2) periods of the MAP categories of each annotated start and
-    end, via the full inference pipeline (evidence [start_0, end_0, ...])."""
-    evidence = AnnotationSet.from_timestamps("simulated", annotated.ravel())
-    habit = habit_posterior(evidence, catalog, model)
-    cats = category_posterior(evidence, catalog, model, habit=habit).map_categories()
-    return np.array([cat.period_minutes for cat in cats]).reshape(-1, 2)
-
-
 def _label_grids(truth, annotated, periods, config: SimConfig):
     """The label grids of the events, with the truth, then the annotation,
     as hard labels.
@@ -223,7 +212,7 @@ def run_mse_experiment(
         config = replace(base, resolution_minutes=res)  # checks res before it seeds
         config = replace(config, seed=_derived_seed(base.seed, 10, res))
         truth, annotated = generate_events(config)
-        periods = _boundary_periods(annotated, catalog, model)
+        periods = boundary_periods(annotated, catalog, model)
         hard_scores: list[float] = []
         soft_scores: list[float] = []
         for grid in _label_grids(truth, annotated, periods, config):
@@ -262,7 +251,7 @@ def run_f1_experiment(
             config = replace(base, resolution_minutes=res, bias_fraction=bias)
             config = replace(config, seed=_derived_seed(base.seed, 20, res))
             truth, annotated = generate_events(config)
-            periods = _boundary_periods(annotated, catalog, model)
+            periods = boundary_periods(annotated, catalog, model)
             totals = [0.0] * 8
             for grid in _label_grids(truth, annotated, periods, config):
                 for sums in _confusion_sums(grid):
@@ -324,7 +313,7 @@ def run_error_rate_experiment(
             counts = counts.reshape(trials, MINUTES_PER_HOUR)
             habit = _habit_probs(counts, catalog, model)
             _, map_index = _category_tables(habit, catalog, model)
-            wrong = map_index != true_cat.index - 1
+            wrong = map_index != catalog.periods.index(period)
             errors = int((counts * wrong).sum())
             rows.append(
                 {

@@ -181,7 +181,7 @@ def _infer_boundary_categories(records, catalog, model):
     evidence = AnnotationSet.from_timestamps("simulated", stamps)
     habit = habit_posterior(evidence, catalog, model)
     rows = category_posterior(evidence, catalog, model, habit=habit)
-    cats = rows.map_categories()
+    cats = [rows.map_category(i) for i in range(len(rows))]
     return [(cats[2 * i], cats[2 * i + 1]) for i in range(len(records))]
 
 

@@ -9,7 +9,7 @@ DIVISORS_OF_60 = [1, 2, 3, 4, 5, 6, 10, 12, 15, 20, 30, 60]
 
 def test_default_catalog_shape(catalog):
     assert catalog.periods == (30, 15, 10, 5, 1)
-    assert catalog.n_categories == 5
+    assert len(catalog) == 5
     assert catalog[0].members == frozenset({0, 30})
     assert catalog[1].members == frozenset({0, 15, 30, 45})
     assert catalog[2].members == frozenset({0, 10, 20, 30, 40, 50})
@@ -21,7 +21,7 @@ def test_member_formula():
     for period in DIVISORS_OF_60:
         if period == 60:
             continue
-        cat = ResolutionCategory(index=1, period_minutes=period)
+        cat = ResolutionCategory(period_minutes=period)
         assert cat.members == frozenset(k * period for k in range(60 // period))
         assert cat.size == 60 // period
 
@@ -59,17 +59,17 @@ def test_coarsest_containing_is_maximal(catalog):
     st.sampled_from(DIVISORS_OF_60[:-1]),
 )
 def test_members_nested_by_divisibility(p_a, p_b):
-    a = ResolutionCategory(index=1, period_minutes=p_a)
-    b = ResolutionCategory(index=1, period_minutes=p_b)
+    a = ResolutionCategory(period_minutes=p_a)
+    b = ResolutionCategory(period_minutes=p_b)
     if p_b % p_a == 0:
         assert b.members <= a.members
 
 
 def test_invalid_periods_rejected():
     with pytest.raises(ConfigError):
-        ResolutionCategory(index=1, period_minutes=7)
+        ResolutionCategory(period_minutes=7)
     with pytest.raises(ConfigError):
-        ResolutionCategory(index=1, period_minutes=0)
+        ResolutionCategory(period_minutes=0)
 
 
 def test_catalog_construction_rules():
@@ -81,7 +81,7 @@ def test_catalog_construction_rules():
         CategoryCatalog.from_periods(())
     custom = CategoryCatalog.from_periods((20, 5, 1))
     assert custom.periods == (20, 5, 1)
-    assert custom.by_period(5).index == 2
+    assert custom.by_period(5) is custom[1]
 
 
 def test_catalog_is_hashable_and_iterable(catalog):

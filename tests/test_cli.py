@@ -278,6 +278,25 @@ GOLDEN_SOFT_LABELS_SHA256 = {
 }
 
 
+# SHA-256 of the `infer-habit` JSON and the `histogram` CSV for GOLDEN_DIARY
+# (default options), captured before the MAP lookup and the histogram were
+# rebuilt on the per-minute tables.
+GOLDEN_INFER_HABIT_SHA256 = "c8d983f37ebcfebc884e96f6171070a2b6c51a901d64a74a5831f7a6f3da74b9"
+GOLDEN_HISTOGRAM_SHA256 = "dbbf002e86e2f48d961db6d55c4f4d8120423efdf11f6e13ca38b3c3811d0d70"
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [("infer-habit", GOLDEN_INFER_HABIT_SHA256), ("histogram", GOLDEN_HISTOGRAM_SHA256)],
+)
+def test_diary_reports_match_golden_digests(runner, tmp_path, command, digest):
+    path = _write(tmp_path / "diary.csv", GOLDEN_DIARY)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, path, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_soft_labels_match_golden_digests(runner, tmp_path):
     path = _write(tmp_path / "diary.csv", GOLDEN_DIARY)
     out_dir = tmp_path / "labels"
@@ -530,6 +549,31 @@ def test_detect_malformed_params_exits_2(runner, tmp_path, payload, message):
     assert "Traceback" not in result.output
 
 
+# consistent parameter sets whose state count is not the detector's two
+_OTHER_STATE_COUNTS = {
+    1: {"initial": [1.0], "transition": [[1.0]], "means": [45.0], "variances": [9.0]},
+    3: {
+        "initial": [0.5, 0.25, 0.25],
+        "transition": [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]],
+        "means": [45.0, 80.0, 60.0],
+        "variances": [9.0, 16.0, 25.0],
+    },
+}
+
+
+@pytest.mark.parametrize("fit", [False, True])
+@pytest.mark.parametrize("n_states", sorted(_OTHER_STATE_COUNTS))
+def test_detect_needs_two_states(runner, tmp_path, n_states, fit):
+    sensor, _, _ = _detect_fixture(tmp_path)
+    params = tmp_path / "states.json"
+    params.write_text(json.dumps(_OTHER_STATE_COUNTS[n_states]))
+    args = ["detect", str(sensor), "--params", str(params), "--out", str(tmp_path / "p.csv")]
+    result = runner.invoke(main, args + (["--fit"] if fit else []))
+    assert result.exit_code == 2, result.output
+    assert f"error: the HMM must have 2 states (off, on), got {n_states}" in result.output
+    assert not (tmp_path / "p.csv").exists()
+
+
 @pytest.mark.parametrize(
     "raw",
     [b"\xff\xfe{}", b'{"initial": 1' + b"0" * 5000 + b"}", b"[" * 100_000, b'{"a": '],
@@ -779,11 +823,12 @@ _JUNK_JSON = st.recursive(
 
 @st.composite
 def _hostile_params(draw):
-    """A parsed-JSON value for `detect --params`: valid parameters with some
-    entries replaced, dropped or reshaped, or something else entirely."""
+    """A parsed-JSON value for `detect --params`: consistent parameters for
+    one, two or three states with some entries replaced, dropped or
+    reshaped, or something else entirely."""
     if draw(st.booleans()):
         return draw(_JUNK_JSON)
-    params = dict(_GOOD_PARAMS)
+    params = dict(draw(st.sampled_from([_GOOD_PARAMS, *_OTHER_STATE_COUNTS.values()])))
     for key in draw(st.lists(st.sampled_from(list(_GOOD_PARAMS)), max_size=3)):
         params[key] = draw(
             st.one_of(

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from tempolabel import (
     AnnotationSet,
     CategoryCatalog,
     ConfigError,
-    DegenerateModelError,
     InputError,
     SwitchModel,
+    boundary_periods,
     category_posterior,
     habit_posterior,
     likelihood,
@@ -62,6 +63,61 @@ def test_annotation_set_validation():
         AnnotationSet("a", (60,))
     ann = AnnotationSet.from_timestamps("a", (480, 510, 1445))
     assert ann.minutes == (0, 30, 5)
+
+
+@pytest.mark.parametrize(
+    "minutes, bad",
+    [
+        ((7.9, 30.2), "7.9"),
+        ((7, 30.0), "30.0"),
+        ((True,), "True"),
+        ((7, np.True_), "np.True_"),
+        (("7",), "'7'"),
+        ((7, None), "None"),
+        ((7, (1, 2)), "(1, 2)"),
+        (np.array([7.0, 30.0]), "np.float64(7.0)"),
+        (np.array([True]), "np.True_"),
+    ],
+)
+def test_annotation_set_rejects_non_integer_minutes(minutes, bad):
+    with pytest.raises(InputError, match=rf"^minute must be an integer, got {re.escape(bad)}$"):
+        AnnotationSet("a", minutes)
+
+
+@pytest.mark.parametrize(
+    "minutes, bad", [((7, 60, -1), "60"), ((np.int8(-1),), "-1"), (iter([7, 60]), "60")]
+)
+def test_annotation_set_names_first_minute_out_of_range(minutes, bad):
+    with pytest.raises(InputError, match=rf"^minute must be in 0\.\.59, got {bad}$"):
+        AnnotationSet("a", minutes)
+
+
+def test_annotation_set_accepts_numpy_integers():
+    ann = AnnotationSet("a", (np.int64(7), 30, np.uint8(59), np.int32(0)))
+    assert ann.minutes == (7, 30, 59, 0)
+    assert all(type(m) is int for m in ann.minutes)
+    assert AnnotationSet("a", np.array([7, 30], dtype=np.uint16)).minutes == (7, 30)
+    assert AnnotationSet("a", ()).minutes == ()
+    assert AnnotationSet.from_timestamps("a", np.array([61, 1439])).minutes == (1, 59)
+    assert AnnotationSet.from_timestamps("a", []).minutes == ()
+    assert AnnotationSet.from_timestamps("a", (t for t in (61, 125))).minutes == (1, 5)
+
+
+@pytest.mark.parametrize("stamps, bad", [((480, 510.5), "510.5"), ((True, 480), "True")])
+def test_from_timestamps_rejects_non_integer_stamps(stamps, bad):
+    with pytest.raises(InputError, match=rf"^timestamp must be an integer, got {re.escape(bad)}$"):
+        AnnotationSet.from_timestamps("a", stamps)
+
+
+def test_likelihood_and_contains_take_numpy_integers(catalog):
+    assert likelihood(catalog[0], np.int64(30)) == 0.5
+    assert catalog[0].contains(np.int64(30)) is True
+    assert catalog[1].contains(np.uint8(17)) is False
+    for bad in (True, np.True_, 30.0, "30"):
+        with pytest.raises(InputError, match="minute must be an integer"):
+            likelihood(catalog[0], bad)
+        with pytest.raises(InputError, match="minute must be an integer"):
+            catalog[0].contains(bad)
 
 
 def test_empty_annotation_set_rejected(catalog, model):
@@ -138,25 +194,6 @@ def test_map_category_tie_breaks_coarse(catalog):
     assert map_category((0.0, 0.0, 0.0, 1.0, 0.0), catalog).period_minutes == 5
 
 
-def test_custom_prior_shifts_posterior(catalog, model):
-    ann = AnnotationSet("a", (0,))
-    skewed = habit_posterior(ann, catalog, model, prior=(0.0, 0.0, 0.0, 0.0, 1.0))
-    assert skewed.map_category().period_minutes == 1
-    with pytest.raises(ConfigError):
-        habit_posterior(ann, catalog, model, prior=(1.0, 1.0))
-
-
-def test_zero_prior_everywhere_feasible_degenerates(catalog):
-    # prior allows only habits that cannot explain the data under delta=0
-    with pytest.raises(DegenerateModelError):
-        habit_posterior(
-            AnnotationSet("a", (7,)),
-            catalog,
-            SwitchModel(0.0),
-            prior=(1.0, 0.0, 0.0, 0.0, 0.0),
-        )
-
-
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.integers(0, 59), min_size=1, max_size=40), st.randoms())
 def test_habit_permutation_invariance(minutes, rnd):
@@ -212,7 +249,10 @@ def test_batch_equals_single_calls(catalog, model):
         single = category_posterior(ann, catalog, model, habit=single_habit)
         np.testing.assert_allclose(habit[b], single_habit.probs, rtol=0, atol=1e-15)
         np.testing.assert_allclose(table[b], single.table, rtol=0, atol=1e-15)
-        assert [catalog[i] for i in map_index[b, list(minutes)]] == single.map_categories()
+        np.testing.assert_array_equal(map_index[b], single.map_index)
+        assert [catalog[i] for i in map_index[b, list(minutes)]] == [
+            single.map_category(i) for i in range(len(minutes))
+        ]
 
 
 def test_unannotated_impossible_minutes_add_nothing(catalog):
@@ -231,8 +271,19 @@ def test_rows_gather_the_minute_table(catalog, model):
     post = category_posterior(ann, catalog, model)
     assert post.table.shape == (60, len(catalog))
     np.testing.assert_array_equal(post.rows, post.table[list(ann.minutes)])
-    assert post.map_categories() == [post.map_category(i) for i in range(len(ann))]
-    assert post.map_categories()[0] is post.map_categories()[2]
+    periods = [post.map_category(i).period_minutes for i in range(len(ann))]
+    assert post.map_periods().tolist() == periods
+    assert post.map_category(0) is post.map_category(2)
+
+
+def test_boundary_periods_match_per_annotation_map(catalog, model):
+    stamps = np.array([[480, 510], [727, 745], [1440 + 15, 1440 + 52], [3000, 3007]])
+    evidence = AnnotationSet.from_timestamps("a", stamps.ravel())
+    post = category_posterior(evidence, catalog, model)
+    expected = [post.map_category(i).period_minutes for i in range(len(evidence))]
+    periods = boundary_periods(stamps, catalog, model)
+    assert periods.shape == (4, 2)
+    assert periods.ravel().tolist() == expected
 
 
 def test_empty_histogram_in_batch_rejected(catalog, model):

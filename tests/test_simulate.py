@@ -139,8 +139,8 @@ def test_error_rate_matches_one_posterior_per_trial():
         for trial in range(trials):
             draws = _rng(9, 30, period, n, trial).integers(0, len(members), size=n)
             evidence = AnnotationSet("t", tuple(members[i] for i in draws))
-            cats = category_posterior(evidence, catalog, model).map_categories()
-            errors += sum(cat.period_minutes != period for cat in cats)
+            post = category_posterior(evidence, catalog, model)
+            errors += sum(post.map_category(i).period_minutes != period for i in range(n))
         assert row["error_rate"] == errors / (trials * n), row
 
 
@@ -286,6 +286,6 @@ def test_error_rate_trials_draw_from_their_own_seeds(seed):
         for trial in range(trials):
             draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
             evidence = AnnotationSet("t", tuple(members[i] for i in draws))
-            cats = category_posterior(evidence, catalog, model).map_categories()
-            errors += sum(cat.period_minutes != period for cat in cats)
+            post = category_posterior(evidence, catalog, model)
+            errors += sum(post.map_category(i).period_minutes != period for i in range(n))
         assert row["error_rate"] == errors / (trials * n), row
