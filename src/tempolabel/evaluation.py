@@ -7,8 +7,14 @@ Two families of metrics:
 * a soft confusion matrix whose cells are slot-wise products of reference
   and prediction values, so fractional counts appear as soon as either side
   is strictly soft. On binary series it reduces exactly to the classical
-  confusion matrix. Reports follow the rows-are-labels, columns-are-
-  predictions orientation.
+  confusion matrix.
+
+Both are summed once, here, per segment of a flat grid (records' windows
+laid end to end as `labels.label_grids` builds them, record k owning slots
+offsets[k]:offsets[k + 1]): `evaluate` scores a series as one segment per
+event or one in all, the simulate sweeps one per simulated event. A segment
+is summed as one C-contiguous row slice with `np.add.reduce`, NumPy's
+pairwise sum, exactly as `np.sum` and `np.mean` sum a single series.
 """
 
 from __future__ import annotations
@@ -47,14 +53,6 @@ class SoftConfusionMatrix:
         """True when no positive mass exists anywhere, so F1 is undefined."""
         return (2 * self.tp + self.fp + self.fn) == 0.0
 
-    def __add__(self, other: "SoftConfusionMatrix") -> "SoftConfusionMatrix":
-        return SoftConfusionMatrix(
-            tp=self.tp + other.tp,
-            fp=self.fp + other.fp,
-            fn=self.fn + other.fn,
-            tn=self.tn + other.tn,
-        )
-
     def to_dict(self) -> dict:
         return {
             "tp": self.tp,
@@ -63,10 +61,6 @@ class SoftConfusionMatrix:
             "tn": self.tn,
             "degenerate": self.degenerate,
         }
-
-    def as_table(self) -> list[list[float]]:
-        """[[label-no/pred-no, label-no/pred-yes], [label-yes/pred-no, label-yes/pred-yes]]"""
-        return [[self.tn, self.fp], [self.fn, self.tp]]
 
 
 def _require_aligned(a: LabelSeries, b: LabelSeries):
@@ -77,12 +71,31 @@ def _require_aligned(a: LabelSeries, b: LabelSeries):
         )
 
 
+def _require_selected(counts):
+    if not np.all(counts):
+        raise InputError("slot selection is empty")
+
+
+def _near(minutes, boundary, halfwidth) -> np.ndarray:
+    """Slots whose start minute is within ±halfwidth of `boundary`."""
+    return np.abs(minutes - boundary) <= halfwidth
+
+
+def _segment_sums(rows: np.ndarray, offsets) -> np.ndarray:
+    """(R, K) sums of each of the R rows over each of the K segments."""
+    offsets = np.asarray(offsets).tolist()
+    # rows C-contiguous (both callers stack them), so that reducing a slice
+    # along axis 1 runs the pairwise sum np.sum runs over one series
+    sums = [np.add.reduce(rows[:, a:b], axis=1) for a, b in zip(offsets[:-1], offsets[1:])]
+    return np.stack(sums, axis=1)
+
+
 def boundary_slot_mask(series: LabelSeries, boundaries, halfwidth: int = 15) -> np.ndarray:
     """Slots whose start minute is within ±halfwidth of any boundary (union)."""
     starts = series.slot_starts()
     mask = np.zeros(len(series), dtype=bool)
     for b in boundaries:
-        mask |= np.abs(starts - b) <= halfwidth
+        mask |= _near(starts, b, halfwidth)
     return mask
 
 
@@ -94,10 +107,22 @@ def mse(reference: LabelSeries, prediction: LabelSeries, slots=None) -> float:
         mask = np.asarray(slots, dtype=bool)
         if mask.shape != diff.shape:
             raise InputError("slot mask length does not match the series")
-        if not mask.any():
-            raise InputError("slot selection is empty")
+        _require_selected(mask.any())
         diff = diff[mask]
     return float(np.mean(diff * diff))
+
+
+def segment_boundary_mse(minutes, offsets, events, differences, halfwidth) -> np.ndarray:
+    """(len(differences), K) MSE of each difference array over each segment's
+    slots whose start minute (in `minutes`) is within ±halfwidth of the
+    start or end of that segment's (start, end) pair in `events`."""
+    starts, ends = np.repeat(events, np.diff(offsets), axis=0).T
+    near = _near(minutes, starts, halfwidth) | _near(minutes, ends, halfwidth)
+    selected = np.concatenate(([0], np.cumsum(near)))[offsets]
+    counts = np.diff(selected)
+    _require_selected(counts)
+    squares = np.stack([(d * d)[near] for d in differences])
+    return _segment_sums(squares, selected) / counts
 
 
 def boundary_mse(
@@ -108,35 +133,41 @@ def boundary_mse(
 ) -> float:
     """MSE around true boundaries, one value per event, averaged uniformly.
 
-    `events` is an iterable of (start, end) pairs (or objects with .start
-    and .end); each event selects the union of slots within ±halfwidth of
-    its own start and end.
+    `events` is a sequence of whole-minute (start, end) pairs; each event
+    selects the union of slots within ±halfwidth of its own start and end,
+    scored as one segment: its window [min - halfwidth, max + halfwidth]
+    clipped to the series.
     """
-    events = list(events)
-    if not events:
+    if not len(events):
         raise InputError("boundary MSE needs at least one event")
-    per_event = []
-    for ev in events:
-        start = getattr(ev, "start", None)
-        end = getattr(ev, "end", None)
-        if start is None:
-            start, end = ev
-        mask = boundary_slot_mask(reference, (start, end), halfwidth)
-        per_event.append(mse(reference, prediction, slots=mask))
-    return float(np.mean(per_event))
+    _require_aligned(reference, prediction)
+    n = len(reference)
+    bounds = np.asarray(events) - reference.window_start
+    # past the series length plus the farthest boundary a reach selects every
+    # slot, and below 0 none: capping keeps the window arithmetic in int64
+    reach = max(-1, min(halfwidth, n + int(np.abs(bounds).max())))
+    lo = np.clip(bounds.min(axis=1) - reach, 0, n)
+    lengths = np.clip(bounds.max(axis=1) + reach + 1, lo, n) - lo
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    slots = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], lengths)
+    diff = reference.values[slots] - prediction.values[slots]
+    per_event = segment_boundary_mse(slots, offsets, bounds, (diff,), reach)
+    return float(np.mean(per_event[0]))
+
+
+def segment_confusion(reference, prediction, offsets) -> np.ndarray:
+    """Per segment of two flat value arrays, the slot-wise product confusion
+    counts: a (4, K) array of tp, fp, fn and tn."""
+    r, p = reference, prediction
+    cells = np.stack([r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p)])
+    return _segment_sums(cells, offsets)
 
 
 def soft_confusion(reference: LabelSeries, prediction: LabelSeries) -> SoftConfusionMatrix:
     """Slot-wise product confusion; entries sum to the slot count."""
     _require_aligned(reference, prediction)
-    r = reference.values
-    p = prediction.values
-    return SoftConfusionMatrix(
-        tp=float(np.sum(r * p)),
-        fp=float(np.sum((1.0 - r) * p)),
-        fn=float(np.sum(r * (1.0 - p))),
-        tn=float(np.sum((1.0 - r) * (1.0 - p))),
-    )
+    cells = segment_confusion(reference.values, prediction.values, [0, len(reference)])
+    return SoftConfusionMatrix(*cells[:, 0].tolist())
 
 
 def precision(matrix: SoftConfusionMatrix) -> float:

@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .catalog import CategoryCatalog, ResolutionCategory, _check_minute, _is_integer
-from .errors import ConfigError, DegenerateModelError, InputError
+from .errors import ConfigError, InputError
 
 _SUM_TOL = 1e-12
 MINUTES_PER_HOUR = 60
@@ -262,17 +262,15 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
 
 def _habit_probs(counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
     """(B, 60) minute histograms -> (B, H) habit posteriors, one row each,
-    under a uniform prior over the habits."""
+    under a uniform prior over the habits. Some habit always has mass: period
+    1 admits every minute, and its own habit keeps it unless delta = 1, while
+    every habit can switch to it when delta > 0."""
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=1) == 0):
         raise InputError("cannot infer a habit from an empty annotation set")
     log_evidence, impossible, _ = _minute_model(catalog, model)
     scores = np.log(np.full(len(catalog), 1.0 / len(catalog))) + counts @ log_evidence
     scores[(counts > 0) @ impossible] = -np.inf
-    if not np.isfinite(scores).any(axis=1).all():
-        raise DegenerateModelError(
-            "no habit has nonzero posterior mass; check the switch model"
-        )
     scores -= scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=1, keepdims=True)

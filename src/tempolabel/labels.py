@@ -126,13 +126,6 @@ class LabelSeries:
     def aligned_with(self, other: "LabelSeries") -> bool:
         return self.window_start == other.window_start and len(self) == len(other)
 
-    def to_dict(self) -> dict:
-        return {
-            "window_start": self.window_start,
-            "slot_minutes": 1,
-            "values": [float(v) for v in self.values],
-        }
-
 
 def ramp(t, lo, half_width) -> np.ndarray:
     """Uniform-boundary CDF: 0 up to `lo`, rising linearly to 1 at

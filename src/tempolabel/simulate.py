@@ -26,10 +26,10 @@ rerunning any experiment with the same seed reproduces it bit for bit.
 The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
 point with `labels.label_grids`, the flat label grid that `soft-labels`
 uses too; this module only chooses each event's window and bias-shifted
-ramp centers, and scores. Each event's sums are NumPy reductions over its
-own contiguous slice of the grid, as `mse` and `soft_confusion` compute
-them on an event's series, so the tables are exactly those of scoring
-event by event. The error-rate sweep seeds every trial as before, from
+ramp centers. Each event is scored as one segment of that grid by
+`evaluation.segment_boundary_mse` and `evaluation.segment_confusion`, where
+the summation rule lives, so the tables are exactly those of scoring event
+by event. The error-rate sweep seeds every trial as before, from
 (seed, 30, period, n, trial), passed to NumPy as uint32 words, and counts
 all trials of a point with one bincount.
 """
@@ -41,8 +41,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import CategoryCatalog
-from .errors import ConfigError, InputError
-from .evaluation import SoftConfusionMatrix, f1
+from .errors import ConfigError
+from .evaluation import SoftConfusionMatrix, f1, segment_boundary_mse, segment_confusion
 from .inference import (
     MINUTES_PER_HOUR,
     SwitchModel,
@@ -50,7 +50,7 @@ from .inference import (
     _habit_probs,
     boundary_periods,
 )
-from .labels import LabelGrid, label_grids
+from .labels import label_grids
 
 MINUTES_PER_DAY = 1440
 
@@ -160,45 +160,6 @@ def _label_grids(truth, annotated, periods, config: SimConfig):
     return label_grids(lo, hi, centers, periods / 2.0, (truth, annotated))
 
 
-def _boundary_mse(grid: LabelGrid, truth, halfwidth: int) -> tuple[list[float], list[float]]:
-    """Per record: MSE of its hard and of its soft labels against the truth
-    on the slots within ±halfwidth of a true boundary, computed as
-    `mse(truth, x, slots=boundary_slot_mask(truth, (start, end), halfwidth))`
-    computes it: the selected squared differences are summed as one
-    contiguous array and divided by their count."""
-    starts, ends = truth[grid.record].T
-    near = (np.abs(grid.minutes - starts) <= halfwidth) | (np.abs(grid.minutes - ends) <= halfwidth)
-    selected = np.concatenate(([0], np.cumsum(near)))[grid.offsets]
-    counts = np.diff(selected)
-    if not counts.all():
-        raise InputError("slot selection is empty")
-    # rows C-contiguous, so that reducing a slice along axis 1 runs NumPy's
-    # pairwise sum over each row, exactly as np.mean does over one series
-    r, p = grid.hard  # truth, annotation
-    squares = np.stack([(d * d)[near] for d in (r - p, r - grid.soft)])
-    hard: list[float] = []
-    soft: list[float] = []
-    for a, b in zip(selected[:-1].tolist(), selected[1:].tolist()):
-        h, s = (np.add.reduce(squares[:, a:b], axis=1) / (b - a)).tolist()
-        hard.append(h)
-        soft.append(s)
-    return hard, soft
-
-
-def _confusion_sums(grid: LabelGrid) -> list[list[float]]:
-    """Per record: tp, fp, fn, tn of its hard labels, then of its soft
-    labels, each summed as `soft_confusion` sums it."""
-    r, hard = grid.hard  # truth, annotation
-    cells = np.stack(
-        [
-            cell
-            for p in (hard, grid.soft)
-            for cell in (r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p))
-        ]
-    )
-    return [np.add.reduce(cells[:, a:b], axis=1).tolist() for a, b in grid.segments()]
-
-
 def run_mse_experiment(
     base: SimConfig,
     resolutions=DEFAULT_RESOLUTIONS,
@@ -213,12 +174,16 @@ def run_mse_experiment(
         config = replace(config, seed=_derived_seed(base.seed, 10, res))
         truth, annotated = generate_events(config)
         periods = boundary_periods(annotated, catalog, model)
-        hard_scores: list[float] = []
-        soft_scores: list[float] = []
+        scores = []
         for grid in _label_grids(truth, annotated, periods, config):
-            hard, soft = _boundary_mse(grid, truth, BOUNDARY_HALFWIDTH)
-            hard_scores += hard
-            soft_scores += soft
+            r, p = grid.hard  # truth, annotation
+            differences = (r - p, r - grid.soft)
+            scores.append(
+                segment_boundary_mse(
+                    grid.minutes, grid.offsets, truth[grid.records], differences, BOUNDARY_HALFWIDTH
+                )
+            )
+        hard_scores, soft_scores = np.concatenate(scores, axis=1)
         rows.append(
             {
                 "resolution_minutes": res,
@@ -252,17 +217,19 @@ def run_f1_experiment(
             config = replace(config, seed=_derived_seed(base.seed, 20, res))
             truth, annotated = generate_events(config)
             periods = boundary_periods(annotated, catalog, model)
-            totals = [0.0] * 8
+            cells = []
             for grid in _label_grids(truth, annotated, periods, config):
-                for sums in _confusion_sums(grid):
-                    totals = [t + v for t, v in zip(totals, sums)]
+                r, p = grid.hard  # truth, annotation
+                cells += [segment_confusion(r, x, grid.offsets) for x in (p, grid.soft)]
+            # a running sum, not a pairwise one: counts add up one event at a time
+            hard, soft = (np.cumsum(np.hstack(cells[i::2]), axis=1)[:, -1] for i in (0, 1))
             rows.append(
                 {
                     "resolution_minutes": res,
                     "bias_fraction": bias,
                     "n_events": config.n_events,
-                    "f1_hard": f1(SoftConfusionMatrix(*totals[:4])),
-                    "f1_soft": f1(SoftConfusionMatrix(*totals[4:])),
+                    "f1_hard": f1(SoftConfusionMatrix(*hard.tolist())),
+                    "f1_soft": f1(SoftConfusionMatrix(*soft.tolist())),
                 }
             )
     return rows

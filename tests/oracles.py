@@ -17,13 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from tempolabel.catalog import CategoryCatalog
-from tempolabel.evaluation import (
-    SoftConfusionMatrix,
-    boundary_slot_mask,
-    f1,
-    mse,
-    soft_confusion,
-)
+from tempolabel.evaluation import SoftConfusionMatrix, boundary_slot_mask, f1, mse
 from tempolabel.inference import (
     AnnotationSet,
     SwitchModel,
@@ -238,10 +232,23 @@ def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=
     return rows
 
 
+def _confusion_cells(r, p):
+    """tp, fp, fn and tn of one record's series, each summed with `np.sum`."""
+    return np.array(
+        [
+            np.sum(r * p),
+            np.sum((1.0 - r) * p),
+            np.sum(r * (1.0 - p)),
+            np.sum((1.0 - r) * (1.0 - p)),
+        ]
+    )
+
+
 def reference_run_f1_experiment(
     base, resolutions=DEFAULT_RESOLUTIONS, bias_fractions=(0.0, 0.5), catalog=None
 ):
-    """`run_f1_experiment` with one `soft_confusion` call per record and series."""
+    """`run_f1_experiment` with one label series per record and its confusion
+    cells summed with `np.sum`, record by record."""
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=base.delta)
     rows = []
@@ -255,19 +262,19 @@ def reference_run_f1_experiment(
             )
             records = _simulated_events(config)
             cats = _infer_boundary_categories(records, catalog, model)
-            total_hard = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
-            total_soft = SoftConfusionMatrix(0.0, 0.0, 0.0, 0.0)
+            total_hard = np.zeros(4)
+            total_soft = np.zeros(4)
             for rec, (cat_s, cat_e) in zip(records, cats):
                 truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
-                total_hard = total_hard + soft_confusion(truth, hard)
-                total_soft = total_soft + soft_confusion(truth, soft)
+                total_hard += _confusion_cells(truth.values, hard.values)
+                total_soft += _confusion_cells(truth.values, soft.values)
             rows.append(
                 {
                     "resolution_minutes": res,
                     "bias_fraction": bias,
                     "n_events": len(records),
-                    "f1_hard": f1(total_hard),
-                    "f1_soft": f1(total_soft),
+                    "f1_hard": f1(SoftConfusionMatrix(*total_hard.tolist())),
+                    "f1_soft": f1(SoftConfusionMatrix(*total_soft.tolist())),
                 }
             )
     return rows

@@ -101,12 +101,6 @@ def test_infer_habit_rerun_is_byte_identical(runner, annotations_csv, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_label_series_to_dict():
-    series = LabelSeries(window_start=480, values=np.array([0.0, 0.5, 1.0]))
-    payload = series.to_dict()
-    assert payload == {"window_start": 480, "slot_minutes": 1, "values": [0.0, 0.5, 1.0]}
-
-
 def test_infer_habit_unknown_annotator_warns(runner, annotations_csv, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(
@@ -722,6 +716,58 @@ def test_simulate_tables_match_golden_digests(runner, tmp_path):
     assert result.exit_code == 0, result.output
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.glob("*.csv")}
     assert digests == GOLDEN_SIMULATE_SHA256
+
+
+def _label_text(values):
+    base = parse_timestamp("2024-03-01 06:00")
+    rows = "".join(f"{format_timestamp(base + i)},{v!r}\n" for i, v in enumerate(values))
+    return "timestamp,value\n" + rows
+
+
+# 120 slots. The binary reference's events [0, 10) and [110, 120) touch the
+# ends of the series, and the ±15-minute boundary windows of [40, 50) and
+# [60, 75) overlap. The soft reference is a trapezoid, so it has no
+# `mse_boundary`.
+_EVENTS = ((0, 10), (40, 50), (60, 75), (110, 120))
+_BINARY_REFERENCE = [float(any(a <= i < b for a, b in _EVENTS)) for i in range(120)]
+_SOFT_REFERENCE = [min(1.0, max(0.0, (i - 20) / 30), max(0.0, (100 - i) / 20)) for i in range(120)]
+_FRACTIONAL = [(i * 37 % 101) / 100 for i in range(120)]
+_BLOCK = [float(30 <= i < 90) for i in range(120)]
+
+# SHA-256 of the `evaluate` JSON and `--csv` table, captured before
+# `boundary_mse` and `soft_confusion` scored through the segment functions.
+GOLDEN_EVALUATE_SHA256 = {
+    "binary": (
+        _BINARY_REFERENCE, _FRACTIONAL, "15",
+        "83934b08e8663a68246b33060fdd0133f3f9616ba313e7f23801666a9f78399d",
+        "4bb0af399eb757460ed027881edd953e49cb0f2c738a397a0483beb0fb56259a",
+    ),
+    "binary-wide": (
+        _BINARY_REFERENCE, _FRACTIONAL, str(10**20),
+        "6b4df9a6e37c477d0c094ab0a21e97150bd5e84dc19a078c0b9fb61e38c7ff98",
+        "12cb26b9110757aa96687323fd16d5a91f297e7cdcc6a0486229eb5342c61d59",
+    ),
+    "soft": (
+        _SOFT_REFERENCE, _BLOCK, "15",
+        "e2610ae2362f8d08549f364718e1fd19a2eee2a504f2e65e4332e7b6755fc4ae",
+        "94596498c22e0ac5d81d4a3a68c2c593f5741c1d2477cf0ac8dc721c00b2ac06",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EVALUATE_SHA256))
+def test_evaluate_matches_golden_digests(runner, tmp_path, monkeypatch, case):
+    reference, prediction, window, json_digest, csv_digest = GOLDEN_EVALUATE_SHA256[case]
+    # the report embeds its input paths, so they are relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "labels.csv", _label_text(reference))
+    _write(tmp_path / "pred.csv", _label_text(prediction))
+    args = ["--labels", "labels.csv", "--predictions", "pred.csv", "--boundary-window", window]
+    result = runner.invoke(main, ["evaluate", *args, "--out", "m.json", "--csv", "m.csv"])
+    assert result.exit_code == 0, result.output
+    assert ("mse_boundary" in json.loads((tmp_path / "m.json").read_text())) == (case != "soft")
+    digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("m.json", "m.csv")]
+    assert digests == [json_digest, csv_digest]
 
 
 _JUNK_LINE = st.text(alphabet='0123456789-:,. "#\r\n\tabeinfx+', max_size=24)

@@ -19,6 +19,7 @@ from tempolabel import (
     soft_confusion,
     soft_label,
 )
+from tempolabel.evaluation import segment_confusion
 
 
 def _series(values, start=0):
@@ -116,11 +117,10 @@ def test_confusion_mass_conservation(catalog):
 
 
 def test_case_study_style_f1_value():
-    # fractional confusion with rows-are-labels orientation
+    # fractional confusion counts
     m = SoftConfusionMatrix(tp=63.5, fp=41.86, fn=69.50, tn=3185.14)
     assert f1(m) == pytest.approx(127.0 / 238.36, abs=1e-12)
     assert f1(m) == pytest.approx(0.5327, abs=2e-4)
-    assert m.as_table() == [[3185.14, 41.86], [69.50, 63.5]]
 
 
 def test_degenerate_scores_flagged():
@@ -168,3 +168,72 @@ def test_binary_reduction_matches_classical_counts(n, seed):
     assert m.fp == float(np.sum((ref_bits == 0) & (pred_bits == 1)))
     assert m.fn == float(np.sum((ref_bits == 1) & (pred_bits == 0)))
     assert m.tn == float(np.sum((ref_bits == 0) & (pred_bits == 0)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return InputError, str(exc)
+
+
+def _per_event_boundary_mse(reference, prediction, events, halfwidth):
+    values = [
+        mse(reference, prediction, slots=boundary_slot_mask(reference, event, halfwidth))
+        for event in events
+    ]
+    return float(np.mean(values))
+
+
+@st.composite
+def _scoring_case(draw):
+    """Two aligned series, binary or soft, cut into segments; events
+    overlapping each other or reaching partly or wholly outside the window;
+    and a half-width."""
+    n = draw(st.integers(1, 400))
+    start = draw(st.integers(-10**6, 10**6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    binary = draw(st.booleans())
+
+    def values():
+        if binary:
+            return rng.integers(0, 2, n).astype(float)
+        # exact 0, 1 and sevenths among arbitrary fractions
+        return np.where(rng.random(n) < 0.3, rng.integers(0, 8, n) / 7, rng.uniform(0, 1, n))
+
+    reference, prediction = LabelSeries(start, values()), LabelSeries(start, values())
+    event_start = st.integers(start - n - 10, start + 2 * n + 10)
+    events = draw(
+        st.lists(
+            st.tuples(event_start, st.integers(0, n + 10)).map(lambda e: (e[0], e[0] + e[1])),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    halfwidth = draw(
+        st.sampled_from([-(10**20), 0, 10**20])
+        | st.integers(-40, -1)
+        | st.integers(1, n)
+        | st.integers(n, 10**9)
+    )
+    offsets = sorted({0, n} | draw(st.sets(st.integers(0, n), max_size=6)))
+    return reference, prediction, offsets, events, halfwidth
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_scoring_case())
+def test_segment_scorers_match_per_series_references(case):
+    reference, prediction, offsets, events, halfwidth = case
+    got = _outcome(boundary_mse, reference, prediction, events, halfwidth)
+    assert got == _outcome(_per_event_boundary_mse, reference, prediction, events, halfwidth)
+    m = soft_confusion(reference, prediction)
+    cells = segment_confusion(reference.values, prediction.values, offsets)
+    segments = [(0, len(reference)), *zip(offsets[:-1], offsets[1:])]
+    for sums, (a, b) in zip([[m.tp, m.fp, m.fn, m.tn], *cells.T.tolist()], segments):
+        r, p = reference.values[a:b], prediction.values[a:b]
+        assert sums == [
+            float(np.sum(r * p)),
+            float(np.sum((1.0 - r) * p)),
+            float(np.sum(r * (1.0 - p))),
+            float(np.sum((1.0 - r) * (1.0 - p))),
+        ]

@@ -300,3 +300,29 @@ def test_single_category_catalogue_needs_no_switch_model():
     np.testing.assert_array_equal(category_posterior(ann, single, SwitchModel(0.0)).rows, 1.0)
     with pytest.raises(ConfigError):
         habit_posterior(ann, single, SwitchModel(0.1))
+
+
+@st.composite
+def _habit_case(draw):
+    """A catalogue ending in period 1, a delta it admits and a non-empty
+    minute histogram, as one annotator's minutes."""
+    coarse = draw(st.sets(st.sampled_from((60, 30, 20, 15, 12, 10, 6, 5, 4, 3, 2)), max_size=5))
+    catalog = CategoryCatalog.from_periods((*sorted(coarse, reverse=True), 1))
+    delta = draw(st.floats(0.0, 1.0)) if len(catalog) > 1 else 0.0
+    counts = draw(st.dictionaries(st.integers(0, 59), st.integers(1, 2000), min_size=1))
+    minutes = np.repeat(list(counts), list(counts.values()))
+    return catalog, SwitchModel(delta), AnnotationSet.from_timestamps("a", minutes)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_habit_case())
+def test_some_habit_always_explains_the_evidence(case):
+    # period 1 admits every minute: with delta < 1 its own habit keeps it,
+    # and with delta > 0 every other habit can switch to it
+    catalog, model, evidence = case
+    probs = _habit_probs(evidence.histogram()[None, :], catalog, model)[0]
+    assert np.isfinite(probs).all()
+    assert abs(probs.sum() - 1.0) < 1e-12
+    rows = category_posterior(evidence, catalog, model)
+    observed = rows.table[sorted(set(evidence.minutes))]
+    np.testing.assert_allclose(observed.sum(axis=1), 1.0, rtol=0, atol=1e-12)

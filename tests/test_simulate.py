@@ -10,11 +10,8 @@ from tempolabel import (
     CategoryCatalog,
     ConfigError,
     InputError,
-    LabelSeries,
     SwitchModel,
-    boundary_slot_mask,
     category_posterior,
-    mse,
     SimConfig,
     annotate,
     generate_events,
@@ -24,7 +21,7 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
-from tempolabel.simulate import _boundary_mse, _label_grids, _rng, _seed_words
+from tempolabel.simulate import _rng, _seed_words
 
 from .oracles import reference_run_f1_experiment, reference_run_mse_experiment
 
@@ -228,21 +225,6 @@ def test_sweep_errors_match_reference(config, message):
         reference_run_f1_experiment, config, (60,), (config.bias_fraction,), catalog
     )
     assert got == expected
-
-
-def test_boundary_mse_empty_selection_matches_mse():
-    # a negative half-width selects no slot, which `mse` rejects too
-    config = SimConfig(seed=1, n_events=5)
-    truth, annotated = generate_events(config)
-    periods = np.full(truth.shape, 30)
-    (grid,) = _label_grids(truth, annotated, periods, config)
-    with pytest.raises(InputError) as raised:
-        _boundary_mse(grid, truth, -1)
-    a, b = next(grid.segments())
-    reference = LabelSeries(grid.minutes[a].item(), grid.hard[0][a:b])
-    with pytest.raises(InputError) as expected:
-        mse(reference, reference, slots=boundary_slot_mask(reference, truth[0].tolist(), -1))
-    assert str(raised.value) == str(expected.value) == "slot selection is empty"
 
 
 def test_sweeps_span_several_grid_blocks():
