@@ -43,19 +43,6 @@ class SensorSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @classmethod
-    def from_timestamps(cls, minutes, values) -> "SensorSeries":
-        minutes = np.asarray(minutes, dtype=int)
-        if minutes.size == 0:
-            raise InputError("empty sensor series")
-        if minutes.size > 1:
-            gaps = np.diff(minutes)
-            if np.any(gaps <= 0):
-                raise InputError("sensor timestamps must be strictly increasing")
-            if np.any(gaps != 1):
-                raise InputError("sensor timestamps must form a uniform 1-minute grid")
-        return cls(start_minute=int(minutes[0]), values=values)
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -346,8 +333,7 @@ def fit_emissions(
     scale = max(1.0, float(np.abs(values).max()))
     degenerate = bool(
         np.any(params.variances <= var_floor)
-        or np.min(np.abs(np.subtract.outer(params.means, params.means))[~np.eye(params.n_states, dtype=bool)])
-        < 1e-6 * scale
+        or abs(params.means[1] - params.means[0]) < 1e-6 * scale
         or np.any(occupancy < 1.0)
     )
     return HmmFit(

@@ -43,7 +43,8 @@ MINUTES_PER_HOUR = 60
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
+    """A read-only copy of `values`; the caller's array stays writable."""
+    arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
 

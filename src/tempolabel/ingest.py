@@ -3,9 +3,11 @@
 Everything is plain CSV or JSON. Timestamps are "YYYY-MM-DD HH:MM" at minute
 precision and are carried internally as whole minutes since 1970-01-01,
 which keeps grid arithmetic exact. Label and sensor CSVs label each slot by
-its start minute. Their timestamps are converted one calendar day at a
-time: the writer formats each day's date once, and the readers parse a
-row's date only when it differs from the previous row's. Output files embed
+its start minute, one row per consecutive minute. `_stamps` is the one
+source of their canonical stamp text: the writer emits it, and the readers
+match each row's stamp against it and parse only a stamp that differs. A
+row that is not the minute after the previous row's is reported with its
+file line. Output files embed
 the effective configuration as '#' header comments so a result can always
 be traced back to its inputs.
 """
@@ -40,47 +42,22 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(minute: int) -> str:
-    days, rem = divmod(int(minute), 1440)
-    try:
-        day = _EPOCH + timedelta(days=days)
-    except OverflowError:
-        raise InputError(f"minute {minute} lies outside the years 1-9999")
-    return f"{day:%Y-%m-%d} {_HHMM[rem]}"
+    return next(_stamps(minute))
 
 
-class _StampParser:
-    """`parse_timestamp` that converts each calendar day once.
-
-    A stamp of 16 ASCII characters whose 11-character date prefix equals
-    the last parsed one and whose tail is an in-range "HH:MM" reuses that
-    day; anything else goes through `parse_timestamp`, so every accepted
-    stamp, value and error message is the same as there.
-    """
-
-    def __init__(self):
-        self._day = None  # date prefix of the last canonical stamp
-        self._base = 0  # its day's first minute
-
-    def __call__(self, text: str) -> int:
-        if text[:11] == self._day and len(text) == 16:
-            minute = _minute_of_day(text[11:])
-            if minute is not None:
-                return self._base + minute
-        absolute = parse_timestamp(text)
-        if len(text) == 16 and text.isascii():
-            minute = _minute_of_day(text[11:])
-            if minute is not None:
-                self._day, self._base = text[:11], absolute - minute
-        return absolute
-
-
-def _minute_of_day(hhmm: str) -> int | None:
-    """Minute of the day of an ASCII "HH:MM" in range, else None."""
-    hh, mm = hhmm[:2], hhmm[3:]
-    if hhmm[2:3] != ":" or not (hhmm.isascii() and hh.isdigit() and mm.isdigit()):
-        return None
-    hours, minutes = int(hh), int(mm)
-    return hours * 60 + minutes if hours < 24 and minutes < 60 else None
+def _stamps(minute: int):
+    """Canonical "YYYY-MM-DD HH:MM" text of `minute` and of every later
+    minute, each day's date formatted once; InputError on reaching a day
+    past the year 9999."""
+    day, first = divmod(int(minute), 1440)
+    while True:
+        try:
+            prefix = f"{_EPOCH + timedelta(days=day):%Y-%m-%d} "
+        except OverflowError:
+            raise InputError(f"minute {day * 1440 + first} lies outside the years 1-9999") from None
+        for hhmm in _HHMM[first:]:
+            yield prefix + hhmm
+        day, first = day + 1, 0
 
 
 def _parse_hhmm(text: str, line_no: int) -> int:
@@ -232,29 +209,22 @@ def _label_rows(window_start: int, values: np.ndarray) -> str:
     distinct, which = np.unique(values.view(np.int64), return_inverse=True)
     texts = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
     cells = [texts[k] for k in which.tolist()]
-    lines: list[str] = []
-    day, first = divmod(window_start, 1440)
-    done = 0
-    while done < len(cells):
-        prefix = format_timestamp(day * 1440)[:-5]  # "YYYY-MM-DD "
-        count = min(1440 - first, len(cells) - done)
-        lines += [
-            f"{prefix}{hhmm},{cell}"
-            for hhmm, cell in zip(_HHMM[first : first + count], cells[done : done + count])
-        ]
-        done += count
-        day, first = day + 1, 0
-    return "\n".join(lines) + "\n"
+    # cells first, so that zip stops before asking for a stamp past the last slot
+    return "".join([f"{stamp},{cell}\n" for cell, stamp in zip(cells, _stamps(window_start))])
 
 
-def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[list[int], list[float]]:
-    """Minutes and values of a timestamped CSV, each problem with its file line.
+def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:
+    """Start minute and values of a timestamped CSV whose rows are
+    consecutive minutes, each problem with its file line.
 
-    `value_col` None takes the first column other than 'timestamp'.
+    `value_col` None takes the first column other than 'timestamp'. A row
+    whose stamp is the canonical text of the minute after the previous
+    row's is taken as is; any other stamp is parsed, and must parse to that
+    minute unless it is the first row's.
     """
-    minutes: list[int] = []
+    start = None
     values: list[float] = []
-    stamp = _StampParser()
+    stamps = iter(())  # canonical text of each next row's minute
     with open(path, newline="") as handle:
         reader = _CommentedCsv(handle)
         fields = reader.fieldnames
@@ -274,27 +244,36 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[list[int], l
                 _check_width(row, reader, needed)
             text, value = row[at_stamp], row[at_value]
             try:
-                minutes.append(stamp(text))
-            except InputError as exc:
-                raise ParseError(str(exc), reader.line_num) from exc
+                expected = next(stamps, None)
+            except InputError:  # no minute follows 9999-12-31 23:59
+                expected = None
+            if text != expected:
+                try:
+                    minute = parse_timestamp(text)
+                except InputError as exc:
+                    raise ParseError(str(exc), reader.line_num) from exc
+                if start is None:
+                    start, stamps = minute, _stamps(minute + 1)
+                elif minute != start + len(values):
+                    raise ParseError(
+                        f"timestamp {text!r} is not one minute after the previous row's",
+                        reader.line_num,
+                    )
             try:
                 values.append(float(value))
             except ValueError:
                 raise ParseError(f"bad value {value!r}", reader.line_num)
-    if not minutes:
+    if start is None:
         raise ParseError(f"{what} CSV has no rows")
-    return minutes, values
+    return start, np.array(values)
 
 
 def read_label_csv(path) -> LabelSeries:
-    minutes, values = _read_grid_csv(path, "value", "label")
-    if len(minutes) > 1 and np.any(np.diff(minutes) != 1):
-        raise InputError("label CSV must cover a contiguous 1-minute grid")
-    return LabelSeries(window_start=minutes[0], values=np.array(values))
+    return LabelSeries(*_read_grid_csv(path, "value", "label"))
 
 
 def read_sensor_csv(path) -> SensorSeries:
-    return SensorSeries.from_timestamps(*_read_grid_csv(path, None, "sensor"))
+    return SensorSeries(*_read_grid_csv(path, None, "sensor"))
 
 
 def write_table_csv(path, rows: list[dict], config: dict | None = None):

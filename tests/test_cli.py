@@ -611,6 +611,39 @@ def test_detect_sensor_row_with_extra_field_exits_2(runner, tmp_path):
     assert "error: line 51: row has 2 extra field(s)" in result.output
 
 
+_NOT_NEXT = "is not one minute after the previous row's"
+
+
+@pytest.mark.parametrize(
+    "first, bad, message",
+    [
+        ("2024-03-01 10:00", "2024-03-01 10:03", f"timestamp '2024-03-01 10:03' {_NOT_NEXT}"),
+        ("2024-03-01 10:00", "2024-03-01 10:01", f"timestamp '2024-03-01 10:01' {_NOT_NEXT}"),
+        ("2024-03-01 10:00", "2024-03-01 09:59", f"timestamp '2024-03-01 09:59' {_NOT_NEXT}"),
+        ("9999-12-31 23:58", "10000-01-01 00:00", "bad timestamp '10000-01-01 00:00'"),
+    ],
+    ids=["gap", "repeat", "step-back", "past-9999"],
+)
+@pytest.mark.parametrize("command", ["evaluate", "detect"])
+def test_grid_break_reports_file_line(runner, tmp_path, command, first, bad, message):
+    _, _, params = _detect_fixture(tmp_path)
+    second = format_timestamp(parse_timestamp(first) + 1)
+    header = "timestamp,value" if command == "evaluate" else "timestamp,humidity"
+    # the row after the break has a bad value: the break is reported first
+    path = _write(
+        tmp_path / "grid.csv",
+        f"# export\n{header}\n{first},0\n{second},1\n# resumed\n{bad},0\n{second},x\n",
+    )
+    if command == "evaluate":
+        args = ["evaluate", "--labels", path, "--predictions", path]
+    else:
+        args = ["detect", path, "--params", str(params)]
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2, result.output
+    assert f"error: line 6: {message}" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_simulate_cmd_writes_tables(runner, tmp_path):
     out = tmp_path / "sim"
     result = runner.invoke(
@@ -768,6 +801,54 @@ def test_evaluate_matches_golden_digests(runner, tmp_path, monkeypatch, case):
     assert ("mse_boundary" in json.loads((tmp_path / "m.json").read_text())) == (case != "soft")
     digests = [hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in ("m.json", "m.csv")]
     assert digests == [json_digest, csv_digest]
+
+
+def _golden_sensor_text():
+    """240 humidity readings from 2023-12-31 22:30, with an on block that
+    spans the new year and one stamp in a valid non-canonical form."""
+    base = parse_timestamp("2023-12-31 22:30")
+    rows = []
+    for i in range(240):
+        if 80 <= i < 130:
+            value = 80 + (i * 37 % 11) / 2 - 2.5
+        else:
+            value = 45 + (i * 53 % 13) / 4 - 1.5
+        stamp = "2024-1-1 0:05" if i == 95 else format_timestamp(base + i)
+        rows.append(f"{stamp},{value}\n")
+    rows.insert(120, "# sensor reconnected\n")
+    return "# humidity export\ntimestamp,humidity\n" + "".join(rows)
+
+
+# SHA-256 of the `detect` output without and with `--fit` for
+# _golden_sensor_text(), captured before the label and sensor readers
+# matched stamps against the writer's sequence.
+GOLDEN_DETECT_SHA256 = {
+    False: "d2a557a5cab400a795e54517deecbf2aa555ef07cc72b3f6dfdae809d8c11cef",
+    True: "71ee08308daa42a3da5e3316ab010f5a7519bc4e0e29e76b69016a358df47236",
+}
+
+
+@pytest.mark.parametrize("fit", [False, True])
+def test_detect_matches_golden_digests(runner, tmp_path, monkeypatch, fit):
+    # the output embeds the params path, so it is relative to tmp_path
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "sensor.csv", _golden_sensor_text())
+    _write(
+        tmp_path / "hmm.json",
+        json.dumps(
+            {
+                "initial": [0.5, 0.5],
+                "transition": [[0.9, 0.1], [0.1, 0.9]],
+                "means": [50.0, 70.0],
+                "variances": [30.0, 30.0],
+            }
+        ),
+    )
+    args = ["detect", "sensor.csv", "--params", "hmm.json", "--out", "p.csv"]
+    result = runner.invoke(main, args + (["--fit"] if fit else []))
+    assert result.exit_code == 0, result.output
+    assert read_label_csv(tmp_path / "p.csv").values.sum() == 50.0
+    assert hashlib.sha256((tmp_path / "p.csv").read_bytes()).hexdigest() == GOLDEN_DETECT_SHA256[fit]
 
 
 _JUNK_LINE = st.text(alphabet='0123456789-:,. "#\r\n\tabeinfx+', max_size=24)

@@ -56,15 +56,6 @@ def test_params_json_roundtrip():
         HmmParams.from_dict({"initial": [1, 0]})
 
 
-def test_sensor_series_grid_validation():
-    with pytest.raises(InputError):
-        SensorSeries.from_timestamps([0, 2, 3], [1.0, 2.0, 3.0])
-    with pytest.raises(InputError):
-        SensorSeries.from_timestamps([3, 2, 1], [1.0, 2.0, 3.0])
-    series = SensorSeries.from_timestamps([10, 11, 12], [1.0, 2.0, 3.0])
-    assert series.start_minute == 10
-
-
 def test_constant_low_humidity_decodes_all_off():
     series = SensorSeries(0, np.full(60, 45.0))
     decoded = viterbi(_shower_params(), series)

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from tempolabel import (
     AnnotationSet,
     CategoryCatalog,
+    CategoryPosterior,
     ConfigError,
+    HabitPosterior,
     InputError,
     SwitchModel,
     boundary_periods,
@@ -129,6 +131,17 @@ def test_single_annotation_habit_frozen_vector(catalog, model):
     hab = habit_posterior(AnnotationSet("a", (0,)), catalog, model)
     np.testing.assert_allclose(hab.probs, SINGLE_ZERO_HABIT, atol=1e-12)
     assert hab.map_category().period_minutes == 30
+
+
+def test_posteriors_copy_the_callers_arrays(catalog, model):
+    post = category_posterior(AnnotationSet("a", (0, 7)), catalog, model)
+    probs = habit_posterior(AnnotationSet("a", (0, 7)), catalog, model).probs.copy()
+    table, map_index = post.table.copy(), post.map_index.copy()
+    habit = HabitPosterior(catalog, probs)
+    rows = CategoryPosterior(catalog, (0, 7), table, map_index)
+    for mine, theirs in ((probs, habit.probs), (table, rows.table), (map_index, rows.map_index)):
+        assert mine.flags.writeable and not theirs.flags.writeable
+        assert not np.shares_memory(mine, theirs)
 
 
 def test_twenty_half_hour_annotations_give_confident_habit(catalog, model):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tempolabel.errors import InputError
 from tempolabel.ingest import (
     ParseError,
-    _StampParser,
     config_header,
     format_timestamp,
     parse_timestamp,
@@ -60,11 +59,34 @@ def test_label_writer_matches_row_by_row_oracle(tmp_path_factory, window_start, 
     assert (tmp / "fast.csv").read_bytes() == (tmp / "slow.csv").read_bytes()
 
 
-def _outcome(parse, text):
+_GRID_ERROR = "is not one minute after the previous row's"
+
+
+def _read_outcome(path, prime, text):
+    """What read_label_csv makes of a file whose rows are `prime`, `text`
+    and the canonical stamp of the minute after `text`'s."""
     try:
-        return parse(text)
+        after = format_timestamp(parse_timestamp(text) + 1)
+    except InputError:  # never read: the case row fails first
+        after = "2024-03-01 12:34"
+    path.write_text(f"timestamp,value\n{prime},0\n{text},0.5\n{after},1\n")
+    try:
+        series = read_label_csv(path)
     except InputError as exc:
         return type(exc), str(exc)
+    return series.window_start, series.values.tolist()
+
+
+def _expected_outcome(prime, text):
+    """The same from parse_timestamp alone; the case row is line 3."""
+    start = parse_timestamp(prime)
+    try:
+        minute = parse_timestamp(text)
+    except InputError as exc:
+        return ParseError, f"line 3: {exc}"
+    if minute != start + 1:
+        return ParseError, f"line 3: timestamp {text!r} {_GRID_ERROR}"
+    return start, [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -92,13 +114,17 @@ def _outcome(parse, text):
         "",
     ],
 )
-def test_day_cache_matches_parse_timestamp(text):
-    # most cases share the primed date, so the fast path is tried first
-    parse = _StampParser()
-    parse("2024-03-01 12:00")
-    assert _outcome(parse, text) == _outcome(parse_timestamp, text)
-    # a rejected or odd stamp leaves the cache usable
-    assert parse("2024-03-01 12:34") == parse_timestamp("2024-03-01 12:34")
+def test_day_cache_matches_parse_timestamp(tmp_path, text):
+    # most cases share the primed date; the second prime is the minute
+    # before the case's, so a valid case is read and the row after it must
+    # match the stamp sequence again
+    primes = ["2024-03-01 12:00"]
+    try:
+        primes.append(format_timestamp(parse_timestamp(text) - 1))
+    except InputError:
+        pass
+    for prime in primes:
+        assert _read_outcome(tmp_path / "labels.csv", prime, text) == _expected_outcome(prime, text)
 
 
 @settings(max_examples=200, deadline=None)
@@ -106,11 +132,10 @@ def test_day_cache_matches_parse_timestamp(text):
     prime=st.sampled_from(["2024-03-01 12:00", " 2024-3-1  12:00", "0999-12-31 23:59"]),
     tail=st.text(alphabet="0123456789: １", min_size=0, max_size=6),
 )
-def test_day_cache_matches_parse_timestamp_on_mangled_times(prime, tail):
-    parse = _StampParser()
-    parse(prime)
+def test_day_cache_matches_parse_timestamp_on_mangled_times(tmp_path_factory, prime, tail):
+    path = tmp_path_factory.mktemp("stamps") / "labels.csv"
     text = prime[:11] + tail
-    assert _outcome(parse, text) == _outcome(parse_timestamp, text)
+    assert _read_outcome(path, prime, text) == _expected_outcome(prime, text)
 
 
 def test_label_read_uses_file_line_for_bad_timestamp(tmp_path):
@@ -155,11 +180,18 @@ def test_config_header_escapes_line_breaks():
     assert header == "# annotator_id=a\\nb\\\\c\\rd\n# delta=0.1\n"
 
 
-def test_minutes_past_year_9999_are_input_errors():
+def test_minutes_past_year_9999_are_input_errors(tmp_path):
     last = parse_timestamp("9999-12-31 23:59")
     assert format_timestamp(last) == "9999-12-31 23:59"
     with pytest.raises(InputError, match="outside the years 1-9999"):
         format_timestamp(last + 1)
+    # a series may end on the last minute, but not one slot later
+    path = tmp_path / "labels.csv"
+    write_label_csv(path, LabelSeries(last - 2, np.array([0.0, 0.5, 1.0])))
+    assert path.read_text().endswith("9999-12-31 23:58,0.5\n9999-12-31 23:59,1\n")
+    assert read_label_csv(path).window_start == last - 2
+    with pytest.raises(InputError, match=f"minute {last + 1} lies outside the years 1-9999"):
+        write_label_csv(path, LabelSeries(last - 2, np.array([0.0, 0.5, 1.0, 1.0])))
 
 
 @pytest.mark.skipif(
