@@ -37,7 +37,6 @@ from .inference import (
     category_posterior,
     habit_posterior,
     likelihood,
-    map_category,
     switch_prob,
 )
 from .labels import (
@@ -45,14 +44,9 @@ from .labels import (
     EventAnnotation,
     LabelSeries,
     TimeWindow,
-    end_probability,
-    hard_label,
     hard_series,
-    padded_window,
     soft_label,
     soft_series,
-    soft_value,
-    start_probability,
 )
 from .simulate import (
     SimConfig,

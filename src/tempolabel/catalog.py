@@ -85,7 +85,7 @@ class CategoryCatalog:
             )
 
     @classmethod
-    def from_periods(cls, periods=DEFAULT_PERIODS) -> "CategoryCatalog":
+    def from_periods(cls, periods) -> "CategoryCatalog":
         return cls(categories=tuple(ResolutionCategory(int(p)) for p in periods))
 
     @classmethod

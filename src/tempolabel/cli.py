@@ -143,7 +143,7 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
     report = {"config": {"delta": model.delta, "catalog": list(catalog.periods)}, "annotators": []}
     for annotator_id in sorted(evidence):
         _, stamps = evidence[annotator_id]
-        ann_set = AnnotationSet.from_timestamps(annotator_id, stamps.ravel())
+        ann_set = AnnotationSet.from_timestamps(stamps.ravel())
         habit = habit_posterior(ann_set, catalog, model)
         rows = category_posterior(ann_set, catalog, model, habit=habit)
         report["annotators"].append(
@@ -375,7 +375,7 @@ def histogram_cmd(annotations_csv, catalog_spec, out):
     )
     rows = []
     for annotator_id, (_, stamps) in sorted(_group_by_annotator(records).items()):
-        counts = AnnotationSet.from_timestamps(annotator_id, stamps.ravel()).histogram() @ coarsest
+        counts = AnnotationSet.from_timestamps(stamps.ravel()).histogram() @ coarsest
         rows += [
             {"annotator_id": annotator_id, "period_minutes": period, "count": count}
             for period, count in zip(catalog.periods, counts.tolist())

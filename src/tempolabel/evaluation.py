@@ -71,11 +71,6 @@ def _require_aligned(a: LabelSeries, b: LabelSeries):
         )
 
 
-def _require_selected(counts):
-    if not np.all(counts):
-        raise InputError("slot selection is empty")
-
-
 def _near(minutes, boundary, halfwidth) -> np.ndarray:
     """Slots whose start minute is within ±halfwidth of `boundary`."""
     return np.abs(minutes - boundary) <= halfwidth
@@ -92,23 +87,17 @@ def _segment_sums(rows: np.ndarray, offsets) -> np.ndarray:
 
 def boundary_slot_mask(series: LabelSeries, boundaries, halfwidth: int = 15) -> np.ndarray:
     """Slots whose start minute is within ±halfwidth of any boundary (union)."""
-    starts = series.slot_starts()
+    starts = np.arange(series.window_start, series.window_start + len(series))
     mask = np.zeros(len(series), dtype=bool)
     for b in boundaries:
         mask |= _near(starts, b, halfwidth)
     return mask
 
 
-def mse(reference: LabelSeries, prediction: LabelSeries, slots=None) -> float:
-    """Mean squared difference over the selected slots (all by default)."""
+def mse(reference: LabelSeries, prediction: LabelSeries) -> float:
+    """Mean squared difference over all slots."""
     _require_aligned(reference, prediction)
     diff = reference.values - prediction.values
-    if slots is not None:
-        mask = np.asarray(slots, dtype=bool)
-        if mask.shape != diff.shape:
-            raise InputError("slot mask length does not match the series")
-        _require_selected(mask.any())
-        diff = diff[mask]
     return float(np.mean(diff * diff))
 
 
@@ -120,7 +109,8 @@ def segment_boundary_mse(minutes, offsets, events, differences, halfwidth) -> np
     near = _near(minutes, starts, halfwidth) | _near(minutes, ends, halfwidth)
     selected = np.concatenate(([0], np.cumsum(near)))[offsets]
     counts = np.diff(selected)
-    _require_selected(counts)
+    if not np.all(counts):
+        raise InputError("slot selection is empty")
     squares = np.stack([(d * d)[near] for d in differences])
     return _segment_sums(squares, selected) / counts
 

@@ -24,14 +24,16 @@ through its 60-bin minute-of-hour histogram:
 The core works on a batch of histograms at once, so many annotators or
 simulated trials share one call.
 
-The MAP category of a posterior row breaks exact ties toward the coarsest
-category, consistent with the model's preference for coarse explanations.
+A MAP category is the first maximum in catalogue order, so exact ties go
+to the coarsest category, consistent with the model's preference for coarse
+explanations. Only the two posteriors answer it; there is no free
+`map_category` of a bare row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,7 +76,6 @@ class AnnotationSet:
     to event boundaries.
     """
 
-    annotator_id: str
     minutes: tuple[int, ...]
 
     def __post_init__(self):
@@ -85,10 +86,10 @@ class AnnotationSet:
         object.__setattr__(self, "minutes", tuple(minutes.astype(np.int64).tolist()))
 
     @classmethod
-    def from_timestamps(cls, annotator_id: str, timestamps_minutes) -> "AnnotationSet":
+    def from_timestamps(cls, timestamps_minutes) -> "AnnotationSet":
         """Build from absolute minute timestamps; the hour is ignored."""
         stamps = _integers(timestamps_minutes, "timestamp")
-        return cls(annotator_id, (stamps % MINUTES_PER_HOUR).astype(np.int64))
+        return cls((stamps % MINUTES_PER_HOUR).astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.minutes)
@@ -129,7 +130,8 @@ class HabitPosterior:
         object.__setattr__(self, "probs", probs)
 
     def map_category(self) -> ResolutionCategory:
-        return map_category(self.probs, self.catalog)
+        # argmax returns the first maximum; the catalogue is ordered coarsest first
+        return self.catalog[int(np.argmax(self.probs))]
 
     def to_dict(self) -> dict:
         return {
@@ -144,11 +146,10 @@ class CategoryPosterior:
     """Per-annotation posterior rows over categories.
 
     `table` holds one row per minute-of-hour, shape (60, n_categories); an
-    annotation's row is the table row of its minute, and `rows` gathers them
-    in annotation order. `map_index` holds, per minute, the catalogue
-    position of that row's MAP category. Only rows of annotated minutes are
-    checked to be distributions: a minute the habit posterior rules out has
-    an all-zero row.
+    annotation's row is the table row of its minute. `map_index` holds, per
+    minute, the catalogue position of that row's MAP category. Only rows of
+    annotated minutes are checked to be distributions: a minute the habit
+    posterior rules out has an all-zero row.
     """
 
     catalog: CategoryCatalog
@@ -175,11 +176,6 @@ class CategoryPosterior:
 
     def __len__(self) -> int:
         return len(self.minutes)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """(n_annotations, n_categories) posterior rows in annotation order."""
-        return _frozen_array(self.table[list(self.minutes)])
 
     def map_category(self, i: int) -> ResolutionCategory:
         """The MAP category of annotation i."""
@@ -323,17 +319,6 @@ def boundary_periods(stamps, catalog: CategoryCatalog, model: SwitchModel) -> np
     """(events, 2) start and end minutes -> (events, 2) periods of their MAP
     categories, inferred from the events as one annotator's evidence
     [start_0, end_0, start_1, end_1, ...]."""
-    evidence = AnnotationSet.from_timestamps("", np.ravel(stamps))
+    evidence = AnnotationSet.from_timestamps(np.ravel(stamps))
     habit = habit_posterior(evidence, catalog, model)
     return category_posterior(evidence, catalog, model, habit=habit).map_periods().reshape(-1, 2)
-
-
-def map_category(row, catalog: CategoryCatalog) -> ResolutionCategory:
-    """Argmax category of a posterior row; exact ties go to the coarsest."""
-    arr = np.asarray(row, dtype=float)
-    if arr.shape != (len(catalog),):
-        raise InputError(
-            f"row has {arr.shape} entries, catalogue has {len(catalog)}"
-        )
-    # argmax returns the first maximum; the catalogue is ordered coarsest first
-    return catalog[int(np.argmax(arr))]

@@ -52,9 +52,11 @@ def _stamps(minute: int):
     day, first = divmod(int(minute), 1440)
     while True:
         try:
-            prefix = f"{_EPOCH + timedelta(days=day):%Y-%m-%d} "
+            d = _EPOCH + timedelta(days=day)
         except OverflowError:
             raise InputError(f"minute {day * 1440 + first} lies outside the years 1-9999") from None
+        # %Y leaves years before 1000 unpadded on some platforms
+        prefix = f"{d.year:04d}-{d.month:02d}-{d.day:02d} "
         for hhmm in _HHMM[first:]:
             yield prefix + hhmm
         day, first = day + 1, 0

@@ -13,12 +13,13 @@ Sampling at midpoints keeps the finest category exact: a width-1 ramp puts
 its 0-to-1 transition entirely between two midpoints, so the soft series of
 a 1-minute category equals the hard series slot for slot.
 
-`label_grids` is the batched builder that `soft-labels` and the simulate
-sweeps use: it lays many records' windows end to end on one flat minute
-grid, `_GRID_RECORDS` records at a time, with the same element-wise
-operations as `soft_series` and `hard_series`. Those per-record functions
-stay the definition: a record the grid rejects is rebuilt through them, so
-every check and error message lives in them alone.
+The soft label function has one definition, `soft_values`, and the hard
+one `indicator`; the per-record `soft_series` and `hard_series` and the
+batched grid all sample them. `label_grids` is the grid that `soft-labels`
+and the simulate sweeps use: it lays many records' windows end to end on
+one flat minute grid, `_GRID_RECORDS` records at a time. The per-record
+functions keep every check: a record the grid rejects is rebuilt through
+them, so each error message lives in them alone.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class TimeWindow:
         if self.end <= self.start:
             raise InputError(f"window end must exceed start, got [{self.start}, {self.end})")
 
-    def slot_starts(self) -> np.ndarray:
-        return np.arange(self.start, self.end)
-
     def midpoints(self) -> np.ndarray:
         return np.arange(self.start, self.end) + 0.5
 
@@ -55,8 +53,6 @@ class EventAnnotation:
 
     start: int
     end: int
-    annotator_id: str = ""
-    event_kind: str = ""
 
     def __post_init__(self):
         if self.end <= self.start:
@@ -77,12 +73,6 @@ class BoundaryDistribution:
             raise InputError(
                 f"half-width below 0.5 is finer than the 1-minute grid, got {self.half_width}"
             )
-
-    @classmethod
-    def for_category(
-        cls, annotated_minute: float, category: ResolutionCategory
-    ) -> "BoundaryDistribution":
-        return cls(center=float(annotated_minute), half_width=category.period_minutes / 2.0)
 
     @property
     def lo(self) -> float:
@@ -110,15 +100,8 @@ class LabelSeries:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
-    @property
-    def window(self) -> TimeWindow:
-        return TimeWindow(self.window_start, self.window_start + len(self.values))
-
     def __len__(self) -> int:
         return len(self.values)
-
-    def slot_starts(self) -> np.ndarray:
-        return self.window.slot_starts()
 
     def is_binary(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
@@ -138,21 +121,11 @@ def indicator(t, start, end) -> np.ndarray:
     return ((t >= start) & (t < end)).astype(float)
 
 
-def start_probability(dist: BoundaryDistribution, t) -> float | np.ndarray:
-    """P(true start <= t): linear ramp from 0 at lo to 1 at hi."""
-    out = ramp(np.asarray(t, dtype=float), dist.lo, dist.half_width)
-    return float(out) if out.ndim == 0 else out
-
-
-def end_probability(dist: BoundaryDistribution, t) -> float | np.ndarray:
-    """P(true end > t): complement ramp, 1 at lo falling to 0 at hi."""
-    out = 1.0 - ramp(np.asarray(t, dtype=float), dist.lo, dist.half_width)
-    return float(out) if out.ndim == 0 else out
-
-
-def soft_value(start_dist: BoundaryDistribution, end_dist: BoundaryDistribution, t):
-    """The soft label function itself: started and not yet ended at time t."""
-    return start_probability(start_dist, t) * end_probability(end_dist, t)
+def soft_values(t, lo_start, half_start, lo_end, half_end) -> np.ndarray:
+    """The soft label function, P(started) * P(not yet ended) at time t, of
+    ramps from `lo_start` and `lo_end` with half-widths `half_start` and
+    `half_end`. Arguments broadcast element-wise."""
+    return ramp(t, lo_start, half_start) * (1.0 - ramp(t, lo_end, half_end))
 
 
 def soft_series(
@@ -170,8 +143,9 @@ def soft_series(
             f"window [{window.start}, {window.end}) too small for ramps "
             f"[{start_dist.lo}, {start_dist.hi}] and [{end_dist.lo}, {end_dist.hi}]"
         )
-    mid = window.midpoints()
-    values = start_probability(start_dist, mid) * end_probability(end_dist, mid)
+    values = soft_values(
+        window.midpoints(), start_dist.lo, start_dist.half_width, end_dist.lo, end_dist.half_width
+    )
     return LabelSeries(window_start=window.start, values=values)
 
 
@@ -183,8 +157,8 @@ def soft_label(
 ) -> LabelSeries:
     """Soft series for an event, ramps centered on the annotated boundaries."""
     return soft_series(
-        BoundaryDistribution.for_category(event.start, cat_start),
-        BoundaryDistribution.for_category(event.end, cat_end),
+        BoundaryDistribution(float(event.start), cat_start.period_minutes / 2.0),
+        BoundaryDistribution(float(event.end), cat_end.period_minutes / 2.0),
         window,
     )
 
@@ -202,23 +176,6 @@ def hard_series(start: int, end: int, window: TimeWindow) -> LabelSeries:
             f"window [{window.start}, {window.end}) does not cover [{start}, {end})"
         )
     return LabelSeries(window_start=window.start, values=indicator(window.midpoints(), start, end))
-
-
-def hard_label(event: EventAnnotation, window: TimeWindow) -> LabelSeries:
-    return hard_series(event.start, event.end, window)
-
-
-def padded_window(
-    event: EventAnnotation,
-    cat_start: ResolutionCategory,
-    cat_end: ResolutionCategory,
-    pad: int = 15,
-) -> TimeWindow:
-    """Smallest whole-minute window covering the event, its ramps and `pad`."""
-    lo, hi = padded_bounds(
-        event.start, event.end, cat_start.period_minutes / 2.0, cat_end.period_minutes / 2.0, pad
-    )
-    return TimeWindow(int(lo), int(hi))
 
 
 def padded_bounds(start, end, half_start, half_end, pad: int):
@@ -305,8 +262,8 @@ def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGri
     record = np.repeat(index, lengths)
     minutes = np.arange(offsets[-1]) + np.repeat(lo[index] - offsets[:-1], lengths)
     mid = minutes + 0.5
-    soft = ramp(mid, ramp_lo[record, 0], half_widths[record, 0]) * (
-        1.0 - ramp(mid, ramp_lo[record, 1], half_widths[record, 1])
+    soft = soft_values(
+        mid, ramp_lo[record, 0], half_widths[record, 0], ramp_lo[record, 1], half_widths[record, 1]
     )
     hard = tuple(indicator(mid, span[record, 0], span[record, 1]) for span in spans)
     return LabelGrid(records, offsets, record, minutes, soft, hard)

@@ -144,8 +144,9 @@ def generate_events(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return truth, annotate(truth, config.resolution_minutes, config.bias_minutes)
 
 
-def _label_grids(truth, annotated, periods, config: SimConfig):
-    """The label grids of the events, with the truth, then the annotation,
+def _label_grids(config: SimConfig, tag: int, catalog: CategoryCatalog, model: SwitchModel):
+    """One sweep point's true events, seeded from (config.seed, `tag`,
+    resolution), and their label grids, with the truth, then the annotation,
     as hard labels.
 
     Event i's window is [min(true, annotated) start - pad, max(true,
@@ -154,10 +155,13 @@ def _label_grids(truth, annotated, periods, config: SimConfig):
     the offset it added, and removing it restores the zero-mean rounding the
     soft label's uniform ramp is built to cover.
     """
+    seed = _derived_seed(config.seed, tag, config.resolution_minutes)
+    truth, annotated = generate_events(replace(config, seed=seed))
+    half_widths = boundary_periods(annotated, catalog, model) / 2.0
     lo = np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN
     hi = np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN
     centers = annotated - config.bias_minutes
-    return label_grids(lo, hi, centers, periods / 2.0, (truth, annotated))
+    return truth, label_grids(lo, hi, centers, half_widths, (truth, annotated))
 
 
 def run_mse_experiment(
@@ -171,11 +175,9 @@ def run_mse_experiment(
     rows = []
     for res in resolutions:
         config = replace(base, resolution_minutes=res)  # checks res before it seeds
-        config = replace(config, seed=_derived_seed(base.seed, 10, res))
-        truth, annotated = generate_events(config)
-        periods = boundary_periods(annotated, catalog, model)
+        truth, grids = _label_grids(config, 10, catalog, model)
         scores = []
-        for grid in _label_grids(truth, annotated, periods, config):
+        for grid in grids:
             r, p = grid.hard  # truth, annotation
             differences = (r - p, r - grid.soft)
             scores.append(
@@ -214,11 +216,9 @@ def run_f1_experiment(
     for res in resolutions:
         for bias in bias_fractions:
             config = replace(base, resolution_minutes=res, bias_fraction=bias)
-            config = replace(config, seed=_derived_seed(base.seed, 20, res))
-            truth, annotated = generate_events(config)
-            periods = boundary_periods(annotated, catalog, model)
+            truth, grids = _label_grids(config, 20, catalog, model)
             cells = []
-            for grid in _label_grids(truth, annotated, periods, config):
+            for grid in grids:
                 r, p = grid.hard  # truth, annotation
                 cells += [segment_confusion(r, x, grid.offsets) for x in (p, grid.soft)]
             # a running sum, not a pairwise one: counts add up one event at a time

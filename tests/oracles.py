@@ -3,8 +3,9 @@
 Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
-every possible path, label CSV bytes from formatting row by row, and the
-MSE and F1 sweeps from one label series per simulated record.
+every possible path, label CSV bytes from formatting row by row, masked
+MSE from boolean indexing, and the MSE and F1 sweeps from one label series
+per simulated record.
 """
 
 import csv
@@ -17,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from tempolabel.catalog import CategoryCatalog
-from tempolabel.evaluation import SoftConfusionMatrix, boundary_slot_mask, f1, mse
+from tempolabel.errors import InputError
+from tempolabel.evaluation import SoftConfusionMatrix, boundary_slot_mask, f1
 from tempolabel.inference import (
     AnnotationSet,
     SwitchModel,
@@ -132,6 +134,23 @@ def exhaustive_forward_backward(initial, transition, means, variances, values):
     return top + math.log(total), gamma / total, xi_sum / total
 
 
+def reference_masked_mse(reference, prediction, mask):
+    """Mean squared difference of two aligned series over the slots where
+    `mask` is true; InputError if the grids differ or `mask` selects none."""
+    if reference.window_start != prediction.window_start or len(reference) != len(prediction):
+        raise InputError(
+            f"series grids misaligned: [{reference.window_start}, +{len(reference)}) vs "
+            f"[{prediction.window_start}, +{len(prediction)})"
+        )
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != reference.values.shape:
+        raise InputError("slot mask length does not match the series")
+    if not mask.any():
+        raise InputError("slot selection is empty")
+    diff = reference.values[mask] - prediction.values[mask]
+    return float(np.mean(diff * diff))
+
+
 def reference_write_label_csv(path, series, header=""):
     """Label CSV written one row at a time: a date and a strftime per row.
 
@@ -145,7 +164,8 @@ def reference_write_label_csv(path, series, header=""):
         for i, value in enumerate(series.values):
             days, rem = divmod(series.window_start + i, 1440)
             hh, mm = divmod(rem, 60)
-            stamp = f"{epoch + timedelta(days=days):%Y-%m-%d} {hh:02d}:{mm:02d}"
+            day = epoch + timedelta(days=days)
+            stamp = f"{day.year:04d}-{day.month:02d}-{day.day:02d} {hh:02d}:{mm:02d}"
             writer.writerow([stamp, f"{value:.12g}"])
 
 
@@ -172,7 +192,7 @@ def _infer_boundary_categories(records, catalog, model):
     for rec in records:
         stamps.append(rec.annotated_start)
         stamps.append(rec.annotated_end)
-    evidence = AnnotationSet.from_timestamps("simulated", stamps)
+    evidence = AnnotationSet.from_timestamps(stamps)
     habit = habit_posterior(evidence, catalog, model)
     rows = category_posterior(evidence, catalog, model, habit=habit)
     cats = [rows.map_category(i) for i in range(len(rows))]
@@ -205,7 +225,7 @@ def reference_event_series(rec, cat_s, cat_e, config):
 
 
 def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=None):
-    """`run_mse_experiment` with one label series and one `mse` call per record."""
+    """`run_mse_experiment` with one label series and one masked MSE per record."""
     catalog = catalog or CategoryCatalog.default()
     model = SwitchModel(delta=base.delta)
     rows = []
@@ -218,8 +238,8 @@ def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=
         for rec, (cat_s, cat_e) in zip(records, cats):
             truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
             mask = boundary_slot_mask(truth, (rec.true_start, rec.true_end), BOUNDARY_HALFWIDTH)
-            hard_scores.append(mse(truth, hard, slots=mask))
-            soft_scores.append(mse(truth, soft, slots=mask))
+            hard_scores.append(reference_masked_mse(truth, hard, mask))
+            soft_scores.append(reference_masked_mse(truth, soft, mask))
         rows.append(
             {
                 "resolution_minutes": res,

@@ -21,7 +21,6 @@ from tempolabel import (
     category_posterior,
     fit_emissions,
     habit_posterior,
-    hard_label,
     hard_series,
     likelihood,
     run_error_rate_experiment,
@@ -31,7 +30,7 @@ from tempolabel import (
     soft_label,
     viterbi,
 )
-from tempolabel.labels import BoundaryDistribution, end_probability, start_probability
+from tempolabel.labels import BoundaryDistribution, ramp
 
 from .oracles import enumerate_posteriors, exhaustive_state_path
 
@@ -60,13 +59,13 @@ def test_criterion_2_oracle_equivalence(catalog, model):
     for size in (1, 2, 3):
         for minutes in itertools.product(pool, repeat=size):
             expected_habit, expected_rows = enumerate_posteriors(minutes)
-            ann = AnnotationSet("oracle", minutes)
+            ann = AnnotationSet(minutes)
             habit = habit_posterior(ann, catalog, model)
             rows = category_posterior(ann, catalog, model, habit=habit)
             worst = max(
                 worst,
                 float(np.max(np.abs(habit.probs - expected_habit))),
-                float(np.max(np.abs(rows.rows - expected_rows))),
+                float(np.max(np.abs(rows.table[list(minutes)] - expected_rows))),
             )
             checked += 1
     elapsed = time.time() - started
@@ -166,12 +165,13 @@ def test_criterion_6_soft_confusion_algebra(catalog):
 def test_criterion_7_soft_label_shape_suite(catalog):
     # ramp values at center and endpoints
     dist = BoundaryDistribution(center=480.0, half_width=15.0)
-    assert abs(start_probability(dist, 480.0) - 0.5) <= 1e-12
-    assert abs(start_probability(dist, 465.0) - 0.0) <= 1e-12
-    assert abs(start_probability(dist, 495.0) - 1.0) <= 1e-12
-    assert abs(end_probability(dist, 480.0) - 0.5) <= 1e-12
-    assert abs(end_probability(dist, 465.0) - 1.0) <= 1e-12
-    assert abs(end_probability(dist, 495.0) - 0.0) <= 1e-12
+    started = ramp(np.array([480.0, 465.0, 495.0]), dist.lo, dist.half_width)
+    assert abs(started[0] - 0.5) <= 1e-12
+    assert abs(started[1] - 0.0) <= 1e-12
+    assert abs(started[2] - 1.0) <= 1e-12
+    assert abs((1.0 - started[0]) - 0.5) <= 1e-12
+    assert abs((1.0 - started[1]) - 1.0) <= 1e-12
+    assert abs((1.0 - started[2]) - 0.0) <= 1e-12
     # values stay in [0, 1] across category combinations
     event = EventAnnotation(start=480, end=533)
     window = TimeWindow(420, 600)
@@ -181,7 +181,7 @@ def test_criterion_7_soft_label_shape_suite(catalog):
             assert np.all((series.values >= 0.0) & (series.values <= 1.0))
     # finest category reproduces the hard label slotwise
     fine = soft_label(event, catalog[4], catalog[4], window)
-    np.testing.assert_array_equal(fine.values, hard_label(event, window).values)
+    np.testing.assert_array_equal(fine.values, hard_series(event.start, event.end, window).values)
     # translation equivariance is bit-exact
     base = soft_label(event, catalog[0], catalog[1], window)
     for shift in (1, 60, 1440, 99_999):

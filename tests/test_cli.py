@@ -36,6 +36,33 @@ def test_timestamp_roundtrip():
     assert parse_timestamp("1970-01-01 00:00") == 0
 
 
+@pytest.mark.parametrize("text", ["0001-01-01 00:00", "0999-03-01 07:30", "1000-12-31 23:59"])
+def test_timestamp_roundtrip_keeps_four_digit_years(text):
+    assert format_timestamp(parse_timestamp(text)) == text
+
+
+def test_soft_labels_before_year_1000_evaluate(runner, tmp_path):
+    diary = _write(
+        tmp_path / "diary.csv",
+        "annotator_id,date,event_kind,start,end\np01,0999-03-01,shower,07:30,08:00\n",
+    )
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", diary, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    (labels,) = out_dir.glob("*.csv")
+    assert "\n0999-03-01 07:30," in labels.read_text()
+    result = runner.invoke(
+        main,
+        [
+            "evaluate",
+            "--labels", str(labels),
+            "--predictions", str(labels),
+            "--out", str(tmp_path / "metrics.json"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+
+
 def test_read_annotations_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
@@ -187,8 +214,8 @@ def test_soft_labels_cmd(runner, annotations_csv, tmp_path):
     # p01 rounds to the half hour, so its first event 08:00-08:30 gets 15-minute ramps
     text = files[0].read_text()
     assert "# start_period=30" in text and "# end_period=30" in text
-    mid = series.values[series.slot_starts() == parse_timestamp("2024-03-01 08:00")]
-    assert mid[0] == pytest.approx(0.5166666666666667)
+    mid = series.values[parse_timestamp("2024-03-01 08:00") - series.window_start]
+    assert mid == pytest.approx(0.5166666666666667)
 
 
 def test_soft_labels_escape_annotator_id(runner, tmp_path):

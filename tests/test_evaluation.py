@@ -21,6 +21,8 @@ from tempolabel import (
 )
 from tempolabel.evaluation import segment_confusion
 
+from .oracles import reference_masked_mse
+
 
 def _series(values, start=0):
     return LabelSeries(window_start=start, values=np.asarray(values, dtype=float))
@@ -46,7 +48,8 @@ def test_boundary_window_mse_example():
     annotated = hard_series(480, 535, window)
     mask = boundary_slot_mask(truth, (487,), halfwidth=15)
     assert mask.sum() == 31
-    assert mse(truth, annotated, slots=mask) == pytest.approx(7.0 / 31.0, abs=1e-15)
+    assert reference_masked_mse(truth, annotated, mask) == pytest.approx(7.0 / 31.0, abs=1e-15)
+    assert boundary_mse(truth, annotated, [(487, 487)]) == pytest.approx(7.0 / 31.0, abs=1e-15)
 
 
 def test_boundary_mse_averages_per_event():
@@ -56,7 +59,7 @@ def test_boundary_mse_averages_per_event():
     events = [(50, 120)]
     per_event = boundary_mse(truth, pred, events, halfwidth=15)
     start_mask = boundary_slot_mask(truth, (50, 120), halfwidth=15)
-    assert per_event == pytest.approx(mse(truth, pred, slots=start_mask))
+    assert per_event == pytest.approx(reference_masked_mse(truth, pred, start_mask))
 
 
 def test_mse_misaligned_grids_rejected():
@@ -68,8 +71,8 @@ def test_mse_misaligned_grids_rejected():
 
 def test_empty_slot_selection_rejected():
     a = _series([0, 1, 1])
-    with pytest.raises(InputError):
-        mse(a, a, slots=[False, False, False])
+    with pytest.raises(InputError, match="^slot selection is empty$"):
+        boundary_mse(a, a, [(0, 1)], halfwidth=-1)
 
 
 def test_soft_confusion_binary_identity():
@@ -179,7 +182,7 @@ def _outcome(fn, *args):
 
 def _per_event_boundary_mse(reference, prediction, events, halfwidth):
     values = [
-        mse(reference, prediction, slots=boundary_slot_mask(reference, event, halfwidth))
+        reference_masked_mse(reference, prediction, boundary_slot_mask(reference, event, halfwidth))
         for event in events
     ]
     return float(np.mean(values))

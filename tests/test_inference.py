@@ -18,7 +18,6 @@ from tempolabel import (
     category_posterior,
     habit_posterior,
     likelihood,
-    map_category,
     switch_prob,
 )
 from tempolabel.inference import _category_tables, _habit_probs
@@ -62,8 +61,8 @@ def test_delta_validation():
 
 def test_annotation_set_validation():
     with pytest.raises(InputError):
-        AnnotationSet("a", (60,))
-    ann = AnnotationSet.from_timestamps("a", (480, 510, 1445))
+        AnnotationSet((60,))
+    ann = AnnotationSet.from_timestamps((480, 510, 1445))
     assert ann.minutes == (0, 30, 5)
 
 
@@ -83,7 +82,7 @@ def test_annotation_set_validation():
 )
 def test_annotation_set_rejects_non_integer_minutes(minutes, bad):
     with pytest.raises(InputError, match=rf"^minute must be an integer, got {re.escape(bad)}$"):
-        AnnotationSet("a", minutes)
+        AnnotationSet(minutes)
 
 
 @pytest.mark.parametrize(
@@ -91,24 +90,24 @@ def test_annotation_set_rejects_non_integer_minutes(minutes, bad):
 )
 def test_annotation_set_names_first_minute_out_of_range(minutes, bad):
     with pytest.raises(InputError, match=rf"^minute must be in 0\.\.59, got {bad}$"):
-        AnnotationSet("a", minutes)
+        AnnotationSet(minutes)
 
 
 def test_annotation_set_accepts_numpy_integers():
-    ann = AnnotationSet("a", (np.int64(7), 30, np.uint8(59), np.int32(0)))
+    ann = AnnotationSet((np.int64(7), 30, np.uint8(59), np.int32(0)))
     assert ann.minutes == (7, 30, 59, 0)
     assert all(type(m) is int for m in ann.minutes)
-    assert AnnotationSet("a", np.array([7, 30], dtype=np.uint16)).minutes == (7, 30)
-    assert AnnotationSet("a", ()).minutes == ()
-    assert AnnotationSet.from_timestamps("a", np.array([61, 1439])).minutes == (1, 59)
-    assert AnnotationSet.from_timestamps("a", []).minutes == ()
-    assert AnnotationSet.from_timestamps("a", (t for t in (61, 125))).minutes == (1, 5)
+    assert AnnotationSet(np.array([7, 30], dtype=np.uint16)).minutes == (7, 30)
+    assert AnnotationSet(()).minutes == ()
+    assert AnnotationSet.from_timestamps(np.array([61, 1439])).minutes == (1, 59)
+    assert AnnotationSet.from_timestamps([]).minutes == ()
+    assert AnnotationSet.from_timestamps((t for t in (61, 125))).minutes == (1, 5)
 
 
 @pytest.mark.parametrize("stamps, bad", [((480, 510.5), "510.5"), ((True, 480), "True")])
 def test_from_timestamps_rejects_non_integer_stamps(stamps, bad):
     with pytest.raises(InputError, match=rf"^timestamp must be an integer, got {re.escape(bad)}$"):
-        AnnotationSet.from_timestamps("a", stamps)
+        AnnotationSet.from_timestamps(stamps)
 
 
 def test_likelihood_and_contains_take_numpy_integers(catalog):
@@ -124,18 +123,18 @@ def test_likelihood_and_contains_take_numpy_integers(catalog):
 
 def test_empty_annotation_set_rejected(catalog, model):
     with pytest.raises(InputError):
-        habit_posterior(AnnotationSet("a", ()), catalog, model)
+        habit_posterior(AnnotationSet(()), catalog, model)
 
 
 def test_single_annotation_habit_frozen_vector(catalog, model):
-    hab = habit_posterior(AnnotationSet("a", (0,)), catalog, model)
+    hab = habit_posterior(AnnotationSet((0,)), catalog, model)
     np.testing.assert_allclose(hab.probs, SINGLE_ZERO_HABIT, atol=1e-12)
     assert hab.map_category().period_minutes == 30
 
 
 def test_posteriors_copy_the_callers_arrays(catalog, model):
-    post = category_posterior(AnnotationSet("a", (0, 7)), catalog, model)
-    probs = habit_posterior(AnnotationSet("a", (0, 7)), catalog, model).probs.copy()
+    post = category_posterior(AnnotationSet((0, 7)), catalog, model)
+    probs = habit_posterior(AnnotationSet((0, 7)), catalog, model).probs.copy()
     table, map_index = post.table.copy(), post.map_index.copy()
     habit = HabitPosterior(catalog, probs)
     rows = CategoryPosterior(catalog, (0, 7), table, map_index)
@@ -145,33 +144,33 @@ def test_posteriors_copy_the_callers_arrays(catalog, model):
 
 
 def test_twenty_half_hour_annotations_give_confident_habit(catalog, model):
-    hab = habit_posterior(AnnotationSet("a", (0, 30) * 10), catalog, model)
+    hab = habit_posterior(AnnotationSet((0, 30) * 10), catalog, model)
     assert hab.map_category().period_minutes == 30
     assert hab.probs[0] > 0.99
 
 
 def test_no_switch_model_forces_compatible_habit(catalog):
-    hab = habit_posterior(AnnotationSet("a", (0, 16)), catalog, SwitchModel(0.0))
+    hab = habit_posterior(AnnotationSet((0, 16)), catalog, SwitchModel(0.0))
     np.testing.assert_array_equal(hab.probs, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_habit_matches_oracle_single(catalog, model):
     expected, _ = enumerate_posteriors((0,))
-    hab = habit_posterior(AnnotationSet("a", (0,)), catalog, model)
+    hab = habit_posterior(AnnotationSet((0,)), catalog, model)
     np.testing.assert_allclose(hab.probs, expected, atol=1e-12)
 
 
 def test_category_rows_match_oracle(catalog, model):
     minutes = (0, 15, 7)
-    ann = AnnotationSet("a", minutes)
+    ann = AnnotationSet(minutes)
     _, expected_rows = enumerate_posteriors(minutes)
     rows = category_posterior(ann, catalog, model)
-    np.testing.assert_allclose(rows.rows, expected_rows, atol=1e-10)
+    np.testing.assert_allclose(rows.table[list(minutes)], expected_rows, atol=1e-10)
 
 
 def test_minute30_outlier_still_maps_finest(catalog, model):
     minutes = (7, 13, 22, 9, 41, 53, 1, 2, 3, 4, 6, 8, 11, 12, 14, 16, 17, 18, 19, 30)
-    rows = category_posterior(AnnotationSet("a", minutes), catalog, model)
+    rows = category_posterior(AnnotationSet(minutes), catalog, model)
     assert rows.minutes[-1] == 30
     assert rows.map_category(19).period_minutes == 1
 
@@ -180,31 +179,35 @@ def test_confident_fine_habit_dominates_coarse_minutes(catalog, model):
     # an annotator established as 1-minute: entries landing on the coarse
     # grid still decode as 1-minute (0.9/60 beats 0.025/2)
     minutes = tuple(range(60))
-    rows = category_posterior(AnnotationSet("a", minutes), catalog, model)
+    rows = category_posterior(AnnotationSet(minutes), catalog, model)
     for i, minute in enumerate(minutes):
         assert rows.map_category(i).period_minutes == 1, f"minute {minute}"
 
 
 def test_zero_likelihood_exclusion(catalog, model):
-    rows = category_posterior(AnnotationSet("a", (7, 20, 45)), catalog, model)
+    rows = category_posterior(AnnotationSet((7, 20, 45)), catalog, model)
     for i, minute in enumerate(rows.minutes):
         for ci, cat in enumerate(catalog):
             if not cat.contains(minute):
-                assert rows.rows[i, ci] == 0.0
+                assert rows.table[minute, ci] == 0.0
 
 
 def test_rows_and_habit_sum_to_one(catalog, model):
-    ann = AnnotationSet("a", tuple(range(0, 60, 3)))
+    ann = AnnotationSet(tuple(range(0, 60, 3)))
     hab = habit_posterior(ann, catalog, model)
     rows = category_posterior(ann, catalog, model, habit=hab)
     assert abs(hab.probs.sum() - 1.0) < 1e-12
-    np.testing.assert_allclose(rows.rows.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(rows.table[list(ann.minutes)].sum(axis=1), 1.0, atol=1e-12)
 
 
 def test_map_category_tie_breaks_coarse(catalog):
-    assert map_category((0.6, 0.2, 0.1, 0.05, 0.05), catalog).period_minutes == 30
-    assert map_category((0.4, 0.4, 0.1, 0.05, 0.05), catalog).period_minutes == 30
-    assert map_category((0.0, 0.0, 0.0, 1.0, 0.0), catalog).period_minutes == 5
+    def map_period(probs):
+        return HabitPosterior(catalog, probs).map_category().period_minutes
+
+    assert map_period((0.6, 0.2, 0.1, 0.05, 0.05)) == 30
+    assert map_period((0.4, 0.4, 0.1, 0.05, 0.05)) == 30
+    assert map_period((0.05, 0.05, 0.1, 0.4, 0.4)) == 5
+    assert map_period((0.0, 0.0, 0.0, 1.0, 0.0)) == 5
 
 
 @settings(deadline=None, max_examples=30)
@@ -214,8 +217,8 @@ def test_habit_permutation_invariance(minutes, rnd):
     model = SwitchModel()
     shuffled = list(minutes)
     rnd.shuffle(shuffled)
-    a = habit_posterior(AnnotationSet("x", tuple(minutes)), catalog, model)
-    b = habit_posterior(AnnotationSet("x", tuple(shuffled)), catalog, model)
+    a = habit_posterior(AnnotationSet(tuple(minutes)), catalog, model)
+    b = habit_posterior(AnnotationSet(tuple(shuffled)), catalog, model)
     np.testing.assert_allclose(a.probs, b.probs, atol=1e-12)
 
 
@@ -224,14 +227,14 @@ def test_habit_permutation_invariance(minutes, rnd):
 def test_duplicating_evidence_never_weakens_argmax(minutes):
     catalog = CategoryCatalog.default()
     model = SwitchModel()
-    once = habit_posterior(AnnotationSet("x", tuple(minutes)), catalog, model)
-    twice = habit_posterior(AnnotationSet("x", tuple(minutes) * 2), catalog, model)
+    once = habit_posterior(AnnotationSet(tuple(minutes)), catalog, model)
+    twice = habit_posterior(AnnotationSet(tuple(minutes) * 2), catalog, model)
     top = int(np.argmax(once.probs))
     assert twice.probs[top] >= once.probs[top] - 1e-12
 
 
 def _histograms(sets):
-    return np.stack([AnnotationSet("a", minutes).histogram() for minutes in sets])
+    return np.stack([AnnotationSet(minutes).histogram() for minutes in sets])
 
 
 def test_batched_tables_match_oracle(catalog, model):
@@ -257,7 +260,7 @@ def test_batch_equals_single_calls(catalog, model):
     habit = _habit_probs(_histograms(sets), catalog, model)
     table, map_index = _category_tables(habit, catalog, model)
     for b, minutes in enumerate(sets):
-        ann = AnnotationSet("a", minutes)
+        ann = AnnotationSet(minutes)
         single_habit = habit_posterior(ann, catalog, model)
         single = category_posterior(ann, catalog, model, habit=single_habit)
         np.testing.assert_allclose(habit[b], single_habit.probs, rtol=0, atol=1e-15)
@@ -272,18 +275,19 @@ def test_unannotated_impossible_minutes_add_nothing(catalog):
     # with delta=0 most habits cannot produce most minutes; the minutes
     # nobody annotated must leave the habit scores untouched, not NaN
     minutes = (0, 30, 0, 15)
-    hab = habit_posterior(AnnotationSet("a", minutes), catalog, SwitchModel(0.0))
+    hab = habit_posterior(AnnotationSet(minutes), catalog, SwitchModel(0.0))
     expected_habit, expected_rows = enumerate_posteriors(minutes, delta=0.0)
     np.testing.assert_allclose(hab.probs, expected_habit, rtol=0, atol=1e-12)
-    rows = category_posterior(AnnotationSet("a", minutes), catalog, SwitchModel(0.0), habit=hab)
-    np.testing.assert_allclose(rows.rows, expected_rows, rtol=0, atol=1e-12)
+    rows = category_posterior(AnnotationSet(minutes), catalog, SwitchModel(0.0), habit=hab)
+    np.testing.assert_allclose(rows.table[list(minutes)], expected_rows, rtol=0, atol=1e-12)
 
 
 def test_rows_gather_the_minute_table(catalog, model):
-    ann = AnnotationSet("a", (7, 0, 7, 45, 30))
+    ann = AnnotationSet((7, 0, 7, 45, 30))
     post = category_posterior(ann, catalog, model)
     assert post.table.shape == (60, len(catalog))
-    np.testing.assert_array_equal(post.rows, post.table[list(ann.minutes)])
+    rows = post.table[list(ann.minutes)]  # one posterior row per annotation
+    np.testing.assert_array_equal(post.map_index[list(ann.minutes)], np.argmax(rows, axis=1))
     periods = [post.map_category(i).period_minutes for i in range(len(ann))]
     assert post.map_periods().tolist() == periods
     assert post.map_category(0) is post.map_category(2)
@@ -291,7 +295,7 @@ def test_rows_gather_the_minute_table(catalog, model):
 
 def test_boundary_periods_match_per_annotation_map(catalog, model):
     stamps = np.array([[480, 510], [727, 745], [1440 + 15, 1440 + 52], [3000, 3007]])
-    evidence = AnnotationSet.from_timestamps("a", stamps.ravel())
+    evidence = AnnotationSet.from_timestamps(stamps.ravel())
     post = category_posterior(evidence, catalog, model)
     expected = [post.map_category(i).period_minutes for i in range(len(evidence))]
     periods = boundary_periods(stamps, catalog, model)
@@ -308,9 +312,10 @@ def test_empty_histogram_in_batch_rejected(catalog, model):
 
 def test_single_category_catalogue_needs_no_switch_model():
     single = CategoryCatalog.from_periods((1,))
-    ann = AnnotationSet("a", (7, 30))
+    ann = AnnotationSet((7, 30))
     assert habit_posterior(ann, single, SwitchModel(0.0)).probs.tolist() == [1.0]
-    np.testing.assert_array_equal(category_posterior(ann, single, SwitchModel(0.0)).rows, 1.0)
+    post = category_posterior(ann, single, SwitchModel(0.0))
+    np.testing.assert_array_equal(post.table[list(ann.minutes)], 1.0)
     with pytest.raises(ConfigError):
         habit_posterior(ann, single, SwitchModel(0.1))
 
@@ -324,7 +329,7 @@ def _habit_case(draw):
     delta = draw(st.floats(0.0, 1.0)) if len(catalog) > 1 else 0.0
     counts = draw(st.dictionaries(st.integers(0, 59), st.integers(1, 2000), min_size=1))
     minutes = np.repeat(list(counts), list(counts.values()))
-    return catalog, SwitchModel(delta), AnnotationSet.from_timestamps("a", minutes)
+    return catalog, SwitchModel(delta), AnnotationSet.from_timestamps(minutes)
 
 
 @settings(deadline=None, max_examples=150)

@@ -28,6 +28,7 @@ _window_starts = st.one_of(
     st.integers(0, 3000).map(lambda k: 20_000 * 1440 - k),  # ends past a midnight
     st.integers(0, 3000).map(lambda k: _NEW_YEAR_2024 - k),  # ends past a new year
     st.integers(-(10**7), 10**7),
+    st.integers(parse_timestamp("0001-01-01 00:00"), parse_timestamp("1000-01-01 00:00")),
 )
 
 

@@ -10,17 +10,13 @@ from tempolabel import (
     EventAnnotation,
     InputError,
     TimeWindow,
-    end_probability,
-    hard_label,
     hard_series,
-    padded_window,
     soft_label,
     soft_series,
-    soft_value,
-    start_probability,
 )
 from tempolabel import labels
 from tempolabel.catalog import CategoryCatalog
+from tempolabel.labels import padded_bounds, ramp, soft_values
 
 from .oracles import quadrature_started_prob
 from .test_simulate import _CATALOGS
@@ -28,29 +24,35 @@ from .test_simulate import _CATALOGS
 EIGHT_AM = 8 * 60  # absolute minute within day zero
 
 
+def _started(dist, t):
+    """P(true boundary <= t) for `dist`, through the ramp the soft label uses."""
+    return float(ramp(float(t), dist.lo, dist.half_width))
+
+
 def test_start_probability_ramp():
     dist = BoundaryDistribution(center=EIGHT_AM, half_width=15)
-    assert start_probability(dist, EIGHT_AM) == 0.5
-    assert start_probability(dist, EIGHT_AM - 15) == 0.0
-    assert start_probability(dist, EIGHT_AM + 15) == 1.0
-    assert start_probability(dist, EIGHT_AM + 6) == pytest.approx(0.7, abs=1e-15)
+    assert _started(dist, EIGHT_AM) == 0.5
+    assert _started(dist, EIGHT_AM - 15) == 0.0
+    assert _started(dist, EIGHT_AM + 15) == 1.0
+    assert _started(dist, EIGHT_AM + 6) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_end_probability_ramp():
     dist = BoundaryDistribution(center=EIGHT_AM + 30, half_width=15)
-    assert end_probability(dist, EIGHT_AM + 30) == 0.5
-    assert end_probability(dist, EIGHT_AM + 45) == 0.0
-    assert end_probability(dist, EIGHT_AM + 15) == 1.0
-    assert end_probability(dist, EIGHT_AM + 24) == pytest.approx(0.7, abs=1e-15)
+    assert 1.0 - _started(dist, EIGHT_AM + 30) == 0.5
+    assert 1.0 - _started(dist, EIGHT_AM + 45) == 0.0
+    assert 1.0 - _started(dist, EIGHT_AM + 15) == 1.0
+    assert 1.0 - _started(dist, EIGHT_AM + 24) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_ramp_matches_quadrature_oracle():
     dist = BoundaryDistribution(center=EIGHT_AM, half_width=15)
     for t in (EIGHT_AM - 9, EIGHT_AM + 6, EIGHT_AM + 11):
-        assert start_probability(dist, t) == pytest.approx(
+        assert _started(dist, t) == pytest.approx(
             quadrature_started_prob(EIGHT_AM, 15, t), abs=1e-4
         )
-        assert end_probability(dist, t) == pytest.approx(
+        # the end factor of the soft label, once the start ramp has saturated
+        assert soft_values(t, EIGHT_AM - 100, 15, dist.lo, 15) == pytest.approx(
             1.0 - quadrature_started_prob(EIGHT_AM, 15, t), abs=1e-4
         )
 
@@ -61,17 +63,20 @@ def test_half_width_floor():
 
 
 def test_soft_value_function_examples(catalog):
-    s = BoundaryDistribution.for_category(EIGHT_AM, catalog[0])
-    e = BoundaryDistribution.for_category(EIGHT_AM + 30, catalog[0])
-    assert soft_value(s, e, EIGHT_AM + 15) == 1.0
-    assert soft_value(s, e, EIGHT_AM - 16) == 0.0
-    assert soft_value(s, e, EIGHT_AM) == 0.5
+    half = catalog[0].period_minutes / 2.0
+    lo_s, lo_e = EIGHT_AM - half, EIGHT_AM + 30 - half
+    assert soft_values(EIGHT_AM + 15, lo_s, half, lo_e, half) == 1.0
+    assert soft_values(EIGHT_AM - 16, lo_s, half, lo_e, half) == 0.0
+    assert soft_values(EIGHT_AM, lo_s, half, lo_e, half) == 0.5
+
+
+def _slot_starts(series):
+    return np.arange(series.window_start, series.window_start + len(series))
 
 
 def test_hard_label_slots():
-    event = EventAnnotation(start=EIGHT_AM, end=EIGHT_AM + 30)
-    series = hard_label(event, TimeWindow(EIGHT_AM - 30, EIGHT_AM + 60))
-    starts = series.slot_starts()
+    series = hard_series(EIGHT_AM, EIGHT_AM + 30, TimeWindow(EIGHT_AM - 30, EIGHT_AM + 60))
+    starts = _slot_starts(series)
     assert series.values[starts == EIGHT_AM + 15][0] == 1.0
     assert series.values[starts == EIGHT_AM - 1][0] == 0.0
     assert int(series.values.sum()) == 30
@@ -81,7 +86,7 @@ def test_soft_series_plateau_and_support(catalog):
     event = EventAnnotation(start=EIGHT_AM, end=EIGHT_AM + 60)
     window = TimeWindow(EIGHT_AM - 40, EIGHT_AM + 100)
     series = soft_label(event, catalog[0], catalog[0], window)
-    starts = series.slot_starts()
+    starts = _slot_starts(series)
     # saturated strictly between the ramps: [8:15, 8:45) slot starts
     plateau = (starts >= EIGHT_AM + 15) & (starts < EIGHT_AM + 45)
     assert np.all(series.values[plateau] == 1.0)
@@ -105,7 +110,7 @@ def test_finest_category_equals_hard(catalog):
     event = EventAnnotation(start=EIGHT_AM + 7, end=EIGHT_AM + 41)
     window = TimeWindow(EIGHT_AM - 20, EIGHT_AM + 70)
     soft = soft_label(event, catalog[4], catalog[4], window)
-    hard = hard_label(event, window)
+    hard = hard_series(event.start, event.end, window)
     np.testing.assert_array_equal(soft.values, hard.values)
 
 
@@ -131,9 +136,18 @@ def test_window_too_small_rejected(catalog):
         hard_series(EIGHT_AM, EIGHT_AM + 30, TimeWindow(EIGHT_AM + 5, EIGHT_AM + 20))
 
 
+def _padded_window(event, cat_start, cat_end, pad):
+    """`padded_bounds` of one event, as a window."""
+    lo, hi = padded_bounds(
+        event.start, event.end, cat_start.period_minutes / 2.0, cat_end.period_minutes / 2.0, pad
+    )
+    return TimeWindow(int(lo), int(hi))
+
+
 def test_padded_window_covers_ramps(catalog):
     event = EventAnnotation(start=EIGHT_AM, end=EIGHT_AM + 30)
-    window = padded_window(event, catalog[0], catalog[0], pad=15)
+    window = _padded_window(event, catalog[0], catalog[0], pad=15)
+    assert (window.start, window.end) == (EIGHT_AM - 15 - 15, EIGHT_AM + 30 + 15 + 15)
     series = soft_label(event, catalog[0], catalog[0], window)  # must not raise
     assert series.values[0] == 0.0 and series.values[-1] == 0.0
 
@@ -160,11 +174,12 @@ def test_product_bound_property(start, duration, period_s, period_e):
     event = EventAnnotation(start=start, end=start + duration)
     cat_s = cats.by_period(period_s)
     cat_e = cats.by_period(period_e)
-    window = padded_window(event, cat_s, cat_e, pad=5)
+    window = _padded_window(event, cat_s, cat_e, pad=5)
     series = soft_label(event, cat_s, cat_e, window)
     mids = window.midpoints()
-    up = start_probability(BoundaryDistribution.for_category(event.start, cat_s), mids)
-    down = end_probability(BoundaryDistribution.for_category(event.end, cat_e), mids)
+    half_s, half_e = cat_s.period_minutes / 2.0, cat_e.period_minutes / 2.0
+    up = ramp(mids, event.start - half_s, half_s)
+    down = 1.0 - ramp(mids, event.end - half_e, half_e)
     assert np.all(series.values <= np.minimum(up, down) + 1e-15)
 
 
@@ -213,7 +228,7 @@ def test_label_grids_match_soft_label(events, periods, pad, block):
     expected = []
     for event, cat_s, cat_e in cases:
         try:
-            series = soft_label(event, cat_s, cat_e, padded_window(event, cat_s, cat_e, pad))
+            series = soft_label(event, cat_s, cat_e, _padded_window(event, cat_s, cat_e, pad))
         except InputError as exc:
             expected.append(str(exc))
             break

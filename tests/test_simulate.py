@@ -135,7 +135,7 @@ def test_error_rate_matches_one_posterior_per_trial():
         errors = 0
         for trial in range(trials):
             draws = _rng(9, 30, period, n, trial).integers(0, len(members), size=n)
-            evidence = AnnotationSet("t", tuple(members[i] for i in draws))
+            evidence = AnnotationSet(tuple(members[i] for i in draws))
             post = category_posterior(evidence, catalog, model)
             errors += sum(post.map_category(i).period_minutes != period for i in range(n))
         assert row["error_rate"] == errors / (trials * n), row
@@ -267,7 +267,7 @@ def test_error_rate_trials_draw_from_their_own_seeds(seed):
         errors = 0
         for trial in range(trials):
             draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
-            evidence = AnnotationSet("t", tuple(members[i] for i in draws))
+            evidence = AnnotationSet(tuple(members[i] for i in draws))
             post = category_posterior(evidence, catalog, model)
             errors += sum(post.map_category(i).period_minutes != period for i in range(n))
         assert row["error_rate"] == errors / (trials * n), row
