@@ -173,11 +173,14 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     records = read_annotations_csv(annotations_csv)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    catalog_text = ",".join(str(p) for p in catalog.periods)
     written = 0
     for annotator_id, (recs, stamps) in sorted(_group_by_annotator(records).items()):
         periods = boundary_periods(stamps, catalog, model)
         half_widths = periods / 2.0
         lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
+        # percent-escaped, so any id names files inside out_dir
+        stem = str(out_dir / f"softlabel_{quote(annotator_id, safe='')}_")
         for grid in label_grids(lo, hi, stamps, half_widths):
             for k, (a, b) in zip(grid.records, grid.segments()):
                 rec = recs[k]
@@ -187,13 +190,12 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
                     "date": rec.date,
                     "event_kind": rec.event_kind,
                     "delta": model.delta,
-                    "catalog": ",".join(str(p) for p in catalog.periods),
+                    "catalog": catalog_text,
                     "start_period": start_period,
                     "end_period": end_period,
                 }
-                # percent-escaped, so any id names one file inside out_dir
-                path = out_dir / f"softlabel_{quote(annotator_id, safe='')}_{k:03d}.csv"
-                write_label_csv(path, LabelSeries(lo[k].item(), grid.soft[a:b]), config)
+                series = LabelSeries(lo[k].item(), grid.soft[a:b])
+                write_label_csv(f"{stem}{k:03d}.csv", series, config)
                 written += 1
     click.echo(f"wrote {written} label series to {out_dir}")
 

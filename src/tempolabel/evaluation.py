@@ -45,10 +45,6 @@ class SoftConfusionMatrix:
                 raise InputError(f"confusion entry {name} must be nonnegative, got {v}")
 
     @property
-    def total(self) -> float:
-        return self.tp + self.fp + self.fn + self.tn
-
-    @property
     def degenerate(self) -> bool:
         """True when no positive mass exists anywhere, so F1 is undefined."""
         return (2 * self.tp + self.fp + self.fn) == 0.0

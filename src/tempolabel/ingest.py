@@ -3,11 +3,12 @@
 Everything is plain CSV or JSON. Timestamps are "YYYY-MM-DD HH:MM" at minute
 precision and are carried internally as whole minutes since 1970-01-01,
 which keeps grid arithmetic exact. Label and sensor CSVs label each slot by
-its start minute, one row per consecutive minute. `_stamps` is the one
-source of their canonical stamp text: the writer emits it, and the readers
-match each row's stamp against it and parse only a stamp that differs. A
-row that is not the minute after the previous row's is reported with its
-file line. Output files embed
+its start minute, one row per consecutive minute. `_day_prefix` and the
+`_HHMM` table are the one source of their canonical stamp text: the writer
+renders each file's rows from them, and the readers match each row's stamp
+against `_stamps`, built from the same two, and parse only a stamp that
+differs. A row that is not the minute after the previous row's is reported
+with its file line. Output files embed
 the effective configuration as '#' header comments so a result can always
 be traced back to its inputs.
 """
@@ -16,8 +17,10 @@ from __future__ import annotations
 
 import csv
 import json
+import struct
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +45,21 @@ def parse_timestamp(text: str) -> int:
 
 
 def format_timestamp(minute: int) -> str:
-    return next(_stamps(minute))
+    day, minute_of_day = divmod(int(minute), 1440)
+    return _day_prefix(day, minute_of_day) + _HHMM[minute_of_day]
+
+
+def _day_prefix(day: int, minute_of_day: int) -> str:
+    """"YYYY-MM-DD " of the day `day` days after 1970-01-01; InputError
+    naming minute day * 1440 + minute_of_day for a day outside the years
+    1-9999."""
+    try:
+        d = _EPOCH + timedelta(days=day)
+    except OverflowError:
+        minute = day * 1440 + minute_of_day
+        raise InputError(f"minute {minute} lies outside the years 1-9999") from None
+    # %Y leaves years before 1000 unpadded on some platforms
+    return f"{d.year:04d}-{d.month:02d}-{d.day:02d} "
 
 
 def _stamps(minute: int):
@@ -51,12 +68,7 @@ def _stamps(minute: int):
     past the year 9999."""
     day, first = divmod(int(minute), 1440)
     while True:
-        try:
-            d = _EPOCH + timedelta(days=day)
-        except OverflowError:
-            raise InputError(f"minute {day * 1440 + first} lies outside the years 1-9999") from None
-        # %Y leaves years before 1000 unpadded on some platforms
-        prefix = f"{d.year:04d}-{d.month:02d}-{d.day:02d} "
+        prefix = _day_prefix(day, first)
         for hhmm in _HHMM[first:]:
             yield prefix + hhmm
         day, first = day + 1, 0
@@ -200,19 +212,37 @@ def _escape_config_value(text: str) -> str:
 
 def write_label_csv(path, series: LabelSeries, config: dict | None = None):
     """One "timestamp,value" row per slot, values formatted with `.12g`."""
-    body = _label_rows(series.window_start, series.values)
+    body = _label_body(series.window_start, series.values)
     with open(path, "w", newline="") as handle:
         handle.write((config_header(config) if config else "") + "timestamp,value\n" + body)
 
 
-def _label_rows(window_start: int, values: np.ndarray) -> str:
-    # a label series holds few distinct values (ramp steps, 0 and 1): format
-    # each once, keyed by its bits so that -0.0 keeps its own text
-    distinct, which = np.unique(values.view(np.int64), return_inverse=True)
-    texts = [f"{v:.12g}" for v in distinct.view(np.float64).tolist()]
-    cells = [texts[k] for k in which.tolist()]
-    # cells first, so that zip stops before asking for a stamp past the last slot
-    return "".join([f"{stamp},{cell}\n" for cell, stamp in zip(cells, _stamps(window_start))])
+def _label_body(window_start: int, values: np.ndarray) -> str:
+    """The "stamp,value" rows of a float64 series from `window_start`.
+
+    InputError names the first minute, in order, that lies outside the
+    years 1-9999, as `_stamps` would.
+    """
+    bits = values.view(np.int64).tolist()
+    parts = [""] * (3 * len(bits))
+    parts[2::3] = map(_value_cell, bits)
+    # rows [row, row + count) lie on day `day`, from its minute `first`
+    day, first = divmod(int(window_start), 1440)
+    row = 0
+    while row < len(bits):
+        count = min(len(bits) - row, 1440 - first)
+        parts[3 * row : 3 * (row + count) : 3] = [_day_prefix(day, first)] * count
+        parts[3 * row + 1 : 3 * (row + count) : 3] = _HHMM[first : first + count]
+        row, day, first = row + count, day + 1, 0
+    return "".join(parts)
+
+
+# Label series share few distinct values (ramp steps, 0 and 1), so each is
+# formatted once. Keyed by its bits, so that -0.0 keeps its own text.
+@lru_cache(maxsize=1024)
+def _value_cell(bits: int) -> str:
+    (value,) = struct.unpack("<d", struct.pack("<q", bits))
+    return f",{value:.12g}\n"
 
 
 def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:

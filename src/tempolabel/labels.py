@@ -94,7 +94,7 @@ class LabelSeries:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("label series must be a non-empty 1-d vector")
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
             raise InputError("label values must lie in [0, 1]")
         arr = arr.copy()
         arr.flags.writeable = False

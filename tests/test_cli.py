@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,6 +252,27 @@ def test_soft_labels_past_year_9999_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["soft-labels", path, "--out", str(tmp_path / "labels")])
     assert result.exit_code == 2
     assert "outside the years 1-9999" in result.output
+
+
+def test_soft_labels_past_year_9999_keeps_earlier_files(runner, tmp_path):
+    path = _write(
+        tmp_path / "late.csv",
+        "annotator_id,date,event_kind,start,end\n"
+        "p01,2024-03-01,shower,08:00,08:30\n"
+        "p01,2024-03-02,shower,08:00,08:30\n"
+        "p01,9999-12-31,shower,23:10,23:50\n"
+        "p00,2024-03-01,shower,08:00,08:30\n",
+    )
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 2
+    assert re.search(r"minute \d+ lies outside the years 1-9999", result.output)
+    # each event's file is written in turn, so those before the bad one stay
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "softlabel_p00_000.csv",
+        "softlabel_p01_000.csv",
+        "softlabel_p01_001.csv",
+    ]
 
 
 # A diary whose MAP categories cover all five default periods, with events

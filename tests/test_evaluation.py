@@ -108,7 +108,7 @@ def test_soft_confusion_against_own_hard(catalog):
     assert m.fp == pytest.approx(fp, abs=1e-12)
     assert m.fn == pytest.approx(fn, abs=1e-12)
     assert m.tn == pytest.approx(tn, abs=1e-12)
-    assert m.total == pytest.approx(len(soft), abs=1e-9)
+    assert m.tp + m.fp + m.fn + m.tn == pytest.approx(len(soft), abs=1e-9)
 
 
 def test_confusion_mass_conservation(catalog):
@@ -116,7 +116,7 @@ def test_confusion_mass_conservation(catalog):
     ref = _series(rng.uniform(0, 1, 500))
     pred = _series(rng.uniform(0, 1, 500))
     m = soft_confusion(ref, pred)
-    assert m.total == pytest.approx(500.0, abs=1e-9)
+    assert m.tp + m.fp + m.fn + m.tn == pytest.approx(500.0, abs=1e-9)
 
 
 def test_case_study_style_f1_value():

@@ -21,7 +21,8 @@ from tempolabel.labels import LabelSeries
 from .oracles import reference_write_label_csv
 
 _NEW_YEAR_2024 = parse_timestamp("2024-01-01 00:00")
-_AWKWARD = np.array([5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 2 / 3, 1e-5, 0.5, -0.0])
+# -0.0 next to 0.0, which one text per distinct float would write alike
+_AWKWARD = np.array([5e-324, 1e-300, 0.1 + 0.2, 1 - 2**-53, 2 / 3, 1e-5, 0.5, -0.0, 0.0])
 
 _window_starts = st.one_of(
     st.integers(-(10**8), -1),  # before 1970
@@ -58,6 +59,21 @@ def test_label_writer_matches_row_by_row_oracle(tmp_path_factory, window_start, 
     write_label_csv(tmp / "fast.csv", series, config)
     reference_write_label_csv(tmp / "slow.csv", series, config_header(config) if config else "")
     assert (tmp / "fast.csv").read_bytes() == (tmp / "slow.csv").read_bytes()
+
+
+_LAST = parse_timestamp("9999-12-31 23:59")
+_YEAR_1 = parse_timestamp("0001-01-01 00:00")
+
+
+@pytest.mark.parametrize(
+    "start, n, minute",
+    [(_LAST + 5, 2, _LAST + 5), (_YEAR_1 - 3, 5, _YEAR_1 - 3)],
+    ids=["starts-past-9999", "starts-before-year-1"],
+)
+def test_label_writer_outside_years_1_9999_names_minute(tmp_path, start, n, minute):
+    with pytest.raises(InputError, match=f"^minute {minute} lies outside the years 1-9999$"):
+        write_label_csv(tmp_path / "labels.csv", LabelSeries(start, np.full(n, 0.5)))
+    assert not list(tmp_path.iterdir())  # the rows are rendered before the file is opened
 
 
 _GRID_ERROR = "is not one minute after the previous row's"

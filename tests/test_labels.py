@@ -162,6 +162,17 @@ def test_collapsed_hard_series_is_empty():
     assert series.values.sum() == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300, 1 + 2**-52])
+def test_label_values_outside_unit_interval_rejected(bad):
+    with pytest.raises(InputError, match=r"^label values must lie in \[0, 1\]$"):
+        labels.LabelSeries(0, np.array([0.5, bad]))
+
+
+def test_label_values_at_unit_interval_ends_accepted():
+    series = labels.LabelSeries(0, np.array([-0.0, 0, 1]))
+    assert series.values.tolist() == [0.0, 0.0, 1.0]
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     st.integers(0, 2000),
