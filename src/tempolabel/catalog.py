@@ -16,6 +16,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 
 DEFAULT_PERIODS = (30, 15, 10, 5, 1)
+MINUTES_PER_HOUR = 60
+MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
 
 
 def _is_integer(value) -> bool:
@@ -39,13 +41,11 @@ class ResolutionCategory:
     members: frozenset[int] = field(init=False)
 
     def __post_init__(self):
-        if self.period_minutes < 1 or 60 % self.period_minutes != 0:
+        if self.period_minutes < 1 or MINUTES_PER_HOUR % self.period_minutes != 0:
             raise ConfigError(
                 f"period must be a divisor of 60, got {self.period_minutes}"
             )
-        members = frozenset(
-            k * self.period_minutes for k in range(60 // self.period_minutes)
-        )
+        members = frozenset(range(0, MINUTES_PER_HOUR, self.period_minutes))
         object.__setattr__(self, "members", members)
 
     @property
@@ -104,12 +104,6 @@ class CategoryCatalog:
     @property
     def periods(self) -> tuple[int, ...]:
         return tuple(c.period_minutes for c in self.categories)
-
-    def by_period(self, period_minutes: int) -> ResolutionCategory:
-        for cat in self.categories:
-            if cat.period_minutes == period_minutes:
-                return cat
-        raise InputError(f"no category with period {period_minutes}")
 
     def coarsest_containing(self, minute: int) -> ResolutionCategory:
         """The largest-period category admitting `minute`.

@@ -18,9 +18,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .catalog import DEFAULT_PERIODS, CategoryCatalog
+from .catalog import DEFAULT_PERIODS, MINUTES_PER_DAY, CategoryCatalog
 from .errors import ConfigError, DegenerateModelError, InputError
-from .evaluation import boundary_mse, metrics_report, mse, soft_confusion
+from .evaluation import BOUNDARY_HALFWIDTH, boundary_mse, metrics_report, mse, soft_confusion
 from .hmm import HmmParams, fit_emissions, viterbi
 from .inference import (
     AnnotationSet,
@@ -40,9 +40,11 @@ from .ingest import (
 )
 from .labels import LabelSeries, label_grids, padded_bounds
 from .simulate import (
+    DEFAULT_BIASES,
+    DEFAULT_EVENTS,
     DEFAULT_N_SWEEP,
     DEFAULT_RESOLUTIONS,
-    MINUTES_PER_DAY,
+    DEFAULT_TRIALS,
     SimConfig,
     run_error_rate_experiment,
     run_f1_experiment,
@@ -102,7 +104,7 @@ _CATALOG_OPT = click.option(
     help="Category periods in minutes, coarsest first.",
 )
 _DELTA_OPT = click.option(
-    "--delta", default=0.1, show_default=True, help="Habit switch probability."
+    "--delta", default=SwitchModel.delta, show_default=True, help="Habit switch probability."
 )
 
 
@@ -214,7 +216,12 @@ def _binary_boundaries(series: LabelSeries) -> list[tuple[int, int]]:
 @click.option(
     "--predictions", "predictions_csv", type=click.Path(exists=True, dir_okay=False), required=True
 )
-@click.option("--boundary-window", default=15, show_default=True, help="Half-width in minutes.")
+@click.option(
+    "--boundary-window",
+    default=BOUNDARY_HALFWIDTH,
+    show_default=True,
+    help="Half-width in minutes.",
+)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 @click.option("--csv", "csv_out", type=click.Path(dir_okay=False), default=None)
 @_guard
@@ -272,14 +279,16 @@ def _flatten_metrics(payload: dict) -> list[dict]:
 
 @main.command("simulate")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--events", default=200, show_default=True, help="Events per sweep point.")
-@click.option("--trials", default=300, show_default=True, help="Trials per error-rate point.")
+@click.option("--events", default=DEFAULT_EVENTS, show_default=True, help="Events per sweep point.")
+@click.option(
+    "--trials", default=DEFAULT_TRIALS, show_default=True, help="Trials per error-rate point."
+)
 @click.option(
     "--resolutions",
     default=",".join(str(r) for r in DEFAULT_RESOLUTIONS),
     show_default=True,
 )
-@click.option("--biases", default="0,0.5", show_default=True)
+@click.option("--biases", default=",".join(f"{b:g}" for b in DEFAULT_BIASES), show_default=True)
 @click.option(
     "--n-sweep",
     default=",".join(str(n) for n in DEFAULT_N_SWEEP),
@@ -304,31 +313,26 @@ def simulate_cmd(
     Every requested table is computed before `--out` is created, so an
     invalid option exits 2 without leaving a partial result.
     """
-    catalog = _catalog_from(catalog_spec)
-    SwitchModel(delta=delta)  # check --delta before any sweep runs
+    catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     res_list = _parse_int_list(resolutions)
     bias_list = _parse_float_list(biases)
     n_list = _parse_int_list(n_sweep)
-    base = SimConfig(seed=seed, n_events=events, delta=delta)
+    base = SimConfig(seed=seed, n_events=events)
     shared = {
         "seed": seed,
-        "delta": delta,
+        "delta": model.delta,
         "catalog": ",".join(str(p) for p in catalog.periods),
         "tool_version": __version__,
     }
     tables = {}  # file name -> rows and header config
     if experiment in ("all", "mse"):
-        table = run_mse_experiment(base, resolutions=res_list, catalog=catalog)
+        table = run_mse_experiment(base, res_list, catalog, model)
         tables["mse.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "f1"):
-        table = run_f1_experiment(
-            base, resolutions=res_list, bias_fractions=bias_list, catalog=catalog
-        )
+        table = run_f1_experiment(base, res_list, bias_list, catalog, model)
         tables["f1.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "error-rate"):
-        table = run_error_rate_experiment(
-            seed=seed, n_values=n_list, trials=trials, delta=delta, catalog=catalog
-        )
+        table = run_error_rate_experiment(seed, n_list, trials, catalog, model)
         tables["error_rate.csv"] = table, {**shared, "trials": trials}
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,13 +18,13 @@ class InputError(TempolabelError):
 
 
 class ParseError(InputError):
-    """Malformed input file. Carries the offending line number when known."""
+    """Malformed input file; the message starts with the offending line
+    number when one is given."""
 
     def __init__(self, message: str, line_no: int | None = None):
         if line_no is not None:
             message = f"line {line_no}: {message}"
         super().__init__(message)
-        self.line_no = line_no
 
 
 class DegenerateModelError(TempolabelError):

@@ -27,6 +27,8 @@ from .errors import InputError
 from .labels import LabelSeries
 
 _MASS_TOL = 1e-9
+# minutes either side of a true boundary that a boundary MSE scores
+BOUNDARY_HALFWIDTH = 15
 
 
 @dataclass(frozen=True)
@@ -81,7 +83,9 @@ def _segment_sums(rows: np.ndarray, offsets) -> np.ndarray:
     return np.stack(sums, axis=1)
 
 
-def boundary_slot_mask(series: LabelSeries, boundaries, halfwidth: int = 15) -> np.ndarray:
+def boundary_slot_mask(
+    series: LabelSeries, boundaries, halfwidth: int = BOUNDARY_HALFWIDTH
+) -> np.ndarray:
     """Slots whose start minute is within ±halfwidth of any boundary (union)."""
     starts = np.arange(series.window_start, series.window_start + len(series))
     mask = np.zeros(len(series), dtype=bool)
@@ -115,7 +119,7 @@ def boundary_mse(
     reference: LabelSeries,
     prediction: LabelSeries,
     events,
-    halfwidth: int = 15,
+    halfwidth: int = BOUNDARY_HALFWIDTH,
 ) -> float:
     """MSE around true boundaries, one value per event, averaged uniformly.
 

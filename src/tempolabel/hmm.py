@@ -24,6 +24,7 @@ from .labels import LabelSeries
 
 _ROW_TOL = 1e-12
 _VAR_FLOOR = 1e-10
+_FIT_TOL = 1e-6  # log-likelihood gain below which Baum-Welch stops
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,6 @@ class HmmParams:
     @property
     def n_states(self) -> int:
         return len(self.initial)
-
-    def to_dict(self) -> dict:
-        return {
-            "initial": self.initial.tolist(),
-            "transition": self.transition.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-        }
 
     @classmethod
     def from_dict(cls, d) -> "HmmParams":
@@ -277,9 +270,8 @@ def fit_emissions(
     series: SensorSeries,
     initial_guess: HmmParams,
     max_iter: int = 100,
-    tol: float = 1e-6,
 ) -> HmmFit:
-    """Baum-Welch refinement until the log-likelihood gain drops below `tol`.
+    """Baum-Welch refinement until the log-likelihood gain drops below `_FIT_TOL`.
 
     The returned trace holds one log-likelihood per iteration, evaluated at
     the parameters entering that iteration; exact EM makes it nondecreasing.
@@ -303,7 +295,7 @@ def fit_emissions(
     for _ in range(max_iter):
         gamma, xi_sum, ll = _forward_backward(params, values)
         occupancy = gamma.sum(axis=0)  # (n,)
-        if trace and ll - trace[-1] < tol:
+        if trace and ll - trace[-1] < _FIT_TOL:
             trace.append(ll)
             converged = True
             break

@@ -37,11 +37,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .catalog import CategoryCatalog, ResolutionCategory, _check_minute, _is_integer
+from .catalog import (
+    MINUTES_PER_HOUR,
+    CategoryCatalog,
+    ResolutionCategory,
+    _check_minute,
+    _is_integer,
+)
 from .errors import ConfigError, InputError
 
 _SUM_TOL = 1e-12
-MINUTES_PER_HOUR = 60
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

@@ -10,7 +10,8 @@ against `_stamps`, built from the same two, and parse only a stamp that
 differs. A row that is not the minute after the previous row's is reported
 with its file line. Output files embed
 the effective configuration as '#' header comments so a result can always
-be traced back to its inputs.
+be traced back to its inputs. Every file is read as UTF-8, a leading byte
+order mark skipped, and written as UTF-8 without one, whatever the locale.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .catalog import MINUTES_PER_DAY, MINUTES_PER_HOUR
 from .errors import InputError, ParseError
 from .hmm import SensorSeries
 from .labels import LabelSeries
@@ -41,22 +43,22 @@ def parse_timestamp(text: str) -> int:
         dt = datetime.strptime(text.strip(), "%Y-%m-%d %H:%M")
     except ValueError as exc:
         raise InputError(f"bad timestamp {text!r}: {exc}") from exc
-    return (dt.date() - _EPOCH).days * 1440 + dt.hour * 60 + dt.minute
+    return (dt.date() - _EPOCH).days * MINUTES_PER_DAY + dt.hour * MINUTES_PER_HOUR + dt.minute
 
 
 def format_timestamp(minute: int) -> str:
-    day, minute_of_day = divmod(int(minute), 1440)
+    day, minute_of_day = divmod(int(minute), MINUTES_PER_DAY)
     return _day_prefix(day, minute_of_day) + _HHMM[minute_of_day]
 
 
 def _day_prefix(day: int, minute_of_day: int) -> str:
     """"YYYY-MM-DD " of the day `day` days after 1970-01-01; InputError
-    naming minute day * 1440 + minute_of_day for a day outside the years
-    1-9999."""
+    naming minute day * MINUTES_PER_DAY + minute_of_day for a day outside
+    the years 1-9999."""
     try:
         d = _EPOCH + timedelta(days=day)
     except OverflowError:
-        minute = day * 1440 + minute_of_day
+        minute = day * MINUTES_PER_DAY + minute_of_day
         raise InputError(f"minute {minute} lies outside the years 1-9999") from None
     # %Y leaves years before 1000 unpadded on some platforms
     return f"{d.year:04d}-{d.month:02d}-{d.day:02d} "
@@ -66,7 +68,7 @@ def _stamps(minute: int):
     """Canonical "YYYY-MM-DD HH:MM" text of `minute` and of every later
     minute, each day's date formatted once; InputError on reaching a day
     past the year 9999."""
-    day, first = divmod(int(minute), 1440)
+    day, first = divmod(int(minute), MINUTES_PER_DAY)
     while True:
         prefix = _day_prefix(day, first)
         for hhmm in _HHMM[first:]:
@@ -84,7 +86,7 @@ def _parse_hhmm(text: str, line_no: int) -> int:
         raise ParseError(f"bad time {text!r}, expected HH:MM", line_no)
     if not (0 <= hh <= 23 and 0 <= mm <= 59):
         raise ParseError(f"time {text!r} out of range", line_no)
-    return hh * 60 + mm
+    return hh * MINUTES_PER_HOUR + mm
 
 
 @dataclass(frozen=True)
@@ -100,7 +102,7 @@ class AnnotationRecord:
 
 def read_annotations_csv(path) -> list[AnnotationRecord]:
     """Parse a diary CSV; every problem is reported with its line number."""
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = _CommentedCsv(handle)
         if reader.fieldnames is None:
             raise ParseError("file is empty")
@@ -120,7 +122,7 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
                     day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
                 except ValueError:
                     raise ParseError(f"bad date {row['date']!r}, expected YYYY-MM-DD", line_no)
-                base = day_bases[row["date"]] = (day - _EPOCH).days * 1440
+                base = day_bases[row["date"]] = (day - _EPOCH).days * MINUTES_PER_DAY
             start = base + _parse_hhmm(row["start"], line_no)
             end = base + _parse_hhmm(row["end"], line_no)
             if end <= start:
@@ -213,7 +215,7 @@ def _escape_config_value(text: str) -> str:
 def write_label_csv(path, series: LabelSeries, config: dict | None = None):
     """One "timestamp,value" row per slot, values formatted with `.12g`."""
     body = _label_body(series.window_start, series.values)
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write((config_header(config) if config else "") + "timestamp,value\n" + body)
 
 
@@ -227,10 +229,10 @@ def _label_body(window_start: int, values: np.ndarray) -> str:
     parts = [""] * (3 * len(bits))
     parts[2::3] = map(_value_cell, bits)
     # rows [row, row + count) lie on day `day`, from its minute `first`
-    day, first = divmod(int(window_start), 1440)
+    day, first = divmod(int(window_start), MINUTES_PER_DAY)
     row = 0
     while row < len(bits):
-        count = min(len(bits) - row, 1440 - first)
+        count = min(len(bits) - row, MINUTES_PER_DAY - first)
         parts[3 * row : 3 * (row + count) : 3] = [_day_prefix(day, first)] * count
         parts[3 * row + 1 : 3 * (row + count) : 3] = _HHMM[first : first + count]
         row, day, first = row + count, day + 1, 0
@@ -257,7 +259,7 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
     start = None
     values: list[float] = []
     stamps = iter(())  # canonical text of each next row's minute
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = _CommentedCsv(handle)
         fields = reader.fieldnames
         if value_col is None:
@@ -313,7 +315,7 @@ def write_table_csv(path, rows: list[dict], config: dict | None = None):
     if not rows:
         raise InputError("refusing to write an empty table")
     columns = list(rows[0].keys())
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         if config:
             handle.write(config_header(config))
         writer = csv.writer(handle, lineterminator="\n")
@@ -330,12 +332,12 @@ def _format_cell(value) -> str:
 
 def write_json(path, payload: dict):
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 
 
 def read_json(path) -> dict:
-    with open(path) as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             return json.load(handle)
         # ValueError covers syntax errors, undecodable bytes and integers

@@ -198,13 +198,11 @@ class LabelGrid:
     """Soft and hard labels of consecutive records on one flat minute grid.
 
     The k-th record of `records` owns slots offsets[k]:offsets[k + 1], its
-    window of whole minutes; `record` names each slot's record and `minutes`
-    its start.
+    window of whole minutes; `minutes` holds each slot's start.
     """
 
     records: range
     offsets: np.ndarray
-    record: np.ndarray
     minutes: np.ndarray
     soft: np.ndarray
     hard: tuple[np.ndarray, ...]  # one per hard span
@@ -222,28 +220,25 @@ def label_grids(lo, hi, centers, half_widths, spans=()):
     it one hard label. Values are those `soft_series` and `hard_series`
     sample on that window, slot for slot.
 
-    Their checks run on all records at once. The first record that fails
-    one is rebuilt through `TimeWindow`, `hard_series`,
-    `BoundaryDistribution` and `soft_series` once the records before it have
-    been yielded, so it raises exactly their error.
+    Their checks run on all records at once, before any grid is built. The
+    first record that fails one is rebuilt through `TimeWindow`,
+    `hard_series`, `BoundaryDistribution` and `soft_series` once the records
+    before it have been yielded, so it raises exactly their error.
     """
     ramp_lo, ramp_hi = centers - half_widths, centers + half_widths
     # the comparisons those functions make, so that NaN passes them here too
     bad = (hi <= lo) | (half_widths < 0.5).any(axis=1)
     bad |= (lo > ramp_lo[:, 0]) | (hi < ramp_hi[:, 1])
+    # and the NaN soft values `LabelSeries` rejects: a ramp from NaN, or from
+    # ±inf over an infinite 2 * half-width (an infinite start alone gives 0 or 1)
+    infinite_width = half_widths > np.finfo(float).max / 2
+    bad |= (np.isnan(ramp_lo) | np.isinf(ramp_lo) & infinite_width).any(axis=1)
     for span in spans:
         bad |= (span[:, 1] < span[:, 0]) | (span[:, 0] < lo) | (span[:, 1] > hi)
     stop = int(np.argmax(bad)) if bad.any() else len(lo)
     for first in range(0, stop, _GRID_RECORDS):
         records = range(first, min(first + _GRID_RECORDS, stop))
-        grid = _label_grid(records, lo, hi, ramp_lo, half_widths, spans)
-        out_of_range = np.flatnonzero(~((grid.soft >= 0.0) & (grid.soft <= 1.0)))
-        if out_of_range.size:
-            stop = int(grid.record[out_of_range[0]])
-            if stop > first:
-                yield _label_grid(range(first, stop), lo, hi, ramp_lo, half_widths, spans)
-            break
-        yield grid
+        yield _label_grid(records, lo, hi, ramp_lo, half_widths, spans)
     if stop < len(lo):
         window = TimeWindow(lo[stop].item(), hi[stop].item())
         for span in spans:
@@ -266,4 +261,4 @@ def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGri
         mid, ramp_lo[record, 0], half_widths[record, 0], ramp_lo[record, 1], half_widths[record, 1]
     )
     hard = tuple(indicator(mid, span[record, 0], span[record, 1]) for span in spans)
-    return LabelGrid(records, offsets, record, minutes, soft, hard)
+    return LabelGrid(records, offsets, minutes, soft, hard)

@@ -20,6 +20,8 @@ Three experiments:
 
 Every experiment infers categories through the inference module rather than
 reusing the resolution it simulated with, so the full pipeline is exercised.
+Like the posteriors, each takes a `CategoryCatalog` and a `SwitchModel`,
+defaulting to the default catalogue and `SwitchModel()`.
 All randomness flows from per-run derived seeds (never a shared stream), so
 rerunning any experiment with the same seed reproduces it bit for bit.
 
@@ -40,44 +42,43 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import CategoryCatalog
+from .catalog import DEFAULT_PERIODS, MINUTES_PER_DAY, MINUTES_PER_HOUR, CategoryCatalog
 from .errors import ConfigError
-from .evaluation import SoftConfusionMatrix, f1, segment_boundary_mse, segment_confusion
-from .inference import (
-    MINUTES_PER_HOUR,
-    SwitchModel,
-    _category_tables,
-    _habit_probs,
-    boundary_periods,
+from .evaluation import (
+    BOUNDARY_HALFWIDTH,
+    SoftConfusionMatrix,
+    f1,
+    segment_boundary_mse,
+    segment_confusion,
 )
+from .inference import SwitchModel, _category_tables, _habit_probs, boundary_periods
 from .labels import label_grids
 
-MINUTES_PER_DAY = 1440
-
+# The defaults of the experiments and of the `simulate` command alike.
+DEFAULT_EVENTS = 200
+DEFAULT_TRIALS = 300
 DEFAULT_RESOLUTIONS = (1, 5, 10, 15, 30)
+DEFAULT_BIASES = (0.0, 0.5)
 DEFAULT_N_SWEEP = (1, 2, 5, 10, 20, 50, 100)
 
 
 # The simulated traffic: one event a day, 20 to 90 minutes long, at least
-# PLACEMENT_MARGIN minutes from midnight: room for the widest ramp (30
-# minutes), the ±BOUNDARY_HALFWIDTH-minute band the MSE sweep scores, and
-# one slot. The margin also pads each event's label window.
+# PLACEMENT_MARGIN minutes from midnight: room for the widest ramp (the
+# coarsest default period), the ±BOUNDARY_HALFWIDTH-minute band the MSE
+# sweep scores, and one slot. The margin also pads each event's label window.
 DURATION_RANGE = (20, 90)
-BOUNDARY_HALFWIDTH = 15
-PLACEMENT_MARGIN = 30 + BOUNDARY_HALFWIDTH + 1
+PLACEMENT_MARGIN = DEFAULT_PERIODS[0] + BOUNDARY_HALFWIDTH + 1
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One sweep point: the seed and number of events to draw, how the
-    annotator rounds them (resolution, and bias as a fraction of it), and
-    the switch probability `delta` of the model that infers categories."""
+    """One sweep point: the seed and number of events to draw, and how the
+    annotator rounds them (resolution, and bias as a fraction of it)."""
 
     seed: int = 0
-    n_events: int = 500
+    n_events: int = DEFAULT_EVENTS
     resolution_minutes: int = 30
     bias_fraction: float = 0.0
-    delta: float = 0.1
 
     def __post_init__(self):
         if self.seed < 0:
@@ -86,7 +87,7 @@ class SimConfig:
             raise ConfigError(f"n_events must be positive, got {self.n_events}")
         if not 0.0 <= self.bias_fraction < 1.0:
             raise ConfigError(f"bias fraction must be in [0, 1), got {self.bias_fraction}")
-        if self.resolution_minutes < 1 or 60 % self.resolution_minutes != 0:
+        if self.resolution_minutes < 1 or MINUTES_PER_HOUR % self.resolution_minutes != 0:
             raise ConfigError(f"resolution must divide 60, got {self.resolution_minutes}")
 
     @property
@@ -168,10 +169,10 @@ def run_mse_experiment(
     base: SimConfig,
     resolutions=DEFAULT_RESOLUTIONS,
     catalog: CategoryCatalog | None = None,
+    model: SwitchModel | None = None,
 ) -> list[dict]:
     """Boundary-window MSE of hard and soft labels vs truth, per resolution."""
-    catalog = catalog or CategoryCatalog.default()
-    model = SwitchModel(delta=base.delta)
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
         config = replace(base, resolution_minutes=res)  # checks res before it seeds
@@ -201,8 +202,9 @@ def run_mse_experiment(
 def run_f1_experiment(
     base: SimConfig,
     resolutions=DEFAULT_RESOLUTIONS,
-    bias_fractions=(0.0, 0.5),
+    bias_fractions=DEFAULT_BIASES,
     catalog: CategoryCatalog | None = None,
+    model: SwitchModel | None = None,
 ) -> list[dict]:
     """Micro-averaged F1 of hard and soft labels vs truth, per resolution and bias.
 
@@ -210,8 +212,7 @@ def run_f1_experiment(
     so bias is the only thing that changes between those rows. Confusion
     counts are added event by event, in event order.
     """
-    catalog = catalog or CategoryCatalog.default()
-    model = SwitchModel(delta=base.delta)
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
         for bias in bias_fractions:
@@ -238,12 +239,11 @@ def run_f1_experiment(
 def run_error_rate_experiment(
     seed: int = 0,
     n_values=DEFAULT_N_SWEEP,
-    trials: int = 1000,
-    delta: float = 0.1,
+    trials: int = DEFAULT_TRIALS,
     catalog: CategoryCatalog | None = None,
-    periods=None,
+    model: SwitchModel | None = None,
 ) -> list[dict]:
-    """MAP category error rate vs number of annotations, per true category.
+    """MAP category error rate vs number of annotations, per catalogue category.
 
     Each trial draws annotation minutes uniformly from the true category's
     member set, runs the posterior, and counts per-annotation MAP mistakes.
@@ -253,9 +253,7 @@ def run_error_rate_experiment(
     trial is its minute histogram, and every annotation at minute m has the
     MAP category of table row m.
     """
-    catalog = catalog or CategoryCatalog.default()
-    model = SwitchModel(delta=delta)
-    periods = tuple(periods) if periods is not None else catalog.periods
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if trials < 1:
@@ -263,8 +261,8 @@ def run_error_rate_experiment(
     if any(n < 1 for n in n_values):
         raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
     rows = []
-    for period in periods:
-        true_cat = catalog.by_period(period)
+    for index, true_cat in enumerate(catalog):
+        period = true_cat.period_minutes
         members = np.array(sorted(true_cat.members))
         for n in n_values:
             point = _seed_words(seed, 30, period, n)
@@ -280,8 +278,7 @@ def run_error_rate_experiment(
             counts = counts.reshape(trials, MINUTES_PER_HOUR)
             habit = _habit_probs(counts, catalog, model)
             _, map_index = _category_tables(habit, catalog, model)
-            wrong = map_index != catalog.periods.index(period)
-            errors = int((counts * wrong).sum())
+            errors = int((counts * (map_index != index)).sum())
             rows.append(
                 {
                     "category_period": period,

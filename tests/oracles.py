@@ -19,7 +19,7 @@ import numpy as np
 
 from tempolabel.catalog import CategoryCatalog
 from tempolabel.errors import InputError
-from tempolabel.evaluation import SoftConfusionMatrix, boundary_slot_mask, f1
+from tempolabel.evaluation import BOUNDARY_HALFWIDTH, SoftConfusionMatrix, boundary_slot_mask, f1
 from tempolabel.inference import (
     AnnotationSet,
     SwitchModel,
@@ -28,7 +28,6 @@ from tempolabel.inference import (
 )
 from tempolabel.labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
 from tempolabel.simulate import (
-    BOUNDARY_HALFWIDTH,
     DEFAULT_RESOLUTIONS,
     PLACEMENT_MARGIN,
     _derived_seed,
@@ -224,10 +223,11 @@ def reference_event_series(rec, cat_s, cat_e, config):
     return truth, hard, soft
 
 
-def reference_run_mse_experiment(base, resolutions=DEFAULT_RESOLUTIONS, catalog=None):
+def reference_run_mse_experiment(
+    base, resolutions=DEFAULT_RESOLUTIONS, catalog=None, model=None
+):
     """`run_mse_experiment` with one label series and one masked MSE per record."""
-    catalog = catalog or CategoryCatalog.default()
-    model = SwitchModel(delta=base.delta)
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
         config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
@@ -265,12 +265,11 @@ def _confusion_cells(r, p):
 
 
 def reference_run_f1_experiment(
-    base, resolutions=DEFAULT_RESOLUTIONS, bias_fractions=(0.0, 0.5), catalog=None
+    base, resolutions=DEFAULT_RESOLUTIONS, bias_fractions=(0.0, 0.5), catalog=None, model=None
 ):
     """`run_f1_experiment` with one label series per record and its confusion
     cells summed with `np.sum`, record by record."""
-    catalog = catalog or CategoryCatalog.default()
-    model = SwitchModel(delta=base.delta)
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
         for bias in bias_fractions:

@@ -78,16 +78,14 @@ def test_criterion_2_oracle_equivalence(catalog, model):
 def test_criterion_3_error_rate_curves():
     started = time.time()
     trials = 1000
-    coarse = run_error_rate_experiment(
-        seed=101, n_values=(1, 2, 5, 10, 100), trials=trials, periods=(30,)
-    )
-    assert all(r["error_rate"] == 0.0 for r in coarse)
-    finer = run_error_rate_experiment(
-        seed=101, n_values=(1, 100), trials=trials, periods=(15, 10, 5, 1)
-    )
+    # every trial has its own seed, so each row is the same as in a sweep of
+    # its period or its n alone
+    rows = run_error_rate_experiment(seed=101, n_values=(1, 2, 5, 10, 100), trials=trials)
+    coarse = [r for r in rows if r["category_period"] == 30]
+    assert len(coarse) == 5 and all(r["error_rate"] == 0.0 for r in coarse)
     gains = {}
     for period in (15, 10, 5, 1):
-        err = {r["n_annotations"]: r["error_rate"] for r in finer if r["category_period"] == period}
+        err = {r["n_annotations"]: r["error_rate"] for r in rows if r["category_period"] == period}
         assert err[100] < err[1], f"period {period}: {err}"
         gains[period] = (err[1], err[100])
     elapsed = time.time() - started

@@ -81,7 +81,6 @@ def test_catalog_construction_rules():
         CategoryCatalog.from_periods(())
     custom = CategoryCatalog.from_periods((20, 5, 1))
     assert custom.periods == (20, 5, 1)
-    assert custom.by_period(5) is custom[1]
 
 
 def test_catalog_is_hashable_and_iterable(catalog):

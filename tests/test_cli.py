@@ -1,7 +1,11 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +88,41 @@ def test_label_csv_roundtrip(tmp_path):
     assert again.window_start == 480
     np.testing.assert_allclose(again.values, series.values, atol=1e-12)
     assert path.read_text().startswith("# delta=0.1\n")
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+# a C locale whose preferred encoding stays ASCII: no coercion, no UTF-8 mode
+_ASCII_ENV = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def _python(args, env, cwd):
+    """`python args` in a fresh interpreter with the package on its path
+    and `env` added to the environment."""
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **env}
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd)
+
+
+@pytest.mark.parametrize("command, out", [("infer-habit", "report.json"), ("soft-labels", "labels")])
+def test_non_ascii_diary_reads_and_writes_the_same_under_an_ascii_locale(tmp_path, command, out):
+    probe = ["-c", "import locale; print(locale.getpreferredencoding(False))"]
+    encoding = _python(probe, _ASCII_ENV, tmp_path).stdout.decode().strip()
+    assert encoding.lower().replace("-", "") != "utf8"
+    (tmp_path / "diary.csv").write_bytes(
+        "annotator_id,date,event_kind,start,end\n"
+        "José,2024-03-01,ducha,08:00,08:30\n"
+        "José,2024-03-02,ducha,07:12,07:41\n".encode("utf-8")
+    )
+    written = {}
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", _ASCII_ENV)):
+        (tmp_path / name).mkdir()
+        target = tmp_path / name / out
+        args = ["-m", "tempolabel", command, "diary.csv", "--out", str(target)]
+        result = _python(args, env, tmp_path)
+        assert result.returncode == 0, result.stderr.decode()
+        files = sorted(target.rglob("*")) if target.is_dir() else [target]
+        written[name] = [(f.name, f.read_bytes()) for f in files]
+    assert written["ascii"] == written["utf8"]
 
 
 def test_infer_habit_cmd(runner, annotations_csv, tmp_path):

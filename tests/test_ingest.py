@@ -1,5 +1,3 @@
-import locale
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from tempolabel.ingest import (
     format_timestamp,
     parse_timestamp,
     read_annotations_csv,
+    read_json,
     read_label_csv,
     read_sensor_csv,
     write_label_csv,
@@ -211,15 +210,38 @@ def test_minutes_past_year_9999_are_input_errors(tmp_path):
         write_label_csv(path, LabelSeries(last - 2, np.array([0.0, 0.5, 1.0, 1.0])))
 
 
-@pytest.mark.skipif(
-    locale.getpreferredencoding(False).lower().replace("-", "") != "utf8",
-    reason="input files are read in the locale's encoding",
-)
 def test_undecodable_bytes_are_parse_errors(tmp_path):
     path = tmp_path / "diary.csv"
     path.write_bytes(b"annotator_id,date,event_kind,start,end\np\xff,2024-03-01,shower,08:00,08:30\n")
     with pytest.raises(ParseError, match="not utf-8 text"):
         read_annotations_csv(path)
+
+
+_BOM = "\ufeff".encode("utf-8")
+
+
+def test_diary_with_byte_order_mark_reads_as_without(tmp_path):
+    text = "annotator_id,date,event_kind,start,end\nJosé,2024-03-01,ducha,08:00,08:30\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(_BOM + text.encode("utf-8"))
+    assert read_annotations_csv(marked) == read_annotations_csv(plain)
+    assert read_annotations_csv(marked)[0].annotator_id == "José"
+
+
+@pytest.mark.parametrize("head", ["", "# a comment\n"])
+def test_label_csv_with_byte_order_mark_reads_as_without(tmp_path, head):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(_BOM + f"{head}timestamp,value\n2024-03-01 10:00,0.5\n".encode("utf-8"))
+    series = read_label_csv(path)
+    assert series.window_start == parse_timestamp("2024-03-01 10:00")
+    assert series.values.tolist() == [0.5]
+
+
+def test_json_with_byte_order_mark_reads_as_without(tmp_path):
+    path = tmp_path / "params.json"
+    path.write_bytes(_BOM + b'{"means": [1.0]}')
+    assert read_json(path) == {"means": [1.0]}
 
 
 def test_oversized_field_is_parse_error(tmp_path):

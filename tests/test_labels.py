@@ -15,7 +15,7 @@ from tempolabel import (
     soft_series,
 )
 from tempolabel import labels
-from tempolabel.catalog import CategoryCatalog
+from tempolabel.catalog import CategoryCatalog, ResolutionCategory
 from tempolabel.labels import padded_bounds, ramp, soft_values
 
 from .oracles import quadrature_started_prob
@@ -181,10 +181,8 @@ def test_label_values_at_unit_interval_ends_accepted():
     st.sampled_from([30, 15, 10, 5, 1]),
 )
 def test_product_bound_property(start, duration, period_s, period_e):
-    cats = CategoryCatalog.default()
     event = EventAnnotation(start=start, end=start + duration)
-    cat_s = cats.by_period(period_s)
-    cat_e = cats.by_period(period_e)
+    cat_s, cat_e = ResolutionCategory(period_s), ResolutionCategory(period_e)
     window = _padded_window(event, cat_s, cat_e, pad=5)
     series = soft_label(event, cat_s, cat_e, window)
     mids = window.midpoints()
@@ -297,3 +295,52 @@ def test_label_grids_errors_match_per_record(corrupt, message, block):
         hard_series(*span[2].tolist(), TimeWindow(lo[2].item(), hi[2].item()))
     assert str(raised.value) == str(per_record.value)
     assert message in str(raised.value)
+
+
+@pytest.mark.parametrize("block", [1, labels._GRID_RECORDS])
+@pytest.mark.parametrize(
+    "center, half_width, fails",
+    [
+        pytest.param((np.nan, 150.0), (15.0, 15.0), True, id="nan centre"),
+        pytest.param((50.0, 150.0), (15.0, np.nan), True, id="nan half-width"),
+        # an infinite start alone leaves the ramp at 0 or 1: no error
+        pytest.param((np.inf, 150.0), (15.0, 15.0), False, id="inf start centre"),
+        pytest.param((50.0, -np.inf), (15.0, 15.0), False, id="-inf end centre"),
+        # ramps whose start and 2 * half-width both overflow give NaN
+        pytest.param((50.0, -1e308), (15.0, 1e308), True, id="overflowing end ramp"),
+        pytest.param((np.inf, 150.0), (1e308, 15.0), True, id="inf centre, overflowing width"),
+    ],
+)
+def test_label_grids_non_finite_ramps_match_per_record(center, half_width, fails, block):
+    # four records a day apart; the third has the given ramps
+    lo = np.arange(4) * 1440 + 100
+    hi = lo + 200
+    centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
+    half_widths = np.full((4, 2), 15.0)
+    centers[2] = lo[2] + np.array(center)
+    half_widths[2] = half_width
+    got = []
+    with mock.patch.object(labels, "_GRID_RECORDS", block), np.errstate(all="ignore"):
+        try:
+            for grid in labels.label_grids(lo, hi, centers, half_widths):
+                for k, (a, b) in zip(grid.records, grid.segments()):
+                    got.append((k, grid.soft[a:b].tobytes()))
+        except InputError as exc:
+            got.append(str(exc))
+        expected = []
+        for k in range(4):
+            (center_s, center_e), (half_s, half_e) = centers[k].tolist(), half_widths[k].tolist()
+            try:
+                soft = soft_series(
+                    BoundaryDistribution(center_s, half_s),
+                    BoundaryDistribution(center_e, half_e),
+                    TimeWindow(lo[k].item(), hi[k].item()),
+                )
+            except InputError as exc:
+                expected.append(str(exc))
+                break
+            expected.append((k, soft.values.tobytes()))
+    assert got == expected
+    assert len(got) == (3 if fails else 4)
+    if fails:
+        assert got[-1] == "label values must lie in [0, 1]"

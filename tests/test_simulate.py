@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from tempolabel import (
     CategoryCatalog,
     ConfigError,
     InputError,
+    ResolutionCategory,
     SwitchModel,
     category_posterior,
     SimConfig,
@@ -131,7 +133,7 @@ def test_error_rate_matches_one_posterior_per_trial():
     trials = 25
     for row in run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=trials):
         period, n = row["category_period"], row["n_annotations"]
-        members = sorted(catalog.by_period(period).members)
+        members = sorted(ResolutionCategory(period).members)
         errors = 0
         for trial in range(trials):
             draws = _rng(9, 30, period, n, trial).integers(0, len(members), size=n)
@@ -159,11 +161,29 @@ def test_error_rate_experiment_rejects_annotation_counts_below_one(n_values):
         run_error_rate_experiment(seed=0, n_values=n_values, trials=1)
 
 
-def test_error_rate_experiment_custom_periods():
-    rows = run_error_rate_experiment(seed=3, n_values=(1,), trials=20, periods=(5,))
-    assert len(rows) == 1
-    assert rows[0]["category_period"] == 5
-    assert 0.0 <= rows[0]["error_rate"] <= 1.0
+def test_error_rate_experiment_custom_catalog():
+    catalog = CategoryCatalog.from_periods((20, 4, 1))
+    rows = run_error_rate_experiment(seed=3, n_values=(1,), trials=20, catalog=catalog)
+    # the sweep covers the catalogue it is given, coarsest first
+    assert [r["category_period"] for r in rows] == [20, 4, 1]
+    assert rows[0]["error_rate"] == 0.0
+    assert all(0.0 <= r["error_rate"] <= 1.0 for r in rows)
+
+
+def test_error_rate_at_one_annotation_is_the_exact_map_error():
+    # with one annotation, trials are independent and the per-annotation MAP
+    # category is a fixed function of the minute: each category loses
+    # exactly the share of its minutes that a coarser category also admits
+    trials = 2000
+    exact = {30: 0.0, 15: 1 / 2, 10: 1 / 3, 5: 2 / 3, 1: 1 / 5}
+    rows = run_error_rate_experiment(seed=0, n_values=(1,), trials=trials)
+    assert [r["category_period"] for r in rows] == list(exact)
+    for row in rows:
+        p = exact[row["category_period"]]
+        if p == 0.0:
+            assert row["error_rate"] == 0.0, row
+        else:
+            assert abs(row["error_rate"] - p) <= 5 * math.sqrt(p * (1 - p) / trials), row
 
 
 def _outcome(fn, *args, **kwargs):
@@ -182,9 +202,9 @@ def _sweep_case(draw):
     config = SimConfig(
         seed=draw(st.integers(0, 2**40)),
         n_events=draw(st.integers(1, 60)),
-        delta=draw(st.floats(0.01, 0.5)),
         bias_fraction=draw(st.sampled_from([0.0, 0.5, 0.9])),  # the MSE sweep's bias
     )
+    model = SwitchModel(draw(st.floats(0.01, 0.5)))
     resolutions = draw(
         st.lists(st.sampled_from([1, 5, 10, 12, 15, 20, 30, 60]), min_size=1, max_size=3)
     )
@@ -193,18 +213,20 @@ def _sweep_case(draw):
     )
     catalog = CategoryCatalog.from_periods(draw(st.sampled_from(_CATALOGS)))
     block = draw(st.sampled_from([1, 3, labels._GRID_RECORDS]))
-    return config, resolutions, biases, catalog, block
+    return config, resolutions, biases, catalog, model, block
 
 
 @settings(deadline=None, max_examples=60)
 @given(case=_sweep_case())
 def test_sweeps_match_per_record_reference(case):
-    config, resolutions, biases, catalog, block = case
+    config, resolutions, biases, catalog, model, block = case
     with mock.patch.object(labels, "_GRID_RECORDS", block):
-        got_mse = _outcome(run_mse_experiment, config, resolutions, catalog)
-        got_f1 = _outcome(run_f1_experiment, config, resolutions, biases, catalog)
-    assert got_mse == _outcome(reference_run_mse_experiment, config, resolutions, catalog)
-    assert got_f1 == _outcome(reference_run_f1_experiment, config, resolutions, biases, catalog)
+        got_mse = _outcome(run_mse_experiment, config, resolutions, catalog, model)
+        got_f1 = _outcome(run_f1_experiment, config, resolutions, biases, catalog, model)
+    assert got_mse == _outcome(reference_run_mse_experiment, config, resolutions, catalog, model)
+    assert got_f1 == _outcome(
+        reference_run_f1_experiment, config, resolutions, biases, catalog, model
+    )
 
 
 @pytest.mark.parametrize(
@@ -263,7 +285,7 @@ def test_error_rate_trials_draw_from_their_own_seeds(seed):
     trials = 4
     for row in run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=trials):
         period, n = row["category_period"], row["n_annotations"]
-        members = sorted(catalog.by_period(period).members)
+        members = sorted(ResolutionCategory(period).members)
         errors = 0
         for trial in range(trials):
             draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
