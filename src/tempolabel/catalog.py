@@ -25,6 +25,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of `values`; the caller's array stays writable."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _check_minute(minute) -> int:
     if not _is_integer(minute):
         raise InputError(f"minute must be an integer, got {minute!r}")

@@ -9,6 +9,7 @@ effective configuration so reruns are traceable. Exit codes: 0 success,
 from __future__ import annotations
 
 import functools
+import os
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -139,6 +140,10 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
     records = read_annotations_csv(annotations_csv)
     evidence = _group_by_annotator(records)
     if annotator is not None:
+        try:  # argv arrives decoded in the locale's encoding, the diary as UTF-8
+            annotator = os.fsencode(annotator).decode("utf-8", "surrogateescape")
+        except UnicodeEncodeError:  # text the locale cannot encode is not from argv
+            pass
         evidence = {k: v for k, v in evidence.items() if k == annotator}
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)

@@ -19,12 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import _frozen_array
 from .errors import DegenerateModelError, InputError
 from .labels import LabelSeries
 
 _ROW_TOL = 1e-12
 _VAR_FLOOR = 1e-10
 _FIT_TOL = 1e-6  # log-likelihood gain below which Baum-Welch stops
+_MAX_ITER = 100  # Baum-Welch iterations after which an unconverged fit stops
+_PARAM_NAMES = ("initial", "transition", "means", "variances")
 
 
 @dataclass(frozen=True)
@@ -35,13 +38,11 @@ class SensorSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _frozen_array(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("sensor series must be a non-empty 1-d vector")
         if not np.all(np.isfinite(arr)):
             raise InputError("sensor series contains non-finite values")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
@@ -59,10 +60,9 @@ class HmmParams:
     variances: np.ndarray
 
     def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=float)
-        transition = np.asarray(self.transition, dtype=float)
-        means = np.asarray(self.means, dtype=float)
-        variances = np.asarray(self.variances, dtype=float)
+        initial, transition, means, variances = arrays = [
+            _frozen_array(getattr(self, name)) for name in _PARAM_NAMES
+        ]
         if initial.ndim != 1:
             raise InputError("initial distribution must be a 1-d vector")
         n = initial.shape[0]
@@ -78,14 +78,7 @@ class HmmParams:
             raise InputError("transition rows must sum to 1")
         if np.any(variances <= 0):
             raise InputError("variances must be positive")
-        for name, arr in (
-            ("initial", initial),
-            ("transition", transition),
-            ("means", means),
-            ("variances", variances),
-        ):
-            arr = arr.copy()
-            arr.flags.writeable = False
+        for name, arr in zip(_PARAM_NAMES, arrays):
             object.__setattr__(self, name, arr)
 
     @property
@@ -98,7 +91,7 @@ class HmmParams:
         if not isinstance(d, dict):
             raise InputError(f"HMM parameter file must hold an object, got {type(d).__name__}")
         arrays = {}
-        for key in ("initial", "transition", "means", "variances"):
+        for key in _PARAM_NAMES:
             if key not in d:
                 raise InputError(f"HMM parameter file missing key {key!r}")
             try:
@@ -266,12 +259,9 @@ def _forward_backward(params: HmmParams, values: np.ndarray):
     return gamma, xi_sum, float(log_likelihood)
 
 
-def fit_emissions(
-    series: SensorSeries,
-    initial_guess: HmmParams,
-    max_iter: int = 100,
-) -> HmmFit:
-    """Baum-Welch refinement until the log-likelihood gain drops below `_FIT_TOL`.
+def fit_emissions(series: SensorSeries, initial_guess: HmmParams) -> HmmFit:
+    """Baum-Welch refinement until the log-likelihood gain drops below
+    `_FIT_TOL`, for at most `_MAX_ITER` iterations.
 
     The returned trace holds one log-likelihood per iteration, evaluated at
     the parameters entering that iteration; exact EM makes it nondecreasing.
@@ -281,8 +271,6 @@ def fit_emissions(
     """
     if len(series) < 10:
         raise InputError(f"need at least 10 samples to fit, got {len(series)}")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
     values = series.values
     params = initial_guess
     trace: list[float] = []
@@ -291,8 +279,7 @@ def fit_emissions(
     # too, and forward-backward reports those as DegenerateModelError
     with np.errstate(over="ignore"):
         var_floor = max(_VAR_FLOOR, 1e-6 * float(np.var(values)))
-    occupancy = np.full(params.n_states, np.inf)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         gamma, xi_sum, ll = _forward_backward(params, values)
         occupancy = gamma.sum(axis=0)  # (n,)
         if trace and ll - trace[-1] < _FIT_TOL:

@@ -42,18 +42,12 @@ from .catalog import (
     CategoryCatalog,
     ResolutionCategory,
     _check_minute,
+    _frozen_array,
     _is_integer,
 )
 from .errors import ConfigError, InputError
 
 _SUM_TOL = 1e-12
-
-
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    """A read-only copy of `values`; the caller's array stays writable."""
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 def _integers(values, what: str) -> np.ndarray:

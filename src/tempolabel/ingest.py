@@ -2,16 +2,18 @@
 
 Everything is plain CSV or JSON. Timestamps are "YYYY-MM-DD HH:MM" at minute
 precision and are carried internally as whole minutes since 1970-01-01,
-which keeps grid arithmetic exact. Label and sensor CSVs label each slot by
-its start minute, one row per consecutive minute. `_day_prefix` and the
-`_HHMM` table are the one source of their canonical stamp text: the writer
-renders each file's rows from them, and the readers match each row's stamp
-against `_stamps`, built from the same two, and parse only a stamp that
-differs. A row that is not the minute after the previous row's is reported
-with its file line. Output files embed
-the effective configuration as '#' header comments so a result can always
-be traced back to its inputs. Every file is read as UTF-8, a leading byte
-order mark skipped, and written as UTF-8 without one, whatever the locale.
+which keeps grid arithmetic exact. One grammar reads every time: a diary's
+`date`, `start` and `end` with `_DATE_FORMAT` and `_TIME_FORMAT` alone, a
+label or sensor stamp with the two joined by a space. Label and sensor CSVs
+label each slot by its start minute, one row per consecutive minute.
+`_day_prefix` and the `_HHMM` table are the one source of canonical stamp
+text: the writer renders rows from them, and the readers match each stamp
+against `_stamps`, and each diary time against `_HHMM`'s inverse, parsing
+only a text that differs. A row that is not the minute after the previous
+row's is reported with its file line. Output files embed the effective
+configuration as '#' header comments so a result can always be traced back
+to its inputs. Every file is read as UTF-8, a leading byte order mark
+skipped, and written as UTF-8 without one, whatever the locale.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import struct
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,19 +34,30 @@ from .hmm import SensorSeries
 from .labels import LabelSeries
 
 _EPOCH = date(1970, 1, 1)
+_LAST_DAY = (date.max - _EPOCH).days  # 9999-12-31
+_DATE_FORMAT = "%Y-%m-%d"
+_TIME_FORMAT = "%H:%M"
 
 ANNOTATION_COLUMNS = ("annotator_id", "date", "event_kind", "start", "end")
 
 _HHMM = [f"{hh:02d}:{mm:02d}" for hh in range(24) for mm in range(60)]  # by minute of day
+_MINUTE_OF_DAY = {text: minute for minute, text in enumerate(_HHMM)}
 
 
 def parse_timestamp(text: str) -> int:
     """'YYYY-MM-DD HH:MM' -> absolute minute."""
     try:
-        dt = datetime.strptime(text.strip(), "%Y-%m-%d %H:%M")
+        dt = datetime.strptime(text.strip(), f"{_DATE_FORMAT} {_TIME_FORMAT}")
     except ValueError as exc:
         raise InputError(f"bad timestamp {text!r}: {exc}") from exc
-    return (dt.date() - _EPOCH).days * MINUTES_PER_DAY + dt.hour * MINUTES_PER_HOUR + dt.minute
+    return _absolute_minute(dt)
+
+
+def _absolute_minute(dt: datetime) -> int:
+    """Whole minutes from 1970-01-01 00:00 to `dt`; a date parsed alone is
+    its day's start."""
+    days = dt.toordinal() - _EPOCH.toordinal()
+    return days * MINUTES_PER_DAY + dt.hour * MINUTES_PER_HOUR + dt.minute
 
 
 def format_timestamp(minute: int) -> str:
@@ -66,27 +80,25 @@ def _day_prefix(day: int, minute_of_day: int) -> str:
 
 def _stamps(minute: int):
     """Canonical "YYYY-MM-DD HH:MM" text of `minute` and of every later
-    minute, each day's date formatted once; InputError on reaching a day
-    past the year 9999."""
+    minute up to 9999-12-31 23:59, each day's date formatted once."""
     day, first = divmod(int(minute), MINUTES_PER_DAY)
-    while True:
+    while day <= _LAST_DAY:
         prefix = _day_prefix(day, first)
         for hhmm in _HHMM[first:]:
             yield prefix + hhmm
         day, first = day + 1, 0
 
 
-def _parse_hhmm(text: str, line_no: int) -> int:
-    parts = text.strip().split(":")
-    if len(parts) != 2:
-        raise ParseError(f"bad time {text!r}, expected HH:MM", line_no)
-    try:
-        hh, mm = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad time {text!r}, expected HH:MM", line_no)
-    if not (0 <= hh <= 23 and 0 <= mm <= 59):
-        raise ParseError(f"time {text!r} out of range", line_no)
-    return hh * MINUTES_PER_HOUR + mm
+def _diary_time(text: str, line_no: int) -> int:
+    """Minute of day of a diary `HH:MM` field."""
+    minute = _MINUTE_OF_DAY.get(text)
+    if minute is None:
+        try:
+            t = datetime.strptime(text.strip(), _TIME_FORMAT)
+        except ValueError:
+            raise ParseError(f"bad time {text!r}, expected HH:MM", line_no) from None
+        minute = _absolute_minute(t) % MINUTES_PER_DAY  # t lies on 1900-01-01
+    return minute
 
 
 @dataclass(frozen=True)
@@ -109,31 +121,30 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
         missing = [c for c in ANNOTATION_COLUMNS if c not in reader.fieldnames]
         if missing:
             raise ParseError(f"missing columns: {', '.join(missing)}", reader.line_num)
+        pick = itemgetter(*(reader.columns[c] for c in ANNOTATION_COLUMNS))
         records = []
         day_bases: dict[str, int] = {}
         for fields in reader:
             line_no = reader.line_num
             if len(fields) != len(reader.fieldnames):
                 _check_width(fields, reader, ANNOTATION_COLUMNS)
-            row = {c: fields[reader.columns[c]] for c in ANNOTATION_COLUMNS}
-            base = day_bases.get(row["date"])
+            annotator_id, day_text, event_kind, start_text, end_text = pick(fields)
+            base = day_bases.get(day_text)
             if base is None:
                 try:
-                    day = datetime.strptime(row["date"].strip(), "%Y-%m-%d").date()
+                    day = datetime.strptime(day_text.strip(), _DATE_FORMAT)
                 except ValueError:
-                    raise ParseError(f"bad date {row['date']!r}, expected YYYY-MM-DD", line_no)
-                base = day_bases[row["date"]] = (day - _EPOCH).days * MINUTES_PER_DAY
-            start = base + _parse_hhmm(row["start"], line_no)
-            end = base + _parse_hhmm(row["end"], line_no)
+                    raise ParseError(f"bad date {day_text!r}, expected YYYY-MM-DD", line_no)
+                base = day_bases[day_text] = _absolute_minute(day)
+            start = base + _diary_time(start_text, line_no)
+            end = base + _diary_time(end_text, line_no)
             if end <= start:
-                raise ParseError(
-                    f"end {row['end']!r} must be after start {row['start']!r}", line_no
-                )
+                raise ParseError(f"end {end_text!r} must be after start {start_text!r}", line_no)
             records.append(
                 AnnotationRecord(
-                    annotator_id=row["annotator_id"].strip(),
-                    date=row["date"].strip(),
-                    event_kind=row["event_kind"].strip(),
+                    annotator_id=annotator_id.strip(),
+                    date=day_text.strip(),
+                    event_kind=event_kind.strip(),
                     start=start,
                     end=end,
                 )
@@ -244,7 +255,7 @@ def _label_body(window_start: int, values: np.ndarray) -> str:
 @lru_cache(maxsize=1024)
 def _value_cell(bits: int) -> str:
     (value,) = struct.unpack("<d", struct.pack("<q", bits))
-    return f",{value:.12g}\n"
+    return f",{_format_cell(value)}\n"
 
 
 def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:
@@ -277,11 +288,7 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
             if len(row) != width:
                 _check_width(row, reader, needed)
             text, value = row[at_stamp], row[at_value]
-            try:
-                expected = next(stamps, None)
-            except InputError:  # no minute follows 9999-12-31 23:59
-                expected = None
-            if text != expected:
+            if text != next(stamps, None):
                 try:
                     minute = parse_timestamp(text)
                 except InputError as exc:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import ResolutionCategory
+from .catalog import ResolutionCategory, _frozen_array
 from .errors import InputError
 
 
@@ -91,13 +91,11 @@ class LabelSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
+        arr = _frozen_array(self.values)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("label series must be a non-empty 1-d vector")
         if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
             raise InputError("label values must lie in [0, 1]")
-        arr = arr.copy()
-        arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:

@@ -125,6 +125,29 @@ def test_non_ascii_diary_reads_and_writes_the_same_under_an_ascii_locale(tmp_pat
     assert written["ascii"] == written["utf8"]
 
 
+_ZOE_ARGS = ["infer-habit", "diary.csv", "--annotator", "Zoë", "--out", "r.json"]
+
+
+# from the command line, and as text passed to `main` in-process
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["-m", "tempolabel", *_ZOE_ARGS],
+        ["-c", f"from tempolabel.cli import main; main({_ZOE_ARGS!a})"],
+    ],
+    ids=["argv", "in-process"],
+)
+def test_non_ascii_annotator_option_matches_under_an_ascii_locale(tmp_path, args):
+    (tmp_path / "diary.csv").write_bytes(
+        "annotator_id,date,event_kind,start,end\nZoë,2024-03-01,ducha,08:00,08:30\n".encode("utf-8")
+    )
+    result = _python(args, _ASCII_ENV, tmp_path)
+    assert result.returncode == 0, result.stderr.decode()
+    assert b"warning" not in result.stderr
+    report = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+    assert [a["annotator_id"] for a in report["annotators"]] == ["Zoë"]
+
+
 def test_infer_habit_cmd(runner, annotations_csv, tmp_path):
     out = tmp_path / "report.json"
     result = runner.invoke(
@@ -193,6 +216,17 @@ def test_infer_habit_bad_row_exits_2(runner, tmp_path):
     result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
     assert result.exit_code == 2
     assert "line 2" in result.output
+
+
+@pytest.mark.parametrize("time", ["+8:00", "0_8:00", "8 : 00", "08: 00"])
+def test_infer_habit_time_no_timestamp_accepts_exits_2(runner, tmp_path, time):
+    path = _write(
+        tmp_path / "diary.csv",
+        f"annotator_id,date,event_kind,start,end\np01,2024-03-01,shower,{time},08:30\n",
+    )
+    result = runner.invoke(main, ["infer-habit", path, "--out", str(tmp_path / "x.json")])
+    assert result.exit_code == 2
+    assert f"error: line 2: bad time '{time}', expected HH:MM" in result.output
 
 
 def test_infer_habit_missing_fields_exits_2(runner, tmp_path):

@@ -17,6 +17,7 @@ from tempolabel import (
 from tempolabel.cli import main
 from tempolabel.hmm import _forward_backward
 from tempolabel.ingest import format_timestamp
+from tempolabel.labels import LabelSeries
 
 from .oracles import exhaustive_forward_backward, exhaustive_state_path
 
@@ -33,6 +34,17 @@ def _shower_params():
         means=[45.0, 80.0],
         variances=[9.0, 16.0],
     )
+
+
+def test_series_and_params_copy_the_callers_arrays():
+    labels, sensor = np.array([0.0, 0.5, 1.0]), np.array([40.0, 41.5, 80.0])
+    arrays = {k: np.array(v) for k, v in _as_dict(_shower_params()).items()}
+    params = HmmParams(**arrays)
+    pairs = [(labels, LabelSeries(0, labels).values), (sensor, SensorSeries(0, sensor).values)]
+    pairs += [(mine, getattr(params, k)) for k, mine in arrays.items()]
+    for mine, theirs in pairs:
+        assert mine.flags.writeable and not theirs.flags.writeable
+        assert not np.shares_memory(mine, theirs)
 
 
 def _synthetic_humidity(seed, length=240, on_spans=((100, 141),)):
@@ -145,8 +157,8 @@ def _sample_from_hmm(params, length, seed):
 def test_fit_fixed_point_near_truth():
     truth = _shower_params()
     series, _ = _sample_from_hmm(truth, length=4000, seed=9)
-    fit = fit_emissions(series, truth, max_iter=1)
-    assert fit.n_iterations == 1
+    fit = fit_emissions(series, truth)
+    assert fit.converged
     np.testing.assert_allclose(fit.params.means, truth.means, rtol=0.05)
     np.testing.assert_allclose(np.diag(fit.params.transition), np.diag(truth.transition), atol=0.05)
 

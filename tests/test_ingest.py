@@ -154,6 +154,40 @@ def test_day_cache_matches_parse_timestamp_on_mangled_times(tmp_path_factory, pr
     assert _read_outcome(path, prime, text) == _expected_outcome(prime, text)
 
 
+def _diary_outcome(path, start, end):
+    """What read_annotations_csv makes of a one-row diary on 2024-03-01."""
+    row = f"p,2024-03-01,shower,{start},{end}"
+    path.write_text(f"annotator_id,date,event_kind,start,end\n{row}\n", encoding="utf-8")
+    try:
+        (record,) = read_annotations_csv(path)
+    except ParseError as exc:
+        return str(exc)
+    return record.start, record.end
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(alphabet="0123456789: +_１", max_size=7))
+def test_diary_times_follow_the_timestamp_grammar(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diary") / "diary.csv"
+    try:
+        parse_timestamp("2024-03-01 " + text)
+        valid = True
+    except InputError:
+        valid = False
+    # the text as the start of an event ending 23:59, then as the end of one
+    # starting 00:00
+    for start, end in ((text, "23:59"), ("00:00", text)):
+        outcome = _diary_outcome(path, start, end)
+        if not valid:
+            assert outcome == f"line 2: bad time {text!r}, expected HH:MM"
+            continue
+        bounds = tuple(parse_timestamp("2024-03-01 " + t) for t in (start, end))
+        if bounds[1] <= bounds[0]:
+            assert outcome == f"line 2: end {end!r} must be after start {start!r}"
+        else:
+            assert outcome == bounds
+
+
 def test_label_read_uses_file_line_for_bad_timestamp(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text(
