@@ -18,6 +18,7 @@ from .errors import ConfigError, InputError
 DEFAULT_PERIODS = (30, 15, 10, 5, 1)
 MINUTES_PER_HOUR = 60
 MINUTES_PER_DAY = 24 * MINUTES_PER_HOUR
+_SUM_TOL = 1e-12  # how far from 1 a probability row may sum
 
 
 def _is_integer(value) -> bool:
@@ -30,6 +31,11 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def _is_distribution(rows: np.ndarray) -> bool:
+    """True iff every last-axis row is >= 0 and sums to 1 within `_SUM_TOL`; NaN fails both."""
+    return bool((rows >= 0).all() and (np.abs(rows.sum(axis=-1) - 1.0) <= _SUM_TOL).all())
 
 
 def _check_minute(minute) -> int:

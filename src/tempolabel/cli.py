@@ -74,33 +74,31 @@ def _guard(fn):
     return wrapper
 
 
-def _parse_list(text: str, kind, what: str) -> tuple:
-    """The non-empty comma-separated list of `kind` values in `text`."""
+def _parse_list(text: str, kind) -> tuple:
+    """The non-empty comma-separated list of `kind` (int or float) values in `text`."""
     try:
         values = tuple(kind(p.strip()) for p in text.split(",") if p.strip())
     except ValueError:
         values = ()
     if not values:
+        what = "integers" if kind is int else "numbers"
         raise ConfigError(f"expected a comma-separated list of {what}, got {text!r}")
     return values
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return _parse_list(text, int, "integers")
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return _parse_list(text, float, "numbers")
+def _list_text(values) -> str:
+    """`values` as the comma-separated text `_parse_list` reads."""
+    return ",".join(str(p) for p in values)
 
 
 def _catalog_from(text: str) -> CategoryCatalog:
-    return CategoryCatalog.from_periods(_parse_int_list(text))
+    return CategoryCatalog.from_periods(_parse_list(text, int))
 
 
 _CATALOG_OPT = click.option(
     "--catalog",
     "catalog_spec",
-    default=",".join(str(p) for p in DEFAULT_PERIODS),
+    default=_list_text(DEFAULT_PERIODS),
     show_default=True,
     help="Category periods in minutes, coarsest first.",
 )
@@ -178,12 +176,13 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
         raise ConfigError(f"pad must lie in [0, {MINUTES_PER_DAY}] minutes, got {pad}")
     catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     records = read_annotations_csv(annotations_csv)
+    annotators = sorted(_group_by_annotator(records).items())
+    # every annotator's MAP periods come first, so a config error leaves no --out
+    map_periods = [boundary_periods(stamps, catalog, model) for _, (_, stamps) in annotators]
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    catalog_text = ",".join(str(p) for p in catalog.periods)
-    written = 0
-    for annotator_id, (recs, stamps) in sorted(_group_by_annotator(records).items()):
-        periods = boundary_periods(stamps, catalog, model)
+    catalog_text = _list_text(catalog.periods)
+    for (annotator_id, (recs, stamps)), periods in zip(annotators, map_periods):
         half_widths = periods / 2.0
         lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
         # percent-escaped, so any id names files inside out_dir
@@ -203,8 +202,7 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
                 }
                 series = LabelSeries(lo[k].item(), grid.soft[a:b])
                 write_label_csv(f"{stem}{k:03d}.csv", series, config)
-                written += 1
-    click.echo(f"wrote {written} label series to {out_dir}")
+    click.echo(f"wrote {len(records)} label series to {out_dir}")
 
 
 def _binary_boundaries(series: LabelSeries) -> list[tuple[int, int]]:
@@ -290,13 +288,13 @@ def _flatten_metrics(payload: dict) -> list[dict]:
 )
 @click.option(
     "--resolutions",
-    default=",".join(str(r) for r in DEFAULT_RESOLUTIONS),
+    default=_list_text(DEFAULT_RESOLUTIONS),
     show_default=True,
 )
 @click.option("--biases", default=",".join(f"{b:g}" for b in DEFAULT_BIASES), show_default=True)
 @click.option(
     "--n-sweep",
-    default=",".join(str(n) for n in DEFAULT_N_SWEEP),
+    default=_list_text(DEFAULT_N_SWEEP),
     show_default=True,
     help="Annotation counts for the error-rate experiment.",
 )
@@ -319,14 +317,14 @@ def simulate_cmd(
     invalid option exits 2 without leaving a partial result.
     """
     catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
-    res_list = _parse_int_list(resolutions)
-    bias_list = _parse_float_list(biases)
-    n_list = _parse_int_list(n_sweep)
+    res_list = _parse_list(resolutions, int)
+    bias_list = _parse_list(biases, float)
+    n_list = _parse_list(n_sweep, int)
     base = SimConfig(seed=seed, n_events=events)
     shared = {
         "seed": seed,
         "delta": model.delta,
-        "catalog": ",".join(str(p) for p in catalog.periods),
+        "catalog": _list_text(catalog.periods),
         "tool_version": __version__,
     }
     tables = {}  # file name -> rows and header config
@@ -391,7 +389,7 @@ def histogram_cmd(annotations_csv, catalog_spec, out):
             {"annotator_id": annotator_id, "period_minutes": period, "count": count}
             for period, count in zip(catalog.periods, counts.tolist())
         ]
-    write_table_csv(out, rows, {"catalog": ",".join(str(p) for p in catalog.periods)})
+    write_table_csv(out, rows, {"catalog": _list_text(catalog.periods)})
     click.echo(f"wrote {out}")
 
 

@@ -9,12 +9,12 @@ Two families of metrics:
   is strictly soft. On binary series it reduces exactly to the classical
   confusion matrix.
 
-Both are summed once, here, per segment of a flat grid (records' windows
-laid end to end as `labels.label_grids` builds them, record k owning slots
-offsets[k]:offsets[k + 1]): `evaluate` scores a series as one segment per
-event or one in all, the simulate sweeps one per simulated event. A segment
-is summed as one C-contiguous row slice with `np.add.reduce`, NumPy's
-pairwise sum, exactly as `np.sum` and `np.mean` sum a single series.
+Both are summed once, here, per segment of a flat grid (windows laid end to
+end by `labels._flat_grid`, window k owning slots offsets[k]:offsets[k + 1]):
+`evaluate` scores a series as one segment per event or one in all, the
+simulate sweeps one per simulated event. A segment is summed as one
+C-contiguous row slice with `np.add.reduce`, NumPy's pairwise sum, exactly
+as `np.sum` and `np.mean` sum a single series.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .labels import LabelSeries
+from .labels import LabelSeries, _flat_grid
 
 _MASS_TOL = 1e-9
 # minutes either side of a true boundary that a boundary MSE scores
@@ -107,7 +107,7 @@ def segment_boundary_mse(minutes, offsets, events, differences, halfwidth) -> np
     start or end of that segment's (start, end) pair in `events`."""
     starts, ends = np.repeat(events, np.diff(offsets), axis=0).T
     near = _near(minutes, starts, halfwidth) | _near(minutes, ends, halfwidth)
-    selected = np.concatenate(([0], np.cumsum(near)))[offsets]
+    selected = np.searchsorted(np.flatnonzero(near), offsets)  # near slots before each segment
     counts = np.diff(selected)
     if not np.all(counts):
         raise InputError("slot selection is empty")
@@ -137,9 +137,7 @@ def boundary_mse(
     # slot, and below 0 none: capping keeps the window arithmetic in int64
     reach = max(-1, min(halfwidth, n + int(np.abs(bounds).max())))
     lo = np.clip(bounds.min(axis=1) - reach, 0, n)
-    lengths = np.clip(bounds.max(axis=1) + reach + 1, lo, n) - lo
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    slots = np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], lengths)
+    offsets, slots = _flat_grid(lo, np.clip(bounds.max(axis=1) + reach + 1, lo, n))
     diff = reference.values[slots] - prediction.values[slots]
     per_event = segment_boundary_mse(slots, offsets, bounds, (diff,), reach)
     return float(np.mean(per_event[0]))

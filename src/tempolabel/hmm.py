@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _frozen_array
+from .catalog import _frozen_array, _is_distribution
 from .errors import DegenerateModelError, InputError
-from .labels import LabelSeries
+from .labels import LabelSeries, _series_values
 
-_ROW_TOL = 1e-12
 _VAR_FLOOR = 1e-10
 _FIT_TOL = 1e-6  # log-likelihood gain below which Baum-Welch stops
 _MAX_ITER = 100  # Baum-Welch iterations after which an unconverged fit stops
@@ -38,9 +37,7 @@ class SensorSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("sensor series must be a non-empty 1-d vector")
+        arr = _series_values(self.values, "sensor series")
         if not np.all(np.isfinite(arr)):
             raise InputError("sensor series contains non-finite values")
         object.__setattr__(self, "values", arr)
@@ -72,9 +69,9 @@ class HmmParams:
             raise InputError("HMM parameters must be finite")
         if transition.shape != (n, n) or means.shape != (n,) or variances.shape != (n,):
             raise InputError("parameter shapes disagree on the number of states")
-        if abs(initial.sum() - 1.0) > _ROW_TOL or np.any(initial < 0):
+        if not _is_distribution(initial):
             raise InputError("initial distribution must sum to 1")
-        if np.any(np.abs(transition.sum(axis=1) - 1.0) > _ROW_TOL) or np.any(transition < 0):
+        if not _is_distribution(transition):
             raise InputError("transition rows must sum to 1")
         if np.any(variances <= 0):
             raise InputError("variances must be positive")

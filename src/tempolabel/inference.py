@@ -22,7 +22,8 @@ through its 60-bin minute-of-hour histogram:
   `boundary_periods`) reads that index.
 
 The core works on a batch of histograms at once, so many annotators or
-simulated trials share one call.
+simulated trials share one call. Both posteriors check their rows with
+`catalog._is_distribution`, as `hmm` checks its parameters.
 
 A MAP category is the first maximum in catalogue order, so exact ties go
 to the coarsest category, consistent with the model's preference for coarse
@@ -43,11 +44,10 @@ from .catalog import (
     ResolutionCategory,
     _check_minute,
     _frozen_array,
+    _is_distribution,
     _is_integer,
 )
 from .errors import ConfigError, InputError
-
-_SUM_TOL = 1e-12
 
 
 def _integers(values, what: str) -> np.ndarray:
@@ -124,7 +124,7 @@ class HabitPosterior:
             raise InputError(
                 f"expected {len(self.catalog)} probabilities, got shape {probs.shape}"
             )
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > _SUM_TOL:
+        if not _is_distribution(probs):
             raise InputError("habit posterior must be a probability vector")
         object.__setattr__(self, "probs", probs)
 
@@ -166,9 +166,7 @@ class CategoryPosterior:
             )
         if map_index.shape != (MINUTES_PER_HOUR,):
             raise InputError(f"MAP index shape {map_index.shape} is not ({MINUTES_PER_HOUR},)")
-        observed = table[sorted(set(self.minutes))]
-        sums = observed.sum(axis=1)
-        if np.any(observed < 0) or np.any(np.abs(sums - 1.0) > _SUM_TOL):
+        if not _is_distribution(table[sorted(set(self.minutes))]):
             raise InputError("every category posterior row must sum to 1")
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "map_index", map_index)

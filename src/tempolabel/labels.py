@@ -15,11 +15,12 @@ a 1-minute category equals the hard series slot for slot.
 
 The soft label function has one definition, `soft_values`, and the hard
 one `indicator`; the per-record `soft_series` and `hard_series` and the
-batched grid all sample them. `label_grids` is the grid that `soft-labels`
-and the simulate sweeps use: it lays many records' windows end to end on
-one flat minute grid, `_GRID_RECORDS` records at a time. The per-record
-functions keep every check: a record the grid rejects is rebuilt through
-them, so each error message lives in them alone.
+batched grid all sample them. `label_grids`, the grid of `soft-labels` and
+the simulate sweeps, lays records' windows end to end with `_flat_grid`
+(the layout `evaluation` scores by), `_GRID_RECORDS` records at a time. A
+record the grid rejects is rebuilt through the per-record functions, so
+each error message lives in them alone. `LabelSeries` and `hmm`'s sensor
+series share one shape check, `_series_values`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ class BoundaryDistribution:
         return self.center + self.half_width
 
 
+def _series_values(values, what: str) -> np.ndarray:
+    """`_frozen_array`'s copy of `values`, checked to be a non-empty 1-d vector."""
+    arr = _frozen_array(values)
+    if arr.ndim != 1 or arr.size == 0:
+        raise InputError(f"{what} must be a non-empty 1-d vector")
+    return arr
+
+
 @dataclass(frozen=True)
 class LabelSeries:
     """Per-slot label values in [0, 1] over a window of 1-minute slots."""
@@ -91,9 +100,7 @@ class LabelSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_array(self.values)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InputError("label series must be a non-empty 1-d vector")
+        arr = _series_values(self.values, "label series")
         if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
             raise InputError("label values must lie in [0, 1]")
         object.__setattr__(self, "values", arr)
@@ -186,6 +193,14 @@ def padded_bounds(start, end, half_start, half_end, pad: int):
     return lo, hi
 
 
+def _flat_grid(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets and slot start minutes of windows [lo[k], hi[k]) laid end to
+    end on one flat grid, window k owning slots offsets[k]:offsets[k + 1]."""
+    lengths = hi - lo
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    return offsets, np.arange(offsets[-1]) + np.repeat(lo - offsets[:-1], lengths)
+
+
 # Records per label grid. A record's window is about 100-200 slots, so this
 # keeps each flat array of a grid near 100 kB however many records there are.
 _GRID_RECORDS = 64
@@ -250,10 +265,8 @@ def label_grids(lo, hi, centers, half_widths, spans=()):
 
 def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGrid:
     index = np.arange(records.start, records.stop)
-    lengths = hi[index] - lo[index]
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    record = np.repeat(index, lengths)
-    minutes = np.arange(offsets[-1]) + np.repeat(lo[index] - offsets[:-1], lengths)
+    offsets, minutes = _flat_grid(lo[index], hi[index])
+    record = np.repeat(index, np.diff(offsets))
     mid = minutes + 0.5
     soft = soft_values(
         mid, ramp_lo[record, 0], half_widths[record, 0], ramp_lo[record, 1], half_widths[record, 1]

@@ -425,6 +425,54 @@ def test_soft_labels_match_golden_digests(runner, tmp_path):
     assert digests == GOLDEN_SOFT_LABELS_SHA256
 
 
+def _block_diary() -> str:
+    """A diary whose first annotator has 140 events, so its labels span three
+    64-record grids, mostly on the quarter hour with a few odd minutes, and
+    whose second annotator has three events."""
+    rows = ["annotator_id,date,event_kind,start,end"]
+    for i in range(140):
+        start = 360 + 15 * (i % 40) + (i % 13 if i % 7 == 3 else 0)
+        end = start + 15 * (1 + i % 4) + (2 if i % 11 == 5 else 0)
+        date = f"2024-{1 + i // 28:02d}-{1 + i % 28:02d}"
+        start_text, end_text = (f"{t // 60:02d}:{t % 60:02d}" for t in (start, end))
+        rows.append(f"big,{date},shower,{start_text},{end_text}")
+    rows += [
+        "s,2024-03-01,walk,09:10,09:40",
+        "s,2024-03-02,walk,17:05,17:25",
+        "s,2024-03-03,walk,23:50,23:59",
+    ]
+    return "\n".join(rows) + "\n"
+
+
+# SHA-256 over the sorted names and bytes of the files `soft-labels` wrote
+# for `_block_diary()` (default options), captured before the flat-grid
+# layout and the validation helpers were each given one definition.
+BLOCK_SOFT_LABELS_SHA256 = "a2a850d9c1bdcee097b758fceb9e930e014d3935f6bb1bedc13e28653e121eac"
+
+
+def test_soft_labels_across_grid_blocks_match_golden_digest(runner, tmp_path):
+    path = _write(tmp_path / "diary.csv", _block_diary())
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    files = sorted(out_dir.iterdir())
+    assert len(files) == 143
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == BLOCK_SOFT_LABELS_SHA256
+
+
+def test_soft_labels_config_error_leaves_no_out_dir(runner, annotations_csv, tmp_path):
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(
+        main, ["soft-labels", str(annotations_csv), "--catalog", "1", "--out", str(out_dir)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "switch probability undefined for a single-category catalogue" in result.output
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("pad", ["-1", "1441", str(10**20)])
 def test_soft_labels_pad_out_of_range_exits_2(runner, annotations_csv, tmp_path, pad):
     out_dir = tmp_path / "labels"

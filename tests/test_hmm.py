@@ -195,7 +195,7 @@ def test_params_reject_non_finite(field):
     }
     bad = np.array(values[field], dtype=float)
     bad.flat[-1] = np.nan
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^HMM parameters must be finite$"):
         HmmParams(**{**values, field: bad})
     with pytest.raises(InputError):
         HmmParams(**{**values, "means": [0.0, np.inf]})

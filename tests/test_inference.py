@@ -143,6 +143,24 @@ def test_posteriors_copy_the_callers_arrays(catalog, model):
         assert not np.shares_memory(mine, theirs)
 
 
+@pytest.mark.parametrize(
+    "probs", [[np.nan] * 5, [0.5, 0.5, 0.0, 0.0, np.nan]], ids=["all-nan", "one-nan"]
+)
+def test_habit_posterior_rejects_nan(catalog, probs):
+    with pytest.raises(InputError, match="^habit posterior must be a probability vector$"):
+        HabitPosterior(catalog, probs)
+
+
+def test_category_posterior_rejects_nan_row_at_annotated_minute(catalog, model):
+    post = category_posterior(AnnotationSet((0, 7)), catalog, model)
+    table = post.table.copy()
+    table[7] = np.nan
+    # an unannotated minute's row is not checked
+    CategoryPosterior(catalog, (0,), table, post.map_index)
+    with pytest.raises(InputError, match="^every category posterior row must sum to 1$"):
+        CategoryPosterior(catalog, (0, 7), table, post.map_index)
+
+
 def test_twenty_half_hour_annotations_give_confident_habit(catalog, model):
     hab = habit_posterior(AnnotationSet((0, 30) * 10), catalog, model)
     assert hab.map_category().period_minutes == 30
