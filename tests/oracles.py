@@ -4,8 +4,9 @@ Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
 every possible path, label CSV bytes from formatting row by row, masked
-MSE from boolean indexing, and the MSE and F1 sweeps from one label series
-per simulated record.
+MSE from boolean indexing, the MSE and F1 sweeps from one label series
+per simulated record, and the error-rate sweep from one NumPy generator and
+one category posterior per trial.
 """
 
 import csv
@@ -28,9 +29,12 @@ from tempolabel.inference import (
 )
 from tempolabel.labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
 from tempolabel.simulate import (
+    DEFAULT_N_SWEEP,
     DEFAULT_RESOLUTIONS,
+    DEFAULT_TRIALS,
     PLACEMENT_MARGIN,
     _derived_seed,
+    _rng,
     generate_events,
 )
 
@@ -294,6 +298,35 @@ def reference_run_f1_experiment(
                     "n_events": len(records),
                     "f1_hard": f1(SoftConfusionMatrix(*total_hard.tolist())),
                     "f1_soft": f1(SoftConfusionMatrix(*total_soft.tolist())),
+                }
+            )
+    return rows
+
+
+def reference_run_error_rate_experiment(
+    seed=0, n_values=DEFAULT_N_SWEEP, trials=DEFAULT_TRIALS, catalog=None, model=None
+):
+    """`run_error_rate_experiment` with trial t of each (period, n) point
+    drawn by its own `_rng(seed, 30, period, n, t)` generator and scored by
+    its own `category_posterior` call."""
+    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
+    rows = []
+    for category in catalog:
+        period = category.period_minutes
+        members = sorted(category.members)
+        for n in n_values:
+            errors = 0
+            for trial in range(trials):
+                draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
+                evidence = AnnotationSet(tuple(members[i] for i in draws))
+                post = category_posterior(evidence, catalog, model)
+                errors += sum(post.map_category(i).period_minutes != period for i in range(n))
+            rows.append(
+                {
+                    "category_period": period,
+                    "n_annotations": n,
+                    "trials": trials,
+                    "error_rate": errors / (trials * n),
                 }
             )
     return rows

@@ -7,13 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
-    AnnotationSet,
     CategoryCatalog,
     ConfigError,
     InputError,
-    ResolutionCategory,
     SwitchModel,
-    category_posterior,
     SimConfig,
     annotate,
     generate_events,
@@ -23,9 +20,13 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
-from tempolabel.simulate import _rng, _seed_words
+from tempolabel.simulate import _seed_words, _seeded_integers
 
-from .oracles import reference_run_f1_experiment, reference_run_mse_experiment
+from .oracles import (
+    reference_run_error_rate_experiment,
+    reference_run_f1_experiment,
+    reference_run_mse_experiment,
+)
 
 
 def test_rounding_examples():
@@ -128,19 +129,19 @@ def test_error_rate_experiment_shape_and_determinism():
 
 def test_error_rate_matches_one_posterior_per_trial():
     # the batched sweep counts the same mistakes as a posterior per trial
-    catalog = CategoryCatalog.default()
-    model = SwitchModel(0.1)
-    trials = 25
-    for row in run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=trials):
-        period, n = row["category_period"], row["n_annotations"]
-        members = sorted(ResolutionCategory(period).members)
-        errors = 0
-        for trial in range(trials):
-            draws = _rng(9, 30, period, n, trial).integers(0, len(members), size=n)
-            evidence = AnnotationSet(tuple(members[i] for i in draws))
-            post = category_posterior(evidence, catalog, model)
-            errors += sum(post.map_category(i).period_minutes != period for i in range(n))
-        assert row["error_rate"] == errors / (trials * n), row
+    got = run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=25)
+    assert got == reference_run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=25)
+
+
+@pytest.mark.parametrize("periods", [(60, 30, 15, 10, 5, 1), (60, 20, 4, 1)])
+def test_error_rate_matches_reference_on_other_catalogs(periods):
+    # period 60 has one member, so NumPy's `integers` consumes no bits for
+    # it; periods 20 and 4 have 3 and 15 members, not powers of two, so the
+    # Lemire rejection threshold 2**32 % members is non-zero
+    catalog = CategoryCatalog.from_periods(periods)
+    model = SwitchModel(0.2)
+    args = dict(seed=11, n_values=(1, 4, 15), trials=12, catalog=catalog, model=model)
+    assert run_error_rate_experiment(**args) == reference_run_error_rate_experiment(**args)
 
 
 def test_error_rate_experiment_rejects_no_trials():
@@ -280,16 +281,52 @@ def test_seed_words_reject_negative_ints_like_seed_sequence():
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_error_rate_trials_draw_from_their_own_seeds(seed):
-    catalog = CategoryCatalog.default()
-    model = SwitchModel(0.1)
-    trials = 4
-    for row in run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=trials):
-        period, n = row["category_period"], row["n_annotations"]
-        members = sorted(ResolutionCategory(period).members)
-        errors = 0
-        for trial in range(trials):
-            draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
-            evidence = AnnotationSet(tuple(members[i] for i in draws))
-            post = category_posterior(evidence, catalog, model)
-            errors += sum(post.map_category(i).period_minutes != period for i in range(n))
-        assert row["error_rate"] == errors / (trials * n), row
+    got = run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=4)
+    assert got == reference_run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=4)
+
+
+def _entropy_batches():
+    """SeedSequence entropy of 1 to 7 uint32 words, one (rows, width) batch
+    per width: random 1-4-word rows (the first all zeros, the second all
+    ones), then the 5-7-word rows the error-rate sweep builds from SEEDS."""
+    rng = np.random.default_rng(19)
+    batches = []
+    for width in range(1, 5):
+        words = rng.integers(0, 2**32, size=(30, width), dtype=np.uint64).astype(np.uint32)
+        words[0], words[1] = 0, 2**32 - 1
+        batches.append(words)
+    sweep = [_seed_words(seed, 30, 5, 7, trial) for seed in SEEDS for trial in range(10)]
+    for width in (5, 6, 7):
+        batches.append(np.array([words for words in sweep if len(words) == width]))
+    return batches
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+@pytest.mark.parametrize("high", [1, 2, 3, 6, 12, 60, 2**31 + 1, 2**32, 2**32 + 1])
+def test_seeded_integers_match_numpy_bit_for_bit(high, n):
+    # NEP 19 keeps SeedSequence and PCG64 streams stable but not Generator
+    # methods, so this also guards against a NumPy that changes `integers`
+    batches = _entropy_batches()
+    fallbacks = 0
+    for words in batches:
+        expected = np.array(
+            [
+                np.random.default_rng(np.random.SeedSequence(row)).integers(0, high, size=n)
+                for row in words
+            ]
+        )
+        with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as numpy_rng:
+            got = _seeded_integers(words, np.full(len(words), high), n)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+        fallbacks += numpy_rng.call_count
+    rows = sum(len(words) for words in batches)
+    if high > 2**32:
+        assert fallbacks == rows  # NumPy draws such bounds from 64-bit outputs
+    elif high == 2**31 + 1:
+        # about half of all draws reject, so at n = 100 every row does
+        assert fallbacks == rows if n == 100 else fallbacks > 0
+    else:
+        # a draw rejects with probability (2**32 % high) / 2**32, at most
+        # 4e-9 here, and none of these rows does
+        assert fallbacks == 0
