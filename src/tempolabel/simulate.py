@@ -22,8 +22,9 @@ Every experiment infers categories through the inference module rather than
 reusing the resolution it simulated with, so the full pipeline is exercised.
 Like the posteriors, each takes a `CategoryCatalog` and a `SwitchModel`,
 defaulting to the default catalogue and `SwitchModel()`.
-All randomness flows from per-run derived seeds (never a shared stream), so
-rerunning any experiment with the same seed reproduces it bit for bit.
+All randomness flows from seeds derived per sweep point, so no point's draws
+depend on which other points are swept, and rerunning any experiment with
+the same seed reproduces it bit for bit.
 
 The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
 point with `labels.label_grids`, the flat label grid that `soft-labels`
@@ -31,12 +32,9 @@ uses too; this module only chooses each event's window and bias-shifted
 ramp centers. Each event is scored as one segment of that grid by
 `evaluation.segment_boundary_mse` and `evaluation.segment_confusion`, where
 the summation rule lives, so the tables are exactly those of scoring event
-by event. The error-rate sweep seeds every trial from
-(seed, 30, period, n, trial), as uint32 words, and each trial draws exactly
-what its own `SeedSequence`-seeded NumPy generator would. Those draws are
-computed for all trials of one annotation count at once, with NumPy's
-seeding, PCG64 and bounded-integer steps written as array arithmetic, and
-a trial whose draw NumPy would reject and redraw is drawn by NumPy itself.
+by event. The error-rate sweep draws all trials of one (period, n) point
+from one NumPy generator seeded from (seed, 30, period, n), one row per
+trial.
 """
 
 from __future__ import annotations
@@ -55,7 +53,7 @@ from .evaluation import (
     segment_confusion,
 )
 from .inference import SwitchModel, _category_tables, _habit_probs, boundary_periods
-from .labels import label_grids
+from .labels import label_grids, padded_bounds
 
 # The defaults of the experiments and of the `simulate` command alike.
 DEFAULT_EVENTS = 200
@@ -102,128 +100,6 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def _seed_words(*values: int) -> np.ndarray:
-    """The uint32 entropy `np.random.SeedSequence` makes of a list of ints:
-    each int in little-endian 32-bit words, 0 as one zero word."""
-    words = []
-    for value in map(int, values):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        words.append(value & 0xFFFFFFFF)
-        while value > 0xFFFFFFFF:
-            value >>= 32
-            words.append(value & 0xFFFFFFFF)
-    return np.array(words, dtype=np.uint32)
-
-
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) and PCG64
-# multiplier (numpy/random/src/pcg64), whose bit streams NEP 19 keeps stable.
-# Constants are Python ints below 2**64: mixed with a uint32 or uint64 array
-# they keep the array's dtype, which wraps silently, as the C code does.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
-
-
-def _hash_keys(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """The (xor, multiplier) pairs of `count` successive SeedSequence hashes:
-    each xors with the running constant, advances it, then multiplies."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return list(zip(consts, consts[1:]))
-
-
-def _hashed(value: np.ndarray, key: tuple[int, int]) -> np.ndarray:
-    """SeedSequence's `hashmix` of uint32 words with one hash's key."""
-    xor, mult = key
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's `mix` of two uint32 word arrays."""
-    value = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return value ^ (value >> 16)
-
-
-def _seeded_integers(words: np.ndarray, high: np.ndarray, n: int) -> np.ndarray:
-    """Row r is `np.random.default_rng(np.random.SeedSequence(words[r]))
-    .integers(0, high[r], size=n)`, for (rows, width) uint32 `words` and
-    (rows,) bounds of at least 1.
-
-    SeedSequence's pool and `generate_state(4, uint64)`, PCG64's seeding and
-    XSL-RR output, and Generator.integers' Lemire draw on each 32-bit half
-    of an output (low half first) run as array arithmetic, one output at a
-    time, with the 128-bit LCG state held as (hi, lo) uint64 halves. A row
-    in which Lemire would reject a draw (every row whose bound exceeds
-    2**32) is drawn by NumPy itself, so every row is exact.
-    """
-    rows, width = words.shape
-    high = np.asarray(high, dtype=np.uint64)
-
-    # SeedSequence(row).pool: the first words, then every pool word mixed
-    # into every other, then each further word into every pool word
-    keys = iter(_hash_keys(_INIT_A, _MULT_A, _POOL_SIZE * max(_POOL_SIZE, width)))
-    zero = np.zeros(rows, dtype=np.uint32)
-    pool = [_hashed(words[:, i] if i < width else zero, next(keys)) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mixed(pool[dst], _hashed(pool[src], next(keys)))
-    for src in range(_POOL_SIZE, width):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mixed(pool[dst], _hashed(words[:, src], next(keys)))
-
-    # generate_state(4, uint64): eight hashed pool words, paired little-endian
-    state = [
-        _hashed(pool[i % _POOL_SIZE], key).astype(np.uint64)
-        for i, key in enumerate(_hash_keys(_INIT_B, _MULT_B, 8))
-    ]
-    seed_hi, seed_lo, inc_hi, inc_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
-    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
-
-    m0, m1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-
-    def step(hi, lo):
-        """state * multiplier + increment mod 2**128; the high word of
-        lo * _PCG_MULT_LO comes from its four 32-bit partial products."""
-        a0, a1 = lo & _MASK32, lo >> 32
-        p01, p10 = a0 * m1, a1 * m0
-        mid = (a0 * m0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-        carry = a1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-        new_lo = lo * _PCG_MULT_LO + inc_lo
-        new_hi = carry + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (new_lo < inc_lo)
-        return new_hi, new_lo
-
-    # seeding: the state starts at the increment, adds the seed, then steps
-    lo = inc_lo + seed_lo
-    hi, lo = step(inc_hi + seed_hi + (lo < inc_lo), lo)
-
-    # Lemire rejects a draw whose low word is below 2**32 % high; past 2**32
-    # that is 2**32, so every such row is rejected and left to NumPy's
-    # 64-bit draw
-    threshold = (1 << 32) % high
-    rejected = np.zeros(rows, dtype=bool)
-    out = np.empty((rows, n), dtype=np.int64)
-    for col in range(0, n, 2):
-        hi, lo = step(hi, lo)
-        bits, rot = hi ^ lo, hi >> 58
-        bits = bits >> rot | bits << (64 - rot & 63)
-        for j, half in ((col, bits & _MASK32), (col + 1, bits >> 32)):
-            if j < n:
-                scaled = half * high
-                rejected |= (scaled & _MASK32) < threshold
-                out[:, j] = scaled >> 32
-    for r in np.flatnonzero(rejected):
-        rng = np.random.default_rng(np.random.SeedSequence(words[r]))
-        out[r] = rng.integers(0, int(high[r]), size=n)
-    return out
-
-
 def round_to_resolution(t, resolution: int):
     """Nearest multiple of `resolution`; exact midpoints round up. Arrays
     round element-wise to int64; a scalar gives an int."""
@@ -262,17 +138,19 @@ def _label_grids(config: SimConfig, tag: int, catalog: CategoryCatalog, model: S
     as hard labels.
 
     Event i's window is [min(true, annotated) start - pad, max(true,
-    annotated) end + pad), pad being PLACEMENT_MARGIN. Soft ramps are
-    centered on the annotation minus the injected bias: the simulator knows
-    the offset it added, and removing it restores the zero-mean rounding the
-    soft label's uniform ramp is built to cover.
+    annotated) end + pad), pad being PLACEMENT_MARGIN, widened where needed
+    to the whole minutes its soft ramps cover. Soft ramps are centered on
+    the annotation minus the injected bias: the simulator knows the offset
+    it added, and removing it restores the zero-mean rounding the soft
+    label's uniform ramp is built to cover.
     """
     seed = _derived_seed(config.seed, tag, config.resolution_minutes)
     truth, annotated = generate_events(replace(config, seed=seed))
     half_widths = boundary_periods(annotated, catalog, model) / 2.0
-    lo = np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN
-    hi = np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN
     centers = annotated - config.bias_minutes
+    ramp_lo, ramp_hi = padded_bounds(*centers.T, *half_widths.T, 0)
+    lo = np.minimum(np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN, ramp_lo)
+    hi = np.maximum(np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN, ramp_hi)
     return truth, label_grids(lo, hi, centers, half_widths, (truth, annotated))
 
 
@@ -358,13 +236,12 @@ def run_error_rate_experiment(
 
     Each trial draws annotation minutes uniformly from the true category's
     member set, runs the posterior, and counts per-annotation MAP mistakes.
-    Trial t of a point draws from `_rng(seed, 30, period, n, t)`, so order
-    never matters; its seed words are the point's words with t appended.
-    The draws of every trial of every category for one n are computed in
-    one `_seeded_integers` pass, which gives each trial exactly what its own
-    generator would. The trials of one (period, n) point share one batched
-    posterior call: a trial is its minute histogram, and every annotation at
-    minute m has the MAP category of table row m.
+    Every (period, n) point draws its trials from one generator,
+    `_rng(seed, 30, period, n)`, trial t being row t of its (trials, n)
+    draws, so a point's rows do not depend on what else is swept, and fewer
+    trials draw the first rows of more. The trials of one point share one
+    batched posterior call: a trial is its minute histogram, and every
+    annotation at minute m has the MAP category of table row m.
     """
     catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     if seed < 0:
@@ -373,34 +250,28 @@ def run_error_rate_experiment(
         raise ConfigError(f"trials must be positive, got {trials}")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
-    members = [np.array(sorted(cat.members)) for cat in catalog]
-    bounds = np.repeat([len(m) for m in members], trials)
     first_slot = MINUTES_PER_HOUR * np.arange(trials)[:, None]
-    errors = {}
-    for n in n_values:
-        # category i's trials are rows i * trials to (i + 1) * trials - 1
-        points = [_seed_words(seed, 30, cat.period_minutes, n) for cat in catalog]
-        words = np.empty((len(bounds), len(points[0]) + 1), dtype=np.uint32)
-        words[:, :-1] = np.repeat(points, trials, axis=0)
-        words[:, -1] = np.tile(np.arange(trials), len(catalog))
-        draws = np.split(_seeded_integers(words, bounds, n), len(catalog))
-        for index, (cat_members, cat_draws) in enumerate(zip(members, draws)):
-            slots = cat_members[cat_draws] + first_slot
+    rows = []
+    for index, true_cat in enumerate(catalog):
+        period = true_cat.period_minutes
+        members = np.array(sorted(true_cat.members))
+        for n in n_values:
+            draws = _rng(seed, 30, period, n).integers(0, len(members), size=(trials, n))
+            slots = members[draws] + first_slot
             counts = np.bincount(slots.ravel(), minlength=trials * MINUTES_PER_HOUR)
             counts = counts.reshape(trials, MINUTES_PER_HOUR)
             habit = _habit_probs(counts, catalog, model)
             _, map_index = _category_tables(habit, catalog, model)
-            errors[index, n] = int((counts * (map_index != index)).sum())
-    return [
-        {
-            "category_period": cat.period_minutes,
-            "n_annotations": n,
-            "trials": trials,
-            "error_rate": errors[index, n] / (trials * n),
-        }
-        for index, cat in enumerate(catalog)
-        for n in n_values
-    ]
+            errors = int((counts * (map_index != index)).sum())
+            rows.append(
+                {
+                    "category_period": period,
+                    "n_annotations": n,
+                    "trials": trials,
+                    "error_rate": errors / (trials * n),
+                }
+            )
+    return rows
 
 
 def _derived_seed(base_seed: int, experiment_tag: int, *tags: int) -> int:

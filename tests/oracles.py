@@ -5,8 +5,8 @@ exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
 every possible path, label CSV bytes from formatting row by row, masked
 MSE from boolean indexing, the MSE and F1 sweeps from one label series
-per simulated record, and the error-rate sweep from one NumPy generator and
-one category posterior per trial.
+per simulated record, and the error-rate sweep from one NumPy draw and one
+category posterior per trial.
 """
 
 import csv
@@ -205,25 +205,25 @@ def _infer_boundary_categories(records, catalog, model):
 def reference_event_series(rec, cat_s, cat_e, config):
     """Truth, hard and soft series for one record on its own grid.
 
-    Soft ramps are centered on the annotation minus the injected bias.
+    Soft ramps are centered on the annotation minus the injected bias. The
+    grid pads both events by PLACEMENT_MARGIN and reaches at least to the
+    whole minutes the ramps cover.
     """
     pad = PLACEMENT_MARGIN
-    lo = min(rec.true_start, rec.annotated_start) - pad
-    hi = max(rec.true_end, rec.annotated_end) + pad
+    start = BoundaryDistribution(
+        center=rec.annotated_start - config.bias_minutes,
+        half_width=cat_s.period_minutes / 2.0,
+    )
+    end = BoundaryDistribution(
+        center=rec.annotated_end - config.bias_minutes,
+        half_width=cat_e.period_minutes / 2.0,
+    )
+    lo = min(rec.true_start - pad, rec.annotated_start - pad, math.floor(start.lo))
+    hi = max(rec.true_end + pad, rec.annotated_end + pad, math.ceil(end.hi))
     window = TimeWindow(lo, hi)
     truth = hard_series(rec.true_start, rec.true_end, window)
     hard = hard_series(rec.annotated_start, rec.annotated_end, window)
-    soft = soft_series(
-        BoundaryDistribution(
-            center=rec.annotated_start - config.bias_minutes,
-            half_width=cat_s.period_minutes / 2.0,
-        ),
-        BoundaryDistribution(
-            center=rec.annotated_end - config.bias_minutes,
-            half_width=cat_e.period_minutes / 2.0,
-        ),
-        window,
-    )
+    soft = soft_series(start, end, window)
     return truth, hard, soft
 
 
@@ -306,9 +306,9 @@ def reference_run_f1_experiment(
 def reference_run_error_rate_experiment(
     seed=0, n_values=DEFAULT_N_SWEEP, trials=DEFAULT_TRIALS, catalog=None, model=None
 ):
-    """`run_error_rate_experiment` with trial t of each (period, n) point
-    drawn by its own `_rng(seed, 30, period, n, t)` generator and scored by
-    its own `category_posterior` call."""
+    """`run_error_rate_experiment` with the trials of each (period, n) point
+    drawn one after another from its `_rng(seed, 30, period, n)` generator,
+    each scored by its own `category_posterior` call."""
     catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for category in catalog:
@@ -316,8 +316,9 @@ def reference_run_error_rate_experiment(
         members = sorted(category.members)
         for n in n_values:
             errors = 0
-            for trial in range(trials):
-                draws = _rng(seed, 30, period, n, trial).integers(0, len(members), size=n)
+            rng = _rng(seed, 30, period, n)
+            for _ in range(trials):
+                draws = rng.integers(0, len(members), size=n)
                 evidence = AnnotationSet(tuple(members[i] for i in draws))
                 post = category_posterior(evidence, catalog, model)
                 errors += sum(post.map_category(i).period_minutes != period for i in range(n))

@@ -78,8 +78,8 @@ def test_criterion_2_oracle_equivalence(catalog, model):
 def test_criterion_3_error_rate_curves():
     started = time.time()
     trials = 1000
-    # every trial has its own seed, so each row is the same as in a sweep of
-    # its period or its n alone
+    # every (period, n) point has its own stream, so each row is the same as
+    # in a sweep of its period or its n alone
     rows = run_error_rate_experiment(seed=101, n_values=(1, 2, 5, 10, 100), trials=trials)
     coarse = [r for r in rows if r["category_period"] == 30]
     assert len(coarse) == 5 and all(r["error_rate"] == 0.0 for r in coarse)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tempolabel import (
     CategoryCatalog,
     ConfigError,
-    InputError,
     SwitchModel,
     SimConfig,
     annotate,
@@ -20,7 +19,6 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
-from tempolabel.simulate import _seed_words, _seeded_integers
 
 from .oracles import (
     reference_run_error_rate_experiment,
@@ -135,9 +133,9 @@ def test_error_rate_matches_one_posterior_per_trial():
 
 @pytest.mark.parametrize("periods", [(60, 30, 15, 10, 5, 1), (60, 20, 4, 1)])
 def test_error_rate_matches_reference_on_other_catalogs(periods):
-    # period 60 has one member, so NumPy's `integers` consumes no bits for
-    # it; periods 20 and 4 have 3 and 15 members, not powers of two, so the
-    # Lemire rejection threshold 2**32 % members is non-zero
+    # catalogues other than the default: period 60 has one member, where
+    # NumPy draws no bits, and periods 20 and 4 have 3 and 15 members,
+    # bounds that are not powers of two
     catalog = CategoryCatalog.from_periods(periods)
     model = SwitchModel(0.2)
     args = dict(seed=11, n_values=(1, 4, 15), trials=12, catalog=catalog, model=model)
@@ -187,14 +185,6 @@ def test_error_rate_at_one_annotation_is_the_exact_map_error():
             assert abs(row["error_rate"] - p) <= 5 * math.sqrt(p * (1 - p) / trials), row
 
 
-def _outcome(fn, *args, **kwargs):
-    """The rows `fn` returns, or the type and message of what it raises."""
-    try:
-        return fn(*args, **kwargs)
-    except Exception as exc:  # compared against the reference's outcome
-        return type(exc), str(exc)
-
-
 _CATALOGS = [(30, 15, 10, 5, 1), (60, 30, 15, 5, 1), (60, 20, 1), (12, 4, 1)]
 
 
@@ -222,32 +212,21 @@ def _sweep_case(draw):
 def test_sweeps_match_per_record_reference(case):
     config, resolutions, biases, catalog, model, block = case
     with mock.patch.object(labels, "_GRID_RECORDS", block):
-        got_mse = _outcome(run_mse_experiment, config, resolutions, catalog, model)
-        got_f1 = _outcome(run_f1_experiment, config, resolutions, biases, catalog, model)
-    assert got_mse == _outcome(reference_run_mse_experiment, config, resolutions, catalog, model)
-    assert got_f1 == _outcome(
-        reference_run_f1_experiment, config, resolutions, biases, catalog, model
-    )
+        got_mse = run_mse_experiment(config, resolutions, catalog, model)
+        got_f1 = run_f1_experiment(config, resolutions, biases, catalog, model)
+    assert got_mse == reference_run_mse_experiment(config, resolutions, catalog, model)
+    assert got_f1 == reference_run_f1_experiment(config, resolutions, biases, catalog, model)
 
 
-@pytest.mark.parametrize(
-    "config, message",
-    [
-        # a 54-minute bias with a 30-minute ramp half-width: the start ramp
-        # reaches past the padded window
-        (SimConfig(seed=1, n_events=40, bias_fraction=0.9), "too small for ramps"),
-    ],
-)
-def test_sweep_errors_match_reference(config, message):
+def test_sweep_windows_cover_ramps_past_the_placement_margin():
+    # a 54-minute bias with a 30-minute ramp half-width: the start ramp
+    # reaches past the padded window, which widens to cover it
+    config = SimConfig(seed=1, n_events=40, bias_fraction=0.9)
     catalog = CategoryCatalog.from_periods((60, 30, 15, 5, 1))
-    got = _outcome(run_mse_experiment, config, (60,), catalog)
-    assert got == _outcome(reference_run_mse_experiment, config, (60,), catalog)
-    assert got[0] is InputError and message in got[1]
-    got = _outcome(run_f1_experiment, config, (60,), (config.bias_fraction,), catalog)
-    expected = _outcome(
-        reference_run_f1_experiment, config, (60,), (config.bias_fraction,), catalog
-    )
-    assert got == expected
+    got = run_mse_experiment(config, (60,), catalog)
+    assert got == reference_run_mse_experiment(config, (60,), catalog)
+    got = run_f1_experiment(config, (60,), (config.bias_fraction,), catalog)
+    assert got == reference_run_f1_experiment(config, (60,), (config.bias_fraction,), catalog)
 
 
 def test_sweeps_span_several_grid_blocks():
@@ -262,71 +241,12 @@ SEEDS = [0, 3, 7, 2**32 - 1, 2**32, 2**64 + 5]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_seed_words_match_seed_sequence(seed):
-    tags = (seed, 30, 5, 2**32 + 1, 0)
-    words = _seed_words(*tags)
-    assert words.dtype == np.uint32
-    np.testing.assert_array_equal(
-        np.random.SeedSequence(words).generate_state(4),
-        np.random.SeedSequence(list(tags)).generate_state(4),
-    )
-
-
-def test_seed_words_reject_negative_ints_like_seed_sequence():
-    with pytest.raises(ValueError):
-        np.random.SeedSequence([-1])
-    with pytest.raises(ValueError):
-        _seed_words(0, -1)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_error_rate_trials_draw_from_their_own_seeds(seed):
+def test_error_rate_trials_are_rows_of_their_points_stream(seed):
     got = run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=4)
     assert got == reference_run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=4)
 
 
-def _entropy_batches():
-    """SeedSequence entropy of 1 to 7 uint32 words, one (rows, width) batch
-    per width: random 1-4-word rows (the first all zeros, the second all
-    ones), then the 5-7-word rows the error-rate sweep builds from SEEDS."""
-    rng = np.random.default_rng(19)
-    batches = []
-    for width in range(1, 5):
-        words = rng.integers(0, 2**32, size=(30, width), dtype=np.uint64).astype(np.uint32)
-        words[0], words[1] = 0, 2**32 - 1
-        batches.append(words)
-    sweep = [_seed_words(seed, 30, 5, 7, trial) for seed in SEEDS for trial in range(10)]
-    for width in (5, 6, 7):
-        batches.append(np.array([words for words in sweep if len(words) == width]))
-    return batches
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 100])
-@pytest.mark.parametrize("high", [1, 2, 3, 6, 12, 60, 2**31 + 1, 2**32, 2**32 + 1])
-def test_seeded_integers_match_numpy_bit_for_bit(high, n):
-    # NEP 19 keeps SeedSequence and PCG64 streams stable but not Generator
-    # methods, so this also guards against a NumPy that changes `integers`
-    batches = _entropy_batches()
-    fallbacks = 0
-    for words in batches:
-        expected = np.array(
-            [
-                np.random.default_rng(np.random.SeedSequence(row)).integers(0, high, size=n)
-                for row in words
-            ]
-        )
-        with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as numpy_rng:
-            got = _seeded_integers(words, np.full(len(words), high), n)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, expected)
-        fallbacks += numpy_rng.call_count
-    rows = sum(len(words) for words in batches)
-    if high > 2**32:
-        assert fallbacks == rows  # NumPy draws such bounds from 64-bit outputs
-    elif high == 2**31 + 1:
-        # about half of all draws reject, so at n = 100 every row does
-        assert fallbacks == rows if n == 100 else fallbacks > 0
-    else:
-        # a draw rejects with probability (2**32 % high) / 2**32, at most
-        # 4e-9 here, and none of these rows does
-        assert fallbacks == 0
+def test_error_rate_point_does_not_depend_on_the_other_points_swept():
+    swept = run_error_rate_experiment(seed=5, n_values=(1, 7, 20), trials=30)
+    alone = run_error_rate_experiment(seed=5, n_values=(7,), trials=30)
+    assert [r for r in swept if r["n_annotations"] == 7] == alone
