@@ -19,6 +19,7 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
+from tempolabel.simulate import _rng
 
 from .oracles import (
     reference_run_error_rate_experiment,
@@ -250,3 +251,25 @@ def test_error_rate_point_does_not_depend_on_the_other_points_swept():
     swept = run_error_rate_experiment(seed=5, n_values=(1, 7, 20), trials=30)
     alone = run_error_rate_experiment(seed=5, n_values=(7,), trials=30)
     assert [r for r in swept if r["n_annotations"] == 7] == alone
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 100])
+@pytest.mark.parametrize("high", [1, 2, 3, 6, 12, 60, 2**31 + 1, 2**32, 2**32 + 1])
+def test_seeded_integers_match_numpy_bit_for_bit(high, n):
+    # a point's (trials, n) batch must equal its trials drawn one row at a
+    # time from the same stream, and fewer trials the first rows of more;
+    # NEP 19 does not promise Generator methods across NumPy versions, so
+    # this guards the error-rate sweep's trial contract on the NumPy in use
+    trials = 9
+    for seed in SEEDS:
+        batch = _rng(seed, 30, 5, n).integers(0, high, size=(trials, n))
+        assert batch.dtype == np.int64
+        assert batch.shape == (trials, n)
+        stream = _rng(seed, 30, 5, n)
+        rows = np.array([stream.integers(0, high, size=n) for _ in range(trials)])
+        np.testing.assert_array_equal(batch, rows)
+        for fewer in (1, 4):
+            np.testing.assert_array_equal(
+                _rng(seed, 30, 5, n).integers(0, high, size=(fewer, n)), batch[:fewer]
+            )
+        assert ((batch >= 0) & (batch < high)).all()
