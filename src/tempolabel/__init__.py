@@ -49,10 +49,8 @@ from .labels import (
     soft_series,
 )
 from .simulate import (
-    SimConfig,
     annotate,
     generate_events,
-    round_to_resolution,
     run_error_rate_experiment,
     run_f1_experiment,
     run_mse_experiment,

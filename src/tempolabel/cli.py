@@ -46,7 +46,6 @@ from .simulate import (
     DEFAULT_N_SWEEP,
     DEFAULT_RESOLUTIONS,
     DEFAULT_TRIALS,
-    SimConfig,
     run_error_rate_experiment,
     run_f1_experiment,
     run_mse_experiment,
@@ -314,13 +313,10 @@ def simulate_cmd(
     """Run the synthetic experiments and write their tables as CSV.
 
     Every requested table is computed before `--out` is created, so an
-    invalid option exits 2 without leaving a partial result.
+    invalid option exits 2 without leaving a partial result. Only the
+    options the requested experiments read are checked.
     """
     catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
-    res_list = _parse_list(resolutions, int)
-    bias_list = _parse_list(biases, float)
-    n_list = _parse_list(n_sweep, int)
-    base = SimConfig(seed=seed, n_events=events)
     shared = {
         "seed": seed,
         "delta": model.delta,
@@ -329,13 +325,14 @@ def simulate_cmd(
     }
     tables = {}  # file name -> rows and header config
     if experiment in ("all", "mse"):
-        table = run_mse_experiment(base, res_list, catalog, model)
+        table = run_mse_experiment(seed, events, _parse_list(resolutions, int), catalog, model)
         tables["mse.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "f1"):
-        table = run_f1_experiment(base, res_list, bias_list, catalog, model)
+        res_list, bias_list = _parse_list(resolutions, int), _parse_list(biases, float)
+        table = run_f1_experiment(seed, events, res_list, bias_list, catalog, model)
         tables["f1.csv"] = table, {**shared, "n_events": events}
     if experiment in ("all", "error-rate"):
-        table = run_error_rate_experiment(seed, n_list, trials, catalog, model)
+        table = run_error_rate_experiment(seed, _parse_list(n_sweep, int), trials, catalog, model)
         tables["error_rate.csv"] = table, {**shared, "trials": trials}
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -3,28 +3,32 @@ and score the resulting hard and soft labels against the known ground truth.
 
 The traffic is fixed: one true event per day, 20 to 90 minutes long, kept
 46 minutes from either midnight, so that the widest ramp (30 minutes) and
-the ±15-minute boundary band fit inside its day. `generate_events` returns
-a sweep point's true and annotated events as two (events, 2) arrays.
+the ±15-minute boundary band fit inside its day. `generate_events` draws a
+sweep point's true events and `annotate` rounds them.
 
 Three experiments:
 
 * MSE sweep: per annotation resolution, mean squared label error within
-  ±15 minutes of the true boundaries, hard vs soft.
+  ±15 minutes of the true boundaries, hard vs soft, for an unbiased annotator.
 * F1 sweep: per resolution and bias, micro-averaged F1 of hard and soft
-  labels against the true hard labels. When a bias was injected, the soft
-  boundary ramps are re-centered by that known offset before sampling — the
-  experiment knows the offset it applied, and the hard labels keep the raw
-  biased annotations, which is exactly the contrast being measured.
+  labels against the true hard labels, all biases of a resolution annotating
+  the same true events. When a bias was injected, the soft boundary ramps
+  are re-centered by that known offset before sampling — the experiment
+  knows the offset it applied, and the hard labels keep the raw biased
+  annotations, which is exactly the contrast being measured.
 * Category error rate: per true category, how often the per-annotation MAP
   category is wrong as the number of annotations grows.
 
 Every experiment infers categories through the inference module rather than
 reusing the resolution it simulated with, so the full pipeline is exercised.
 Like the posteriors, each takes a `CategoryCatalog` and a `SwitchModel`,
-defaulting to the default catalogue and `SwitchModel()`.
-All randomness flows from seeds derived per sweep point, so no point's draws
-depend on which other points are swept, and rerunning any experiment with
-the same seed reproduces it bit for bit.
+defaulting to the default catalogue and `SwitchModel()`, and each checks
+only the arguments it reads. Each sweep point draws from one generator:
+`_rng(seed, 10, resolution)` for an MSE point, `_rng(seed, 20, resolution)`
+for the true events of an F1 resolution, `_rng(seed, 30, period, n)` for an
+error-rate point. So no point's draws depend on which other points are
+swept, and rerunning any experiment with the same seed reproduces it bit
+for bit.
 
 The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
 point with `labels.label_grids`, the flat label grid that `soft-labels`
@@ -32,14 +36,10 @@ uses too; this module only chooses each event's window and bias-shifted
 ramp centers. Each event is scored as one segment of that grid by
 `evaluation.segment_boundary_mse` and `evaluation.segment_confusion`, where
 the summation rule lives, so the tables are exactly those of scoring event
-by event. The error-rate sweep draws all trials of one (period, n) point
-from one NumPy generator seeded from (seed, 30, period, n), one row per
-trial.
+by event.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,71 +71,52 @@ DURATION_RANGE = (20, 90)
 PLACEMENT_MARGIN = DEFAULT_PERIODS[0] + BOUNDARY_HALFWIDTH + 1
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One sweep point: the seed and number of events to draw, and how the
-    annotator rounds them (resolution, and bias as a fraction of it)."""
-
-    seed: int = 0
-    n_events: int = DEFAULT_EVENTS
-    resolution_minutes: int = 30
-    bias_fraction: float = 0.0
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.n_events < 1:
-            raise ConfigError(f"n_events must be positive, got {self.n_events}")
-        if not 0.0 <= self.bias_fraction < 1.0:
-            raise ConfigError(f"bias fraction must be in [0, 1), got {self.bias_fraction}")
-        if self.resolution_minutes < 1 or MINUTES_PER_HOUR % self.resolution_minutes != 0:
-            raise ConfigError(f"resolution must divide 60, got {self.resolution_minutes}")
-
-    @property
-    def bias_minutes(self) -> float:
-        return self.bias_fraction * self.resolution_minutes
-
-
 def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, tags)]))
 
 
-def round_to_resolution(t, resolution: int):
-    """Nearest multiple of `resolution`; exact midpoints round up. Arrays
-    round element-wise to int64; a scalar gives an int."""
-    out = np.floor(np.divide(t, resolution) + 0.5).astype(np.int64) * resolution
-    return int(out) if out.ndim == 0 else out
+def _check_sweep(seed: int, count: int, count_name: str, resolutions=()) -> None:
+    """Reject a negative seed, a count below one, and a resolution that
+    does not divide the hour, each before anything is drawn."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if count < 1:
+        raise ConfigError(f"{count_name} must be positive, got {count}")
+    for res in resolutions:
+        if res < 1 or MINUTES_PER_HOUR % res != 0:
+            raise ConfigError(f"resolution must divide 60, got {res}")
 
 
 def annotate(true_time, resolution: int, bias_minutes: float = 0.0):
-    """Apply the offset first, then round — the annotator's recalled time.
-    Broadcasts like `round_to_resolution`."""
-    return round_to_resolution(np.add(true_time, bias_minutes), resolution)
+    """The annotator's recalled time: offset by `bias_minutes`, then rounded
+    to the nearest multiple of `resolution`, exact midpoints up. Arrays round
+    element-wise to int64; a scalar gives an int."""
+    out = np.floor(np.divide(np.add(true_time, bias_minutes), resolution) + 0.5)
+    out = out.astype(np.int64) * resolution
+    return int(out) if out.ndim == 0 else out
 
 
-def generate_events(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one true event per day and round it like an annotator would.
+def generate_events(rng: np.random.Generator, n_events: int) -> np.ndarray:
+    """Draw one true event per day from `rng`.
 
-    Returns two (n_events, 2) int64 arrays of absolute start and end
-    minutes: `truth`, then `annotated`. Event i falls on day i, its duration
-    drawn from DURATION_RANGE, then its start so that it keeps
+    Returns an (n_events, 2) int64 array of absolute start and end minutes.
+    Event i falls on day i. All durations are drawn first, from
+    DURATION_RANGE, then all starts, each so that its event keeps
     PLACEMENT_MARGIN minutes from either midnight.
     """
-    rng = _rng(config.seed, 1)
     dmin, dmax = DURATION_RANGE
-    truth = np.empty((config.n_events, 2), dtype=np.int64)
-    for day in range(config.n_events):
-        dur = int(rng.integers(dmin, dmax + 1))
-        start = int(rng.integers(PLACEMENT_MARGIN, MINUTES_PER_DAY - PLACEMENT_MARGIN - dur + 1))
-        start += day * MINUTES_PER_DAY
-        truth[day] = start, start + dur
-    return truth, annotate(truth, config.resolution_minutes, config.bias_minutes)
+    durations = rng.integers(dmin, dmax + 1, size=n_events)
+    starts = rng.integers(PLACEMENT_MARGIN, MINUTES_PER_DAY - PLACEMENT_MARGIN - durations + 1)
+    starts += MINUTES_PER_DAY * np.arange(n_events)
+    return np.column_stack((starts, starts + durations))
 
 
-def _label_grids(config: SimConfig, tag: int, catalog: CategoryCatalog, model: SwitchModel):
-    """One sweep point's true events, seeded from (config.seed, `tag`,
-    resolution), and their label grids, with the truth, then the annotation,
-    as hard labels.
+def _label_grids(
+    truth, resolution: int, bias_fraction: float, catalog: CategoryCatalog, model: SwitchModel
+):
+    """Annotate the true events at `resolution` with a bias of
+    `bias_fraction` of it, and yield their label grids, with the truth, then
+    the annotation, as hard labels.
 
     Event i's window is [min(true, annotated) start - pad, max(true,
     annotated) end + pad), pad being PLACEMENT_MARGIN, widened where needed
@@ -144,30 +125,32 @@ def _label_grids(config: SimConfig, tag: int, catalog: CategoryCatalog, model: S
     it added, and removing it restores the zero-mean rounding the soft
     label's uniform ramp is built to cover.
     """
-    seed = _derived_seed(config.seed, tag, config.resolution_minutes)
-    truth, annotated = generate_events(replace(config, seed=seed))
+    bias_minutes = bias_fraction * resolution
+    annotated = annotate(truth, resolution, bias_minutes)
     half_widths = boundary_periods(annotated, catalog, model) / 2.0
-    centers = annotated - config.bias_minutes
+    centers = annotated - bias_minutes
     ramp_lo, ramp_hi = padded_bounds(*centers.T, *half_widths.T, 0)
     lo = np.minimum(np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN, ramp_lo)
     hi = np.maximum(np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN, ramp_hi)
-    return truth, label_grids(lo, hi, centers, half_widths, (truth, annotated))
+    return label_grids(lo, hi, centers, half_widths, (truth, annotated))
 
 
 def run_mse_experiment(
-    base: SimConfig,
+    seed: int = 0,
+    n_events: int = DEFAULT_EVENTS,
     resolutions=DEFAULT_RESOLUTIONS,
-    catalog: CategoryCatalog | None = None,
-    model: SwitchModel | None = None,
+    catalog: CategoryCatalog = CategoryCatalog.default(),
+    model: SwitchModel = SwitchModel(),
 ) -> list[dict]:
-    """Boundary-window MSE of hard and soft labels vs truth, per resolution."""
-    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
+    """Boundary-window MSE of hard and soft labels vs truth, per resolution,
+    for an unbiased annotator. Resolution r's events are drawn from
+    `_rng(seed, 10, r)`."""
+    _check_sweep(seed, n_events, "n_events", resolutions)
     rows = []
     for res in resolutions:
-        config = replace(base, resolution_minutes=res)  # checks res before it seeds
-        truth, grids = _label_grids(config, 10, catalog, model)
+        truth = generate_events(_rng(seed, 10, res), n_events)
         scores = []
-        for grid in grids:
+        for grid in _label_grids(truth, res, 0.0, catalog, model):
             r, p = grid.hard  # truth, annotation
             differences = (r - p, r - grid.soft)
             scores.append(
@@ -179,8 +162,8 @@ def run_mse_experiment(
         rows.append(
             {
                 "resolution_minutes": res,
-                "bias_fraction": config.bias_fraction,
-                "n_events": config.n_events,
+                "bias_fraction": 0.0,
+                "n_events": n_events,
                 "mse_hard": float(np.mean(hard_scores)),
                 "mse_soft": float(np.mean(soft_scores)),
             }
@@ -189,26 +172,29 @@ def run_mse_experiment(
 
 
 def run_f1_experiment(
-    base: SimConfig,
+    seed: int = 0,
+    n_events: int = DEFAULT_EVENTS,
     resolutions=DEFAULT_RESOLUTIONS,
     bias_fractions=DEFAULT_BIASES,
-    catalog: CategoryCatalog | None = None,
-    model: SwitchModel | None = None,
+    catalog: CategoryCatalog = CategoryCatalog.default(),
+    model: SwitchModel = SwitchModel(),
 ) -> list[dict]:
     """Micro-averaged F1 of hard and soft labels vs truth, per resolution and bias.
 
-    The same true events are reused across bias settings of one resolution,
-    so bias is the only thing that changes between those rows. Confusion
-    counts are added event by event, in event order.
+    Resolution r's true events are drawn once, from `_rng(seed, 20, r)`, and
+    annotated once per bias, so bias is the only thing that changes between
+    those rows. Confusion counts are added event by event, in event order.
     """
-    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
+    _check_sweep(seed, n_events, "n_events", resolutions)
+    for bias in bias_fractions:
+        if not 0.0 <= bias < 1.0:
+            raise ConfigError(f"bias fraction must be in [0, 1), got {bias}")
     rows = []
     for res in resolutions:
+        truth = generate_events(_rng(seed, 20, res), n_events)
         for bias in bias_fractions:
-            config = replace(base, resolution_minutes=res, bias_fraction=bias)
-            truth, grids = _label_grids(config, 20, catalog, model)
             cells = []
-            for grid in grids:
+            for grid in _label_grids(truth, res, bias, catalog, model):
                 r, p = grid.hard  # truth, annotation
                 cells += [segment_confusion(r, x, grid.offsets) for x in (p, grid.soft)]
             # a running sum, not a pairwise one: counts add up one event at a time
@@ -217,7 +203,7 @@ def run_f1_experiment(
                 {
                     "resolution_minutes": res,
                     "bias_fraction": bias,
-                    "n_events": config.n_events,
+                    "n_events": n_events,
                     "f1_hard": f1(SoftConfusionMatrix(*hard.tolist())),
                     "f1_soft": f1(SoftConfusionMatrix(*soft.tolist())),
                 }
@@ -229,8 +215,8 @@ def run_error_rate_experiment(
     seed: int = 0,
     n_values=DEFAULT_N_SWEEP,
     trials: int = DEFAULT_TRIALS,
-    catalog: CategoryCatalog | None = None,
-    model: SwitchModel | None = None,
+    catalog: CategoryCatalog = CategoryCatalog.default(),
+    model: SwitchModel = SwitchModel(),
 ) -> list[dict]:
     """MAP category error rate vs number of annotations, per catalogue category.
 
@@ -243,11 +229,7 @@ def run_error_rate_experiment(
     batched posterior call: a trial is its minute histogram, and every
     annotation at minute m has the MAP category of table row m.
     """
-    catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
+    _check_sweep(seed, trials, "trials")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
     first_slot = MINUTES_PER_HOUR * np.arange(trials)[:, None]
@@ -272,9 +254,3 @@ def run_error_rate_experiment(
                 }
             )
     return rows
-
-
-def _derived_seed(base_seed: int, experiment_tag: int, *tags: int) -> int:
-    """Stable 63-bit seed for one run, independent of sweep order."""
-    ss = np.random.SeedSequence([int(base_seed), int(experiment_tag), *map(int, tags)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)

@@ -12,7 +12,6 @@ category posterior per trial.
 import csv
 import itertools
 import math
-from dataclasses import replace
 from datetime import date, timedelta
 from typing import NamedTuple
 
@@ -29,12 +28,13 @@ from tempolabel.inference import (
 )
 from tempolabel.labels import BoundaryDistribution, TimeWindow, hard_series, soft_series
 from tempolabel.simulate import (
+    DEFAULT_EVENTS,
     DEFAULT_N_SWEEP,
     DEFAULT_RESOLUTIONS,
     DEFAULT_TRIALS,
     PLACEMENT_MARGIN,
-    _derived_seed,
     _rng,
+    annotate,
     generate_events,
 )
 
@@ -179,9 +179,11 @@ class _SimulatedEvent(NamedTuple):
     annotated_end: int
 
 
-def _simulated_events(config):
-    """`generate_events`' true and annotated spans, one record per event."""
-    truth, annotated = generate_events(config)
+def _simulated_events(rng, n_events, resolution, bias_minutes):
+    """The true spans `generate_events` draws from `rng` and their
+    annotation, one record per event."""
+    truth = generate_events(rng, n_events)
+    annotated = annotate(truth, resolution, bias_minutes)
     return [_SimulatedEvent(*t, *a) for t, a in zip(truth.tolist(), annotated.tolist())]
 
 
@@ -202,7 +204,7 @@ def _infer_boundary_categories(records, catalog, model):
     return [(cats[2 * i], cats[2 * i + 1]) for i in range(len(records))]
 
 
-def reference_event_series(rec, cat_s, cat_e, config):
+def reference_event_series(rec, cat_s, cat_e, bias_minutes):
     """Truth, hard and soft series for one record on its own grid.
 
     Soft ramps are centered on the annotation minus the injected bias. The
@@ -211,11 +213,11 @@ def reference_event_series(rec, cat_s, cat_e, config):
     """
     pad = PLACEMENT_MARGIN
     start = BoundaryDistribution(
-        center=rec.annotated_start - config.bias_minutes,
+        center=rec.annotated_start - bias_minutes,
         half_width=cat_s.period_minutes / 2.0,
     )
     end = BoundaryDistribution(
-        center=rec.annotated_end - config.bias_minutes,
+        center=rec.annotated_end - bias_minutes,
         half_width=cat_e.period_minutes / 2.0,
     )
     lo = min(rec.true_start - pad, rec.annotated_start - pad, math.floor(start.lo))
@@ -228,26 +230,25 @@ def reference_event_series(rec, cat_s, cat_e, config):
 
 
 def reference_run_mse_experiment(
-    base, resolutions=DEFAULT_RESOLUTIONS, catalog=None, model=None
+    seed=0, n_events=DEFAULT_EVENTS, resolutions=DEFAULT_RESOLUTIONS, catalog=None, model=None
 ):
     """`run_mse_experiment` with one label series and one masked MSE per record."""
     catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
-        config = replace(base, resolution_minutes=res, seed=_derived_seed(base.seed, 10, res))
-        records = _simulated_events(config)
+        records = _simulated_events(_rng(seed, 10, res), n_events, res, 0.0)
         cats = _infer_boundary_categories(records, catalog, model)
         hard_scores = []
         soft_scores = []
         for rec, (cat_s, cat_e) in zip(records, cats):
-            truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
+            truth, hard, soft = reference_event_series(rec, cat_s, cat_e, 0.0)
             mask = boundary_slot_mask(truth, (rec.true_start, rec.true_end), BOUNDARY_HALFWIDTH)
             hard_scores.append(reference_masked_mse(truth, hard, mask))
             soft_scores.append(reference_masked_mse(truth, soft, mask))
         rows.append(
             {
                 "resolution_minutes": res,
-                "bias_fraction": config.bias_fraction,
+                "bias_fraction": 0.0,
                 "n_events": len(records),
                 "mse_hard": float(np.mean(hard_scores)),
                 "mse_soft": float(np.mean(soft_scores)),
@@ -269,26 +270,27 @@ def _confusion_cells(r, p):
 
 
 def reference_run_f1_experiment(
-    base, resolutions=DEFAULT_RESOLUTIONS, bias_fractions=(0.0, 0.5), catalog=None, model=None
+    seed=0,
+    n_events=DEFAULT_EVENTS,
+    resolutions=DEFAULT_RESOLUTIONS,
+    bias_fractions=(0.0, 0.5),
+    catalog=None,
+    model=None,
 ):
     """`run_f1_experiment` with one label series per record and its confusion
-    cells summed with `np.sum`, record by record."""
+    cells summed with `np.sum`, record by record. Each bias draws its
+    resolution's true events again, from the same `_rng(seed, 20, res)`."""
     catalog, model = catalog or CategoryCatalog.default(), model or SwitchModel()
     rows = []
     for res in resolutions:
         for bias in bias_fractions:
-            config = replace(
-                base,
-                resolution_minutes=res,
-                bias_fraction=bias,
-                seed=_derived_seed(base.seed, 20, res),
-            )
-            records = _simulated_events(config)
+            bias_minutes = bias * res
+            records = _simulated_events(_rng(seed, 20, res), n_events, res, bias_minutes)
             cats = _infer_boundary_categories(records, catalog, model)
             total_hard = np.zeros(4)
             total_soft = np.zeros(4)
             for rec, (cat_s, cat_e) in zip(records, cats):
-                truth, hard, soft = reference_event_series(rec, cat_s, cat_e, config)
+                truth, hard, soft = reference_event_series(rec, cat_s, cat_e, bias_minutes)
                 total_hard += _confusion_cells(truth.values, hard.values)
                 total_soft += _confusion_cells(truth.values, soft.values)
             rows.append(

@@ -16,7 +16,6 @@ from tempolabel import (
     HmmParams,
     LabelSeries,
     SensorSeries,
-    SimConfig,
     TimeWindow,
     category_posterior,
     fit_emissions,
@@ -95,7 +94,7 @@ def test_criterion_3_error_rate_curves():
 
 def test_criterion_4_mse_trend():
     started = time.time()
-    rows = run_mse_experiment(SimConfig(seed=202, n_events=500))
+    rows = run_mse_experiment(seed=202, n_events=500)
     by_res = {r["resolution_minutes"]: r for r in rows}
     assert by_res[1]["mse_hard"] <= 1e-12
     assert by_res[1]["mse_soft"] <= 1e-12
@@ -111,7 +110,7 @@ def test_criterion_4_mse_trend():
 
 def test_criterion_5_f1_trend():
     started = time.time()
-    rows = run_f1_experiment(SimConfig(seed=303, n_events=500))
+    rows = run_f1_experiment(seed=303, n_events=500)
     table = {(r["resolution_minutes"], r["bias_fraction"]): r for r in rows}
     for res in (1, 5, 10, 15, 30):
         unbiased = table[(res, 0.0)]

@@ -924,14 +924,31 @@ def test_simulate_invalid_options_leave_no_out_dir(runner, tmp_path, args, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, table",
+    [
+        (["--experiment", "error-rate", "--events", "0"], "error_rate.csv"),
+        (["--experiment", "mse", "--trials", "0"], "mse.csv"),
+        (["--experiment", "f1", "--n-sweep", "x"], "f1.csv"),
+    ],
+)
+def test_simulate_checks_only_the_options_its_experiment_reads(runner, tmp_path, args, table):
+    out = tmp_path / "sim"
+    result = runner.invoke(
+        main, ["simulate", "--events", "5", "--trials", "2", *args, "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert [p.name for p in out.iterdir()] == [table]
+
+
 # SHA-256 of the tables written by `simulate --seed 42 --trials 30` (CLI
 # defaults otherwise). The tables embed tool_version, so a version bump
 # changes these digests too. All three depend on NumPy's `Generator.integers`
 # streams, which NEP 19 does not promise to keep across NumPy versions.
 GOLDEN_SIMULATE_SHA256 = {
     "error_rate.csv": "9682e59db7baec5cdc251ac292eed033f580c7fabc776819f1124392b45353c1",
-    "f1.csv": "047d936f78e9fdc91b5839217e5aae27a7f903a3654385663ecace387e6dc5b8",
-    "mse.csv": "51bc414668d8fd8ac10e7b10ea8c3387ffc5a4cef04fc893b150701f327d167e",
+    "f1.csv": "77e18926a12357213314ab173ce9ca0b2bc08b2b1e9396e260cb119d2dbdb2a7",
+    "mse.csv": "ca51acd372eabba0da79f52eb2e688793bb37d851f62597e5ed997a8a3398009",
 }
 
 

@@ -3,17 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
     CategoryCatalog,
     ConfigError,
     SwitchModel,
-    SimConfig,
     annotate,
     generate_events,
-    round_to_resolution,
     run_error_rate_experiment,
     run_f1_experiment,
     run_mse_experiment,
@@ -36,9 +34,10 @@ def test_rounding_examples():
 
 
 def test_midpoint_rounds_up():
-    assert round_to_resolution(495, 30) == 510
-    assert round_to_resolution(15, 30) == 30
-    assert round_to_resolution(7.5, 15) == 15
+    assert annotate(495, 30) == 510
+    assert annotate(15, 30) == 30
+    assert annotate(7.5, 15) == 15
+    assert annotate(480, 30, 15.0) == 510
 
 
 @settings(deadline=None, max_examples=100)
@@ -60,11 +59,9 @@ def test_rounding_residual_bound(true_times, resolution, bias_fraction):
 
 
 def test_generate_events_deterministic_and_sane():
-    config = SimConfig(seed=11, n_events=40, resolution_minutes=15)
-    truth, annotated = generate_events(config)
-    again = generate_events(config)
-    np.testing.assert_array_equal(truth, again[0])
-    np.testing.assert_array_equal(annotated, again[1])
+    truth = generate_events(_rng(11, 1), 40)
+    np.testing.assert_array_equal(truth, generate_events(_rng(11, 1), 40))
+    annotated = annotate(truth, 15)
     assert truth.shape == annotated.shape == (40, 2)
     assert truth.dtype == annotated.dtype == np.int64
     for (true_start, true_end), (annotated_start, annotated_end) in zip(
@@ -82,14 +79,13 @@ def test_generate_events_deterministic_and_sane():
 def test_debiased_ramp_support_always_covers_truth():
     # with bias <= resolution/2 the true boundary must sit inside the
     # re-centered ramp support [center - T/2, center + T/2]
-    config = SimConfig(seed=9, n_events=200, resolution_minutes=30, bias_fraction=0.5)
-    truth, annotated = generate_events(config)
-    center = annotated - config.bias_minutes
+    truth = generate_events(_rng(9, 1), 200)
+    center = annotate(truth, 30, 15.0) - 15.0
     assert np.all(np.abs(truth - center) <= 15.0)
 
 
 def test_mse_experiment_rows_and_resolution_one():
-    rows = run_mse_experiment(SimConfig(seed=2, n_events=60), resolutions=(1, 30))
+    rows = run_mse_experiment(seed=2, n_events=60, resolutions=(1, 30))
     assert [r["resolution_minutes"] for r in rows] == [1, 30]
     res1 = rows[0]
     assert res1["mse_hard"] <= 1e-12 and res1["mse_soft"] <= 1e-12
@@ -98,9 +94,7 @@ def test_mse_experiment_rows_and_resolution_one():
 
 
 def test_f1_experiment_shares_truth_across_biases():
-    rows = run_f1_experiment(
-        SimConfig(seed=4, n_events=40), resolutions=(15,), bias_fractions=(0.0, 0.5)
-    )
+    rows = run_f1_experiment(seed=4, n_events=40, resolutions=(15,), bias_fractions=(0.0, 0.5))
     assert {r["bias_fraction"] for r in rows} == {0.0, 0.5}
     assert all(r["n_events"] == 40 for r in rows)
     unbiased = next(r for r in rows if r["bias_fraction"] == 0.0)
@@ -110,9 +104,7 @@ def test_f1_experiment_shares_truth_across_biases():
 
 
 def test_f1_resolution_one_unbiased_is_perfect():
-    rows = run_f1_experiment(
-        SimConfig(seed=8, n_events=50), resolutions=(1,), bias_fractions=(0.0,)
-    )
+    rows = run_f1_experiment(seed=8, n_events=50, resolutions=(1,), bias_fractions=(0.0,))
     assert rows[0]["f1_hard"] == 1.0
     assert rows[0]["f1_soft"] == 1.0
 
@@ -149,10 +141,9 @@ def test_error_rate_experiment_rejects_no_trials():
 
 
 def test_negative_seed_is_config_error():
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-        SimConfig(seed=-1)
-    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
-        run_error_rate_experiment(seed=-1, n_values=(1,), trials=1)
+    for run in (run_mse_experiment, run_f1_experiment, run_error_rate_experiment):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            run(seed=-1)
 
 
 @pytest.mark.parametrize("n_values", [(0,), (-1,), (1, 0, 2)])
@@ -191,11 +182,7 @@ _CATALOGS = [(30, 15, 10, 5, 1), (60, 30, 15, 5, 1), (60, 20, 1), (12, 4, 1)]
 
 @st.composite
 def _sweep_case(draw):
-    config = SimConfig(
-        seed=draw(st.integers(0, 2**40)),
-        n_events=draw(st.integers(1, 60)),
-        bias_fraction=draw(st.sampled_from([0.0, 0.5, 0.9])),  # the MSE sweep's bias
-    )
+    seed, n_events = draw(st.integers(0, 2**40)), draw(st.integers(1, 60))
     model = SwitchModel(draw(st.floats(0.01, 0.5)))
     resolutions = draw(
         st.lists(st.sampled_from([1, 5, 10, 12, 15, 20, 30, 60]), min_size=1, max_size=3)
@@ -205,37 +192,32 @@ def _sweep_case(draw):
     )
     catalog = CategoryCatalog.from_periods(draw(st.sampled_from(_CATALOGS)))
     block = draw(st.sampled_from([1, 3, labels._GRID_RECORDS]))
-    return config, resolutions, biases, catalog, model, block
+    return seed, n_events, resolutions, biases, catalog, model, block
 
 
 @settings(deadline=None, max_examples=60)
 @given(case=_sweep_case())
+# a 54-minute bias with a 30-minute ramp half-width: the start ramp reaches
+# past the padded window, which widens to cover it
+@example(case=(1, 40, [60], [0.9], CategoryCatalog.from_periods((60, 30, 15, 5, 1)),
+               SwitchModel(), labels._GRID_RECORDS))
 def test_sweeps_match_per_record_reference(case):
-    config, resolutions, biases, catalog, model, block = case
+    seed, n_events, resolutions, biases, catalog, model, block = case
     with mock.patch.object(labels, "_GRID_RECORDS", block):
-        got_mse = run_mse_experiment(config, resolutions, catalog, model)
-        got_f1 = run_f1_experiment(config, resolutions, biases, catalog, model)
-    assert got_mse == reference_run_mse_experiment(config, resolutions, catalog, model)
-    assert got_f1 == reference_run_f1_experiment(config, resolutions, biases, catalog, model)
-
-
-def test_sweep_windows_cover_ramps_past_the_placement_margin():
-    # a 54-minute bias with a 30-minute ramp half-width: the start ramp
-    # reaches past the padded window, which widens to cover it
-    config = SimConfig(seed=1, n_events=40, bias_fraction=0.9)
-    catalog = CategoryCatalog.from_periods((60, 30, 15, 5, 1))
-    got = run_mse_experiment(config, (60,), catalog)
-    assert got == reference_run_mse_experiment(config, (60,), catalog)
-    got = run_f1_experiment(config, (60,), (config.bias_fraction,), catalog)
-    assert got == reference_run_f1_experiment(config, (60,), (config.bias_fraction,), catalog)
+        got_mse = run_mse_experiment(seed, n_events, resolutions, catalog, model)
+        got_f1 = run_f1_experiment(seed, n_events, resolutions, biases, catalog, model)
+    want_mse = reference_run_mse_experiment(seed, n_events, resolutions, catalog, model)
+    assert got_mse == want_mse
+    want_f1 = reference_run_f1_experiment(seed, n_events, resolutions, biases, catalog, model)
+    assert got_f1 == want_f1
 
 
 def test_sweeps_span_several_grid_blocks():
-    config = SimConfig(seed=6, n_events=2 * labels._GRID_RECORDS + 7)
-    assert run_mse_experiment(config, (5, 30)) == reference_run_mse_experiment(config, (5, 30))
-    assert run_f1_experiment(config, (15,), (0.0, 0.5)) == reference_run_f1_experiment(
-        config, (15,), (0.0, 0.5)
-    )
+    n_events = 2 * labels._GRID_RECORDS + 7
+    mse_args = dict(seed=6, n_events=n_events, resolutions=(5, 30))
+    assert run_mse_experiment(**mse_args) == reference_run_mse_experiment(**mse_args)
+    f1_args = dict(seed=6, n_events=n_events, resolutions=(15,), bias_fractions=(0.0, 0.5))
+    assert run_f1_experiment(**f1_args) == reference_run_f1_experiment(**f1_args)
 
 
 SEEDS = [0, 3, 7, 2**32 - 1, 2**32, 2**64 + 5]
@@ -247,10 +229,21 @@ def test_error_rate_trials_are_rows_of_their_points_stream(seed):
     assert got == reference_run_error_rate_experiment(seed=seed, n_values=(1, 7), trials=4)
 
 
-def test_error_rate_point_does_not_depend_on_the_other_points_swept():
-    swept = run_error_rate_experiment(seed=5, n_values=(1, 7, 20), trials=30)
-    alone = run_error_rate_experiment(seed=5, n_values=(7,), trials=30)
-    assert [r for r in swept if r["n_annotations"] == 7] == alone
+@pytest.mark.parametrize(
+    "run, swept, alone, key, value",
+    [
+        (run_error_rate_experiment, dict(trials=30, n_values=(1, 7, 20)),
+         dict(trials=30, n_values=(7,)), "n_annotations", 7),
+        (run_mse_experiment, dict(n_events=30, resolutions=(5, 15, 30)),
+         dict(n_events=30, resolutions=(15,)), "resolution_minutes", 15),
+        (run_f1_experiment, dict(n_events=30, resolutions=(15,), bias_fractions=(0.0, 0.5)),
+         dict(n_events=30, resolutions=(15,), bias_fractions=(0.5,)), "bias_fraction", 0.5),
+    ],
+    ids=["error-rate", "mse", "f1"],
+)
+def test_sweep_point_does_not_depend_on_the_other_points_swept(run, swept, alone, key, value):
+    rows = run(seed=5, **swept)
+    assert [r for r in rows if r[key] == value] == run(seed=5, **alone)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 100])
