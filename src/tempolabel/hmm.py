@@ -1,10 +1,12 @@
 """Two-state Gaussian hidden Markov model for sensor event detection.
 
 Maps a uniformly sampled sensor series (e.g. bathroom humidity) to per-slot
-on/off predictions. Decoding is exact Viterbi in log space with ties broken
-toward the off state. Parameters can be refined by Baum-Welch; the fit
-reports its log-likelihood trace and flags degenerate outcomes (e.g. both
-states collapsing onto one emission) instead of raising.
+on/off predictions. Decoding is exact Viterbi in log space: its forward
+recursion is one loop over Python floats holding the two states' scores,
+and each step's maximum is taken over the loop's own sums, so ties go to
+the off state. Parameters can be refined by Baum-Welch; the fit reports its
+log-likelihood trace and flags degenerate outcomes (e.g. both states
+collapsing onto one emission) instead of raising.
 
 Baum-Welch's forward-backward pass shifts each step's log-emissions by their
 maximum, so one outlying reading cannot underflow every state at once, and
@@ -129,35 +131,50 @@ def _log_emissions(params: HmmParams, values: np.ndarray) -> np.ndarray:
     )
 
 
+def _max_plus_scores(log_init: np.ndarray, log_trans: np.ndarray, logb: np.ndarray) -> np.ndarray:
+    """scores[t, j]: best log-probability of a path ending in state j at step t.
+
+    One loop over Python floats takes the IEEE sums of `(scores[t - 1] +
+    log_trans.T).max(axis=1) + logb[t]` in the same order; no term is +inf,
+    so no sum is NaN and `x if x >= y else y` is that max."""
+    (i0, i1), ((a00, a01), (a10, a11)) = log_init.tolist(), log_trans.tolist()
+    flat = logb.ravel().tolist()  # logb[t, j] at flat[2 t + j], overwritten by scores[t, j]
+    s0 = flat[0] = i0 + flat[0]
+    s1 = flat[1] = i1 + flat[1]
+    for k in range(2, len(flat), 2):
+        x, y, u, v = s0 + a00, s1 + a10, s0 + a01, s1 + a11
+        s0 = flat[k] = (x if x >= y else y) + flat[k]
+        s1 = flat[k + 1] = (u if u >= v else v) + flat[k + 1]
+    return np.array(flat).reshape(-1, 2)
+
+
 def viterbi(params: HmmParams, series: SensorSeries) -> LabelSeries:
     """Most probable state path, returned as a binary label series.
 
-    All argmax ties resolve to the lower state index, so a dead heat decodes
-    as off.
+    The forward recursion is one loop over Python floats, and the backtrack's
+    argmax runs over that loop's own sums, so every tie resolves to the lower
+    state index and a dead heat decodes as off.
     """
     logb = _log_emissions(params, series.values)
     with np.errstate(divide="ignore"):
         log_init = np.log(params.initial)
         log_trans = np.log(params.transition)
-    t_max = len(series)
-    into = log_trans.T  # into[j, i]: log-probability of moving from i to j
-    scores = np.empty_like(logb)  # scores[t, j]: best log-probability of a path ending in j at t
-    scores[0] = log_init + logb[0]
-    for t in range(1, t_max):
-        scores[t] = (scores[t - 1] + into).max(axis=1) + logb[t]
+    scores = _max_plus_scores(log_init, log_trans, logb)
     dead = ~np.isfinite(scores).any(axis=1)
     if dead.any():
         step = int(np.argmax(dead))
         if step == 0:
             raise DegenerateModelError("all states impossible at the first observation")
         raise DegenerateModelError(f"all paths have zero probability at step {step}")
-    # the sums the loop maximised, so argmax finds the predecessor it kept
-    back = (scores[:-1, None, :] + into).argmax(axis=2)  # back[t - 1, j]
-    path = np.zeros(t_max, dtype=int)
-    path[-1] = int(np.argmax(scores[-1]))
-    for t in range(t_max - 1, 0, -1):
-        path[t - 1] = back[t - 1, path[t]]
-    return LabelSeries(window_start=series.start_minute, values=path.astype(float))
+    # the sums the loop maximised (log_trans.T[j, i] moves from i to j), so
+    # argmax finds the predecessor it kept; back[2 (t - 1) + j] precedes j at t
+    back = (scores[:-1, None, :] + log_trans.T).argmax(axis=2).ravel().tolist()
+    state = int(np.argmax(scores[-1]))
+    path = [state]
+    for k in range(len(back) - 2, -1, -2):
+        state = back[k + state]
+        path.append(state)
+    return LabelSeries(window_start=series.start_minute, values=np.array(path[::-1], dtype=float))
 
 
 def _log_sum(x: np.ndarray, axis) -> np.ndarray:

@@ -76,13 +76,15 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _check_sweep(seed: int, count: int, count_name: str, resolutions=()) -> None:
-    """Reject a negative seed, a count below one, and a resolution that
-    does not divide the hour, each before anything is drawn."""
+    """Reject a negative seed, a count below one, and a resolution that is
+    not an integer dividing the hour, each before anything is drawn."""
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     if count < 1:
         raise ConfigError(f"{count_name} must be positive, got {count}")
     for res in resolutions:
+        if isinstance(res, bool) or not isinstance(res, (int, np.integer)):
+            raise ConfigError(f"resolution must be an integer, got {res}")
         if res < 1 or MINUTES_PER_HOUR % res != 0:
             raise ConfigError(f"resolution must divide 60, got {res}")
 

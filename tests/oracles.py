@@ -3,10 +3,10 @@
 Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
-every possible path, label CSV bytes from formatting row by row, masked
-MSE from boolean indexing, the MSE and F1 sweeps from one label series
-per simulated record, and the error-rate sweep from one NumPy draw and one
-category posterior per trial.
+every possible path or from one NumPy max-plus step per slot, label CSV
+bytes from formatting row by row, masked MSE from boolean indexing, the MSE
+and F1 sweeps from one label series per simulated record, and the
+error-rate sweep from one NumPy draw and one category posterior per trial.
 """
 
 import csv
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from tempolabel.catalog import CategoryCatalog
-from tempolabel.errors import InputError
+from tempolabel.errors import DegenerateModelError, InputError
 from tempolabel.evaluation import BOUNDARY_HALFWIDTH, SoftConfusionMatrix, boundary_slot_mask, f1
 from tempolabel.inference import (
     AnnotationSet,
@@ -102,6 +102,35 @@ def exhaustive_state_path(initial, transition, means, variances, values):
     # ties resolve to the lowest path index, i.e. the path with the most
     # leading zeros -- the same off-preference the decoder promises
     return paths[int(np.argmax(scores))]
+
+
+def stepwise_viterbi(log_init, log_trans, logb):
+    """Viterbi decoding with one NumPy broadcast, max and add per step, and
+    one NumPy index per step to backtrack.
+
+    Returns (scores, path): scores[t, j] is the best log-probability of a
+    path ending in state j at step t. In place of the path comes the
+    DegenerateModelError the decoder raises when a step has no reachable
+    state.
+    """
+    t_max = len(logb)
+    into = log_trans.T  # into[j, i]: log-probability of moving from i to j
+    scores = np.empty_like(logb)
+    scores[0] = log_init + logb[0]
+    for t in range(1, t_max):
+        scores[t] = (scores[t - 1] + into).max(axis=1) + logb[t]
+    dead = ~np.isfinite(scores).any(axis=1)
+    if dead.any():
+        step = int(np.argmax(dead))
+        if step == 0:
+            return scores, DegenerateModelError("all states impossible at the first observation")
+        return scores, DegenerateModelError(f"all paths have zero probability at step {step}")
+    back = (scores[:-1, None, :] + into).argmax(axis=2)  # back[t - 1, j]
+    path = np.zeros(t_max, dtype=int)
+    path[-1] = int(np.argmax(scores[-1]))
+    for t in range(t_max - 1, 0, -1):
+        path[t - 1] = back[t - 1, path[t]]
+    return scores, path
 
 
 def exhaustive_forward_backward(initial, transition, means, variances, values):

@@ -633,6 +633,24 @@ def test_detect_fit_survives_a_spike(runner, tmp_path):
     assert len(read_label_csv(pred)) == 300
 
 
+@pytest.mark.parametrize(
+    "reading, code, message",
+    [("45.0", 0, "wrote"), ("1e200", 3, "all states impossible at the first observation")],
+)
+def test_detect_one_row_series(runner, tmp_path, reading, code, message):
+    _, _, params = _detect_fixture(tmp_path)
+    sensor = tmp_path / "one.csv"
+    sensor.write_text(f"timestamp,humidity\n2024-05-01 06:00,{reading}\n")
+    pred = tmp_path / "pred.csv"
+    result = runner.invoke(main, ["detect", str(sensor), "--params", str(params), "--out", str(pred)])
+    assert result.exit_code == code, result.output
+    assert message in result.output and "Traceback" not in result.output
+    if code == 0:
+        decoded = read_label_csv(pred)
+        assert decoded.window_start == parse_timestamp("2024-05-01 06:00")
+        assert decoded.values.tolist() == [0.0]
+
+
 def test_evaluate_zero_boundary_window_exits_2(runner, tmp_path):
     labels = tmp_path / "a.csv"
     write_label_csv(labels, LabelSeries(0, np.array([0.0, 1.0, 1.0])))

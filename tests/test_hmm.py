@@ -15,11 +15,11 @@ from tempolabel import (
 )
 
 from tempolabel.cli import main
-from tempolabel.hmm import _forward_backward
+from tempolabel.hmm import _forward_backward, _log_emissions, _max_plus_scores
 from tempolabel.ingest import format_timestamp
 from tempolabel.labels import LabelSeries
 
-from .oracles import exhaustive_forward_backward, exhaustive_state_path
+from .oracles import exhaustive_forward_backward, exhaustive_state_path, stepwise_viterbi
 
 
 def _as_dict(params):
@@ -219,8 +219,9 @@ def test_starved_state_keeps_params_and_flags_degenerate():
     assert np.all(np.isfinite(fit.log_likelihoods))
 
 
-def _random_case(rng):
-    """A random 2-state model and series; some cases are sticky or have zero entries."""
+def _random_case(rng, n_slots=None):
+    """A random 2-state model and series of `n_slots` (1-10 if not given);
+    some cases are sticky or have zero entries."""
     initial = rng.dirichlet([1.0, 1.0])
     transition = rng.dirichlet([1.0, 1.0], size=2)
     kind = rng.integers(4)
@@ -236,7 +237,7 @@ def _random_case(rng):
         means=rng.uniform(0.0, 5.0, 2),
         variances=rng.uniform(0.5, 4.0, 2),
     )
-    return params, rng.uniform(-1.0, 6.0, int(rng.integers(1, 11)))
+    return params, rng.uniform(-1.0, 6.0, n_slots or int(rng.integers(1, 11)))
 
 
 def test_forward_backward_matches_exhaustive():
@@ -250,6 +251,59 @@ def test_forward_backward_matches_exhaustive():
         assert ll == pytest.approx(ll_o, rel=0, abs=1e-10)
         np.testing.assert_allclose(gamma, gamma_o, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xi_sum, xi_o, rtol=0, atol=1e-10)
+
+
+def test_viterbi_matches_stepwise_oracle_bit_for_bit():
+    rng = np.random.default_rng(19)
+    cases = [_random_case(rng, n_slots) for n_slots in range(1, 51)]
+    # two identical states tie at every step, so the whole path is off
+    twin = HmmParams(
+        initial=[0.5, 0.5], transition=[[0.9, 0.1], [0.1, 0.9]], means=[1.0, 1.0], variances=[2.0, 2.0]
+    )
+    cases.append((twin, rng.uniform(-1.0, 3.0, 50)))
+    locked_on = HmmParams(
+        initial=[0.0, 1.0], transition=[[1.0, 0.0], [0.2, 0.8]], means=[0.0, 3.0], variances=[1.0, 1.0]
+    )
+    cases.append((locked_on, rng.uniform(-1.0, 4.0, 40)))
+    # a reading no state can emit, first at step 0, then at step 7; and a
+    # step 5 that only the state a zero transition has locked out can emit
+    for step in (0, 7):
+        values = np.full(20, 40.0)
+        values[step] = 1e200
+        cases.append((_spike_guess(), values))
+    locked_off = HmmParams(
+        initial=[1.0, 0.0], transition=[[1.0, 0.0], [0.0, 1.0]], means=[0.0, 1e200], variances=[1.0, 1.0]
+    )
+    cases.append((locked_off, np.where(np.arange(20) == 5, 1e200, 0.0)))
+    series, _ = _synthetic_humidity(19, length=11_520, on_spans=((100, 141), (5_000, 5_300)))
+    cases.append((_shower_params(), series.values))
+
+    paths, messages = [], []
+    for params, values in cases:
+        logb = _log_emissions(params, values)
+        with np.errstate(divide="ignore"):
+            logs = np.log(params.initial), np.log(params.transition)
+        want_scores, want = stepwise_viterbi(*logs, logb)
+        # bit patterns, so even the sign of a zero must agree
+        np.testing.assert_array_equal(
+            _max_plus_scores(*logs, logb).view(np.int64), want_scores.view(np.int64)
+        )
+        if isinstance(want, DegenerateModelError):
+            with pytest.raises(DegenerateModelError) as err:
+                viterbi(params, SensorSeries(0, values))
+            assert str(err.value) == str(want)
+            messages.append(str(want))
+        else:
+            got = viterbi(params, SensorSeries(0, values)).values
+            np.testing.assert_array_equal(got, want)
+            paths.append(got)
+    assert messages == [
+        "all states impossible at the first observation",
+        "all paths have zero probability at step 7",
+        "all paths have zero probability at step 5",
+    ]
+    assert not paths[50].any()
+    assert len(paths[-1]) == 11_520 and paths[-1].sum() == 341
 
 
 def _spike_series():

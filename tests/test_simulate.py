@@ -146,6 +146,18 @@ def test_negative_seed_is_config_error():
             run(seed=-1)
 
 
+@pytest.mark.parametrize("resolution", [7.5, True])
+@pytest.mark.parametrize("run", [run_mse_experiment, run_f1_experiment])
+def test_sweeps_reject_a_resolution_that_is_not_an_integer(run, resolution):
+    with mock.patch("tempolabel.simulate.generate_events") as draw:
+        with pytest.raises(ConfigError, match=f"^resolution must be an integer, got {resolution}$"):
+            run(seed=1, n_events=5, resolutions=(resolution,))
+    draw.assert_not_called()
+    assert run(seed=1, n_events=5, resolutions=(np.int64(30),)) == run(
+        seed=1, n_events=5, resolutions=(30,)
+    )
+
+
 @pytest.mark.parametrize("n_values", [(0,), (-1,), (1, 0, 2)])
 def test_error_rate_experiment_rejects_annotation_counts_below_one(n_values):
     with pytest.raises(ConfigError, match="annotation counts must be positive"):
