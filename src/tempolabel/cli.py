@@ -35,6 +35,7 @@ from .ingest import (
     read_json,
     read_label_csv,
     read_sensor_csv,
+    write_habit_report,
     write_json,
     write_label_csv,
     write_table_csv,
@@ -144,22 +145,17 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
         evidence = {k: v for k, v in evidence.items() if k == annotator}
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
-    report = {"config": {"delta": model.delta, "catalog": list(catalog.periods)}, "annotators": []}
+    posteriors = []
     for annotator_id in sorted(evidence):
         _, stamps = evidence[annotator_id]
         ann_set = AnnotationSet.from_timestamps(stamps.ravel())
         habit = habit_posterior(ann_set, catalog, model)
-        rows = category_posterior(ann_set, catalog, model, habit=habit)
-        report["annotators"].append(
-            {
-                "annotator_id": annotator_id,
-                "n_annotations": len(ann_set),
-                "habit": habit.to_dict(),
-                "annotations": rows.to_dict()["annotations"],
-            }
+        posteriors.append(
+            (annotator_id, habit, category_posterior(ann_set, catalog, model, habit=habit))
         )
-    write_json(out, report)
-    click.echo(f"wrote {out} ({len(report['annotators'])} annotators)")
+    config = {"delta": model.delta, "catalog": list(catalog.periods)}
+    write_habit_report(out, config, posteriors)
+    click.echo(f"wrote {out} ({len(posteriors)} annotators)")
 
 
 @main.command("soft-labels")

@@ -43,7 +43,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .catalog import DEFAULT_PERIODS, MINUTES_PER_DAY, MINUTES_PER_HOUR, CategoryCatalog
+from .catalog import (
+    DEFAULT_PERIODS,
+    MINUTES_PER_DAY,
+    MINUTES_PER_HOUR,
+    CategoryCatalog,
+    _is_integer,
+)
 from .errors import ConfigError
 from .evaluation import (
     BOUNDARY_HALFWIDTH,
@@ -76,14 +82,19 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 def _check_sweep(seed: int, count: int, count_name: str, resolutions=()) -> None:
-    """Reject a negative seed, a count below one, and a resolution that is
-    not an integer dividing the hour, each before anything is drawn."""
+    """Reject a seed that is not a non-negative integer, a count that is not
+    a positive integer, and a resolution that is not an integer dividing the
+    hour, each before anything is drawn."""
+    if not _is_integer(seed):
+        raise ConfigError(f"seed must be an integer, got {seed}")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
+    if not _is_integer(count):
+        raise ConfigError(f"{count_name} must be an integer, got {count}")
     if count < 1:
         raise ConfigError(f"{count_name} must be positive, got {count}")
     for res in resolutions:
-        if isinstance(res, bool) or not isinstance(res, (int, np.integer)):
+        if not _is_integer(res):
             raise ConfigError(f"resolution must be an integer, got {res}")
         if res < 1 or MINUTES_PER_HOUR % res != 0:
             raise ConfigError(f"resolution must divide 60, got {res}")
@@ -232,6 +243,8 @@ def run_error_rate_experiment(
     annotation at minute m has the MAP category of table row m.
     """
     _check_sweep(seed, trials, "trials")
+    if not all(map(_is_integer, n_values)):
+        raise ConfigError(f"annotation counts must be integers, got {tuple(n_values)}")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
     first_slot = MINUTES_PER_HOUR * np.arange(trials)[:, None]

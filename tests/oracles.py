@@ -4,13 +4,15 @@ Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
 every possible path or from one NumPy max-plus step per slot, label CSV
-bytes from formatting row by row, masked MSE from boolean indexing, the MSE
+bytes from formatting row by row, the `infer-habit` report from
+`to_dict` and json's indent encoder, masked MSE from boolean indexing, the MSE
 and F1 sweeps from one label series per simulated record, and the
 error-rate sweep from one NumPy draw and one category posterior per trial.
 """
 
 import csv
 import itertools
+import json
 import math
 from datetime import date, timedelta
 from typing import NamedTuple
@@ -199,6 +201,30 @@ def reference_write_label_csv(path, series, header=""):
             day = epoch + timedelta(days=days)
             stamp = f"{day.year:04d}-{day.month:02d}-{day.day:02d} {hh:02d}:{mm:02d}"
             writer.writerow([stamp, f"{value:.12g}"])
+
+
+def reference_habit_report(records, catalog, model, annotator=None) -> str:
+    """The `infer-habit` report text of diary `records`: a dict per
+    annotation from `to_dict`, encoded by json's indent encoder. `annotator`
+    keeps only that annotator's records."""
+    stamps = {}
+    for rec in records:
+        if annotator is None or rec.annotator_id == annotator:
+            stamps.setdefault(rec.annotator_id, []).extend((rec.start, rec.end))
+    report = {"config": {"delta": model.delta, "catalog": list(catalog.periods)}, "annotators": []}
+    for annotator_id in sorted(stamps):
+        evidence = AnnotationSet.from_timestamps(stamps[annotator_id])
+        habit = habit_posterior(evidence, catalog, model)
+        rows = category_posterior(evidence, catalog, model, habit=habit)
+        report["annotators"].append(
+            {
+                "annotator_id": annotator_id,
+                "n_annotations": len(evidence),
+                "habit": habit.to_dict(),
+                "annotations": rows.to_dict()["annotations"],
+            }
+        )
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 class _SimulatedEvent(NamedTuple):

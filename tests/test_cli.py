@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,7 +14,9 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempolabel.catalog import DEFAULT_PERIODS, CategoryCatalog
 from tempolabel.cli import main
+from tempolabel.inference import SwitchModel
 from tempolabel.ingest import (
     ParseError,
     format_timestamp,
@@ -23,6 +26,8 @@ from tempolabel.ingest import (
     write_label_csv,
 )
 from tempolabel.labels import LabelSeries
+
+from .oracles import reference_habit_report
 
 
 @pytest.fixture()
@@ -200,6 +205,119 @@ def test_infer_habit_unknown_annotator_warns(runner, annotations_csv, tmp_path):
     assert result.exit_code == 0
     assert "warning" in result.output
     assert json.loads(out.read_text())["annotators"] == []
+
+
+def _diary_text(rows) -> str:
+    """A diary CSV of (annotator_id, date, start, end) rows, every field quoted."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(["annotator_id", "date", "event_kind", "start", "end"])
+    writer.writerows((a, d, "shower", s, e) for a, d, s, e in rows)
+    return buffer.getvalue()
+
+
+def _assert_report_matches_reference(runner, tmp_path, diary, options=(), annotator=None):
+    """`infer-habit` on `diary` writes the bytes json's indent encoder
+    writes for the report built from `to_dict`; returns the file's text."""
+    path = tmp_path / "diary.csv"
+    path.write_text(diary, encoding="utf-8", newline="")
+    out = tmp_path / "report.json"
+    args = ["infer-habit", str(path), *options, "--out", str(out)]
+    if annotator is not None:
+        args[2:2] = ["--annotator", annotator]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    opts = dict(zip(options[::2], options[1::2]))
+    periods = opts["--catalog"].split(",") if "--catalog" in opts else DEFAULT_PERIODS
+    model = SwitchModel(float(opts.get("--delta", SwitchModel.delta)))
+    expected = reference_habit_report(
+        read_annotations_csv(path), CategoryCatalog.from_periods(periods), model, annotator
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
+    return out.read_text(encoding="utf-8")
+
+
+# ids the report must escape: quotes, backslashes, line breaks and other
+# control characters, non-ASCII text, and one that is empty once stripped
+# ('#' would start a comment line after a quoted line break)
+_HOSTILE_ID = st.one_of(
+    st.sampled_from(['"q"', "b\\s", "x\ny", "r\rz", "\t\x01\x1f\x7f", "Zoë", "日本", "😀", "  "]),
+    st.text(max_size=6).map(lambda text: text.replace("\x00", "").replace("#", "")),
+)
+
+
+def _hhmm(minute: int) -> str:
+    return f"{minute // 60:02d}:{minute % 60:02d}"
+
+
+@st.composite
+def _small_diary(draw):
+    rows = []
+    for annotator_id in draw(st.lists(_HOSTILE_ID, min_size=1, max_size=4)):
+        for day in range(draw(st.integers(1, 5))):
+            start = draw(st.integers(0, 1438))
+            end = draw(st.integers(start + 1, 1439))
+            rows.append((annotator_id, f"2024-05-{1 + day:02d}", _hhmm(start), _hhmm(end)))
+    return _diary_text(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    diary=_small_diary(),
+    options=st.sampled_from(
+        [
+            (),
+            ("--catalog", "1", "--delta", "0"),
+            ("--catalog", "60,20,4,1", "--delta", "0.37"),
+            ("--delta", "1"),
+        ]
+    ),
+)
+def test_infer_habit_report_matches_indent_encoder(tmp_path_factory, diary, options):
+    tmp_path = tmp_path_factory.mktemp("report")
+    _assert_report_matches_reference(CliRunner(), tmp_path, diary, options)
+
+
+_HOSTILE_DIARY = _diary_text(
+    [
+        ('say "hi"\\', "2024-03-01", "08:00", "08:30"),
+        ("line\nbreak\t\x07", "2024-03-02", "07:12", "07:41"),
+        ("Zoë 日本", "2024-03-03", "23:58", "23:59"),
+        ("  ", "2024-03-04", "10:30", "11:00"),
+        ('say "hi"\\', "2024-03-05", "09:00", "09:17"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "options, annotator",
+    [
+        (("--catalog", "1", "--delta", "0"), None),  # one-element probs lists
+        ((), "nobody"),  # "annotators": []
+        (("--delta", "1"), None),
+        ((), "Zoë 日本"),
+    ],
+)
+def test_infer_habit_report_edge_cases_match_indent_encoder(runner, tmp_path, options, annotator):
+    text = _assert_report_matches_reference(runner, tmp_path, _HOSTILE_DIARY, options, annotator)
+    if annotator == "nobody":
+        assert '"annotators": [],' in text
+    if options[:2] == ("--catalog", "1"):
+        assert '"probs": [\n            1.0\n          ]' in text
+
+
+def test_infer_habit_report_round_trips_through_json(runner, tmp_path):
+    rng = np.random.default_rng(20)
+    rows = []
+    for k in range(300):
+        start = int(rng.integers(0, 1380))
+        start -= start % int(rng.choice([1, 5, 15, 30]))
+        end = start + int(rng.integers(1, 60))
+        date = f"2024-{1 + k // 28 % 12:02d}-{1 + k % 28:02d}"
+        rows.append((f"p{k % 7}", date, _hhmm(start), _hhmm(end)))
+    text = _assert_report_matches_reference(runner, tmp_path, _diary_text(rows))
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert len(json.loads(text)["annotators"]) == 7
 
 
 def test_infer_habit_empty_file_exits_2(runner, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -155,6 +156,46 @@ def test_sweeps_reject_a_resolution_that_is_not_an_integer(run, resolution):
     draw.assert_not_called()
     assert run(seed=1, n_events=5, resolutions=(np.int64(30),)) == run(
         seed=1, n_events=5, resolutions=(30,)
+    )
+
+
+_SWEEPS = {
+    "mse": lambda **kw: run_mse_experiment(**{"n_events": 5, "resolutions": (30,), **kw}),
+    "f1": lambda **kw: run_f1_experiment(**{"n_events": 5, "resolutions": (30,), **kw}),
+    "error_rate": lambda **kw: run_error_rate_experiment(**{"n_values": (1,), "trials": 2, **kw}),
+}
+
+
+@pytest.mark.parametrize(
+    "sweep, name, value, message",
+    [
+        (sweep, "seed", value, f"seed must be an integer, got {value}")
+        for sweep in _SWEEPS
+        for value in (1.5, True)
+    ]
+    + [
+        (sweep, count, value, f"{count} must be an integer, got {value}")
+        for sweep, count in [("mse", "n_events"), ("f1", "n_events"), ("error_rate", "trials")]
+        for value in (2.5, True)
+    ]
+    + [
+        ("error_rate", "n_values", value, f"annotation counts must be integers, got {value}")
+        for value in [(1.5,), (True,), (2, 2.0)]
+    ],
+)
+def test_sweeps_reject_a_seed_or_count_that_is_not_an_integer(sweep, name, value, message):
+    with mock.patch("tempolabel.simulate.generate_events") as draw:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _SWEEPS[sweep](**{"seed": 1, name: value})
+    draw.assert_not_called()
+
+
+def test_sweeps_take_numpy_integer_seeds_and_counts():
+    assert run_mse_experiment(seed=np.int64(1), n_events=np.int32(5), resolutions=(30,)) == (
+        run_mse_experiment(seed=1, n_events=5, resolutions=(30,))
+    )
+    assert run_error_rate_experiment(seed=np.uint8(1), n_values=(np.int64(2),), trials=3) == (
+        run_error_rate_experiment(seed=1, n_values=(2,), trials=3)
     )
 
 
