@@ -70,6 +70,9 @@ def _guard(fn):
         except OSError as exc:  # unreadable input or unwritable output path
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
+        except MemoryError as exc:  # a size option too large to allocate
+            click.echo(f"error: {str(exc) or 'not enough memory'}", err=True)
+            sys.exit(EXIT_USAGE)
 
     return wrapper
 

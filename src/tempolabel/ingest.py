@@ -10,11 +10,13 @@ label each slot by its start minute, one row per consecutive minute.
 text: the writer renders rows from them, and the readers match each stamp
 against `_stamps`, and each diary time against `_HHMM`'s inverse, parsing
 only a text that differs. A row that is not the minute after the previous
-row's is reported with its file line. Output files embed the effective
-configuration as '#' header comments so a result can always be traced back
-to its inputs. Every file is read as UTF-8, a leading byte order mark
-skipped, and written as UTF-8 without one, whatever the locale. JSON is
-written as `json.dumps(indent=2, sort_keys=True)` writes it: by
+row's is reported with its file line. A CSV line that starts a record and
+whose first non-space character is '#' is a comment, and still counts as a
+file line; inside a quoted field such a line is data. Output files embed the
+effective configuration as '#' header comments so a result can always be
+traced back to its inputs. Every file is read as UTF-8, a leading byte
+order mark skipped, and written as UTF-8 without one, whatever the locale.
+JSON is written as `json.dumps(indent=2, sort_keys=True)` writes it: by
 `write_json`, or for the `infer-habit` report by `write_habit_report`,
 which renders each annotator's entry for a minute once and reuses it for
 every annotation at that minute.
@@ -125,99 +127,88 @@ class AnnotationRecord:
 
 def read_annotations_csv(path) -> list[AnnotationRecord]:
     """Parse a diary CSV; every problem is reported with its line number."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = _CommentedCsv(handle)
-        if reader.fieldnames is None:
-            raise ParseError("file is empty")
-        missing = [c for c in ANNOTATION_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"missing columns: {', '.join(missing)}", reader.line_num)
-        pick = itemgetter(*(reader.columns[c] for c in ANNOTATION_COLUMNS))
-        records = []
-        day_bases: dict[str, int] = {}
-        for fields in reader:
-            line_no = reader.line_num
-            if len(fields) != len(reader.fieldnames):
-                _check_width(fields, reader, ANNOTATION_COLUMNS)
-            annotator_id, day_text, event_kind, start_text, end_text = pick(fields)
-            base = day_bases.get(day_text)
-            if base is None:
-                try:
-                    day = datetime.strptime(day_text.strip(), _DATE_FORMAT)
-                except ValueError:
-                    raise ParseError(f"bad date {day_text!r}, expected YYYY-MM-DD", line_no)
-                base = day_bases[day_text] = _absolute_minute(day)
-            start = base + _diary_time(start_text, line_no)
-            end = base + _diary_time(end_text, line_no)
-            if end <= start:
-                raise ParseError(f"end {end_text!r} must be after start {start_text!r}", line_no)
-            records.append(
-                AnnotationRecord(
-                    annotator_id=annotator_id.strip(),
-                    date=day_text.strip(),
-                    event_kind=event_kind.strip(),
-                    start=start,
-                    end=end,
-                )
+    rows = _csv_rows(path)
+    header_line, header = next(rows, (None, None))
+    if header is None:
+        raise ParseError("file is empty")
+    missing = [c for c in ANNOTATION_COLUMNS if c not in header]
+    if missing:
+        raise ParseError(f"missing columns: {', '.join(missing)}", header_line)
+    columns = {name: i for i, name in enumerate(header)}
+    pick = itemgetter(*(columns[c] for c in ANNOTATION_COLUMNS))
+    records = []
+    day_bases: dict[str, int] = {}
+    for line_no, fields in rows:
+        if len(fields) != len(header):
+            _check_width(fields, header, line_no, ANNOTATION_COLUMNS)
+        annotator_id, day_text, event_kind, start_text, end_text = pick(fields)
+        base = day_bases.get(day_text)
+        if base is None:
+            try:
+                day = datetime.strptime(day_text.strip(), _DATE_FORMAT)
+            except ValueError:
+                raise ParseError(f"bad date {day_text!r}, expected YYYY-MM-DD", line_no)
+            base = day_bases[day_text] = _absolute_minute(day)
+        start = base + _diary_time(start_text, line_no)
+        end = base + _diary_time(end_text, line_no)
+        if end <= start:
+            raise ParseError(f"end {end_text!r} must be after start {start_text!r}", line_no)
+        records.append(
+            AnnotationRecord(
+                annotator_id=annotator_id.strip(),
+                date=day_text.strip(),
+                event_kind=event_kind.strip(),
+                start=start,
+                end=end,
             )
+        )
     if not records:
         raise ParseError("no annotation rows found")
     return records
 
 
-class _CommentedCsv:
-    """csv.reader over a CSV that may hold '#' comment lines anywhere.
+def _csv_rows(path):
+    """(file line, fields) of each non-blank record of a CSV, header first.
 
-    `fieldnames` is the first non-blank row (None for a file without one)
-    and `columns` maps each of its names to its index, the last one for a
-    repeated name, as csv.DictReader keys it. Iterating yields the remaining
-    non-blank rows as lists of fields. Each comment line reaches the parser
-    as a blank line, which is skipped but still counted, so `line_num` is
-    the file line of the row just returned (or of the header, before the
-    first row). Undecodable bytes and rows the csv module rejects (a field
+    A line that starts a record and whose first non-space character is '#'
+    is a comment; inside a quoted field such a line is data. csv.reader
+    pulls one line at a time and reads no further than the end of a
+    record, so a line starts a record exactly when the lines read so far
+    ended one. A comment reaches the parser as a blank line, which is
+    skipped but still counted, so the file line of a record is its last
+    line. Undecodable bytes and records the csv module rejects (a field
     over its size limit) raise ParseError.
     """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        end = 0  # file line that ended the last record
 
-    def __init__(self, handle):
-        self._reader = csv.reader(_uncommented(handle))
-        self.fieldnames = next(self, None)
-        self.columns = {name: i for i, name in enumerate(self.fieldnames or ())}
+        def lines():
+            for line in handle:
+                yield "\n" if line.lstrip().startswith("#") and reader.line_num == end else line
 
-    @property
-    def line_num(self) -> int:
-        return self._reader.line_num
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> list[str]:
+        reader = csv.reader(lines())
         try:
-            row = next(self._reader)
-            while not row:
-                row = next(self._reader)
+            for fields in reader:
+                end = reader.line_num
+                if fields:
+                    yield end, fields
         except csv.Error as exc:
-            raise ParseError(str(exc), self._reader.line_num) from exc
-        return row
+            raise ParseError(str(exc), reader.line_num) from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from exc
 
 
-def _check_width(row: list[str], reader: _CommentedCsv, needed) -> None:
+def _check_width(row: list[str], header: list[str], line_no: int, needed) -> None:
     """ParseError, with the row's file line, for a row that lacks one of the
     `needed` columns or has more fields than the header. A short row that
-    holds every needed column passes."""
-    absent = [c for c in needed if reader.columns[c] >= len(row)]
+    holds every needed column passes. A repeated column name stands for its
+    last column, as csv.DictReader keys it."""
+    columns = {name: i for i, name in enumerate(header)}
+    absent = [c for c in needed if columns[c] >= len(row)]
     if absent:
-        raise ParseError(f"row is missing fields: {', '.join(absent)}", reader.line_num)
-    if len(row) > len(reader.fieldnames):
-        extra = len(row) - len(reader.fieldnames)
-        raise ParseError(f"row has {extra} extra field(s)", reader.line_num)
-
-
-def _uncommented(handle):
-    try:
-        for line in handle:
-            yield "\n" if line.lstrip().startswith("#") else line
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"file is not {exc.encoding} text: {exc.reason}") from exc
+        raise ParseError(f"row is missing fields: {', '.join(absent)}", line_no)
+    if len(row) > len(header):
+        raise ParseError(f"row has {len(row) - len(header)} extra field(s)", line_no)
 
 
 def config_header(config: dict) -> str:
@@ -278,43 +269,41 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
     row's is taken as is; any other stamp is parsed, and must parse to that
     minute unless it is the first row's.
     """
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    if value_col is None:
+        if header is None or "timestamp" not in header:
+            raise ParseError(f"{what} CSV needs 'timestamp' and a value column")
+        value_col = next((c for c in header if c != "timestamp"), None)
+        if value_col is None:
+            raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
+    elif header is None or "timestamp" not in header or value_col not in header:
+        raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
+    needed = ("timestamp", value_col)
+    columns = {name: i for i, name in enumerate(header)}
+    at_stamp, at_value = (columns[c] for c in needed)
     start = None
     values: list[float] = []
     stamps = iter(())  # canonical text of each next row's minute
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = _CommentedCsv(handle)
-        fields = reader.fieldnames
-        if value_col is None:
-            if fields is None or "timestamp" not in fields:
-                raise ParseError(f"{what} CSV needs 'timestamp' and a value column")
-            value_col = next((c for c in fields if c != "timestamp"), None)
-            if value_col is None:
-                raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
-        elif fields is None or "timestamp" not in fields or value_col not in fields:
-            raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
-        needed = ("timestamp", value_col)
-        at_stamp, at_value = (reader.columns[c] for c in needed)
-        width = len(fields)
-        for row in reader:
-            if len(row) != width:
-                _check_width(row, reader, needed)
-            text, value = row[at_stamp], row[at_value]
-            if text != next(stamps, None):
-                try:
-                    minute = parse_timestamp(text)
-                except InputError as exc:
-                    raise ParseError(str(exc), reader.line_num) from exc
-                if start is None:
-                    start, stamps = minute, _stamps(minute + 1)
-                elif minute != start + len(values):
-                    raise ParseError(
-                        f"timestamp {text!r} is not one minute after the previous row's",
-                        reader.line_num,
-                    )
+    for line_no, row in rows:
+        if len(row) != len(header):
+            _check_width(row, header, line_no, needed)
+        text, value = row[at_stamp], row[at_value]
+        if text != next(stamps, None):
             try:
-                values.append(float(value))
-            except ValueError:
-                raise ParseError(f"bad value {value!r}", reader.line_num)
+                minute = parse_timestamp(text)
+            except InputError as exc:
+                raise ParseError(str(exc), line_no) from exc
+            if start is None:
+                start, stamps = minute, _stamps(minute + 1)
+            elif minute != start + len(values):
+                raise ParseError(
+                    f"timestamp {text!r} is not one minute after the previous row's", line_no
+                )
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise ParseError(f"bad value {value!r}", line_no)
     if start is None:
         raise ParseError(f"{what} CSV has no rows")
     return start, np.array(values)

@@ -238,11 +238,13 @@ def _assert_report_matches_reference(runner, tmp_path, diary, options=(), annota
 
 
 # ids the report must escape: quotes, backslashes, line breaks and other
-# control characters, non-ASCII text, and one that is empty once stripped
-# ('#' would start a comment line after a quoted line break)
+# control characters, non-ASCII text, one that is empty once stripped, and
+# one whose quoted line break is followed by '#'
 _HOSTILE_ID = st.one_of(
-    st.sampled_from(['"q"', "b\\s", "x\ny", "r\rz", "\t\x01\x1f\x7f", "Zoë", "日本", "😀", "  "]),
-    st.text(max_size=6).map(lambda text: text.replace("\x00", "").replace("#", "")),
+    st.sampled_from(
+        ['"q"', "b\\s", "x\ny", "x\n#y", "r\rz", "\t\x01\x1f\x7f", "Zoë", "日本", "😀", "  "]
+    ),
+    st.text(max_size=6).map(lambda text: text.replace("\x00", "")),
 )
 
 
@@ -1057,6 +1059,26 @@ def test_simulate_invalid_options_leave_no_out_dir(runner, tmp_path, args, messa
     )
     assert result.exit_code == 2, result.output
     assert f"error: {message}" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError(), "not enough memory"),
+        (MemoryError("Unable to allocate 1.46 TiB"), "Unable to allocate 1.46 TiB"),
+    ],
+)
+def test_simulate_out_of_memory_exits_2(runner, tmp_path, monkeypatch, exc, message):
+    def run_error_rate_experiment(*args):
+        raise exc
+
+    monkeypatch.setattr("tempolabel.cli.run_error_rate_experiment", run_error_rate_experiment)
+    out = tmp_path / "sim"
+    args = ["--experiment", "error-rate", "--trials", "2", "--n-sweep", "100000000000"]
+    result = runner.invoke(main, ["simulate", *args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
     assert not out.exists()
 
 

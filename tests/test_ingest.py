@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempolabel.cli import main
 from tempolabel.errors import InputError
 from tempolabel.ingest import (
     ParseError,
@@ -276,6 +278,37 @@ def test_json_with_byte_order_mark_reads_as_without(tmp_path):
     path = tmp_path / "params.json"
     path.write_bytes(_BOM + b'{"means": [1.0]}')
     assert read_json(path) == {"means": [1.0]}
+
+
+def test_hash_line_inside_a_quoted_field_is_data(tmp_path):
+    diary = tmp_path / "diary.csv"
+    diary.write_text(
+        'annotator_id,date,event_kind,start,end\n"x\n#y",2024-05-01,s,08:00,09:00\n'
+    )
+    assert [record.annotator_id for record in read_annotations_csv(diary)] == ["x\n#y"]
+    out = tmp_path / "report.json"
+    result = CliRunner().invoke(main, ["infer-habit", str(diary), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert '"annotator_id": "x\\n#y"' in out.read_text()
+    labels = tmp_path / "labels.csv"
+    labels.write_text('timestamp,value\n2024-03-01 10:00,"0.5\n#"\n')
+    with pytest.raises(ParseError, match=r"^line 3: bad value '0\.5\\n#'$"):
+        read_label_csv(labels)
+
+
+def test_hash_line_opening_a_record_is_a_comment(tmp_path):
+    path = tmp_path / "diary.csv"
+    path.write_text(
+        '# say ,"hi\n'  # as data, this line would open a quoted field
+        "annotator_id,date,event_kind,start,end\n"
+        "p,2024-05-01,s,08:00,09:00\n"
+        "  # indented\n"
+        '\t#x",\n'
+        "p,2024-05-02,s,08:00,09:00\n"
+        "p,2024-05-03,s,25:00,26:00\n"
+    )
+    with pytest.raises(ParseError, match=r"^line 7: bad time '25:00'"):
+        read_annotations_csv(path)
 
 
 def test_oversized_field_is_parse_error(tmp_path):
