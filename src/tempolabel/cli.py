@@ -354,6 +354,11 @@ def detect_cmd(sensor_csv, params_json, fit_first, out):
         fit = fit_emissions(series, params)
         if fit.degenerate:
             click.echo("warning: degenerate fit (states collapsed); decoding anyway", err=True)
+        if not fit.converged:
+            click.echo(
+                f"warning: fit did not converge in {fit.n_iterations} iterations; decoding anyway",
+                err=True,
+            )
         params = fit.params
     decoded = viterbi(params, series)
     write_label_csv(

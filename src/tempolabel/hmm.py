@@ -9,9 +9,10 @@ log-likelihood trace and flags degenerate outcomes (e.g. both states
 collapsing onto one emission) instead of raising.
 
 Baum-Welch's forward-backward pass shifts each step's log-emissions by their
-maximum, so one outlying reading cannot underflow every state at once, and
-computes the forward and backward passes as a prefix scan of the per-step
-transfer matrices in log space, with no Python loop over the slots.
+maximum, so one outlying reading cannot underflow every state at once. It
+is a scan in log space with no Python loop over the slots: pairs of per-step
+transfers are multiplied as matrices, the forward and backward prefixes are
+carried as vectors, and the sums over the two states are written out.
 """
 
 from __future__ import annotations
@@ -177,50 +178,50 @@ def viterbi(params: HmmParams, series: SensorSeries) -> LabelSeries:
     return LabelSeries(window_start=series.start_minute, values=np.array(path[::-1], dtype=float))
 
 
-def _log_sum(x: np.ndarray, axis) -> np.ndarray:
-    """log(exp(x).sum(axis)), each sum taken relative to its largest term.
-
-    A sum whose terms are all -inf is -inf.
-    """
-    peak = x.max(axis=axis, keepdims=True)
-    peak[np.isneginf(peak)] = 0.0
+def _lse2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log(exp(a) + exp(b)) elementwise, each sum taken relative to its larger
+    term; two -inf terms give -inf. Both arguments are scratch: the result is
+    written over `a` and returned, and `b` is overwritten."""
+    peak = np.maximum(a, b)
+    peak[peak == -np.inf] = 0.0  # two zero terms sum to -inf, not NaN
+    a -= peak
+    b -= peak
+    np.exp(a, out=a)
+    a += np.exp(b, out=b)
     with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - peak).sum(axis=axis)) + np.squeeze(peak, axis)
+        np.log(a, out=a)
+    a += peak
+    return a
 
 
 def _log_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products exp(a[..., k]) @ exp(b[..., k]) in log space, shifted so that
-    each product's largest entry is 0.
+    """Products exp(a[..., k]) @ exp(b[..., k]) in log space, each shifted so
+    that its largest entry is 0. `b` stacks 2x2 log-matrices along the
+    trailing axes, (2, 2, ...), and `a` 2x2 ones or row vectors held as 1x2
+    matrices, so every operation is elementwise over the stack; no entry
+    that is not exactly zero is lost."""
+    prod = _lse2(a[:, 0, None] + b[0], a[:, 1, None] + b[1])
+    row_peak = np.maximum(prod[:, 0], prod[:, 1])
+    top = np.maximum(row_peak[0], row_peak[-1])  # a row vector has one row
+    top[top == -np.inf] = 0.0  # an all-zero product stays all -inf
+    prod -= top
+    return prod
 
-    Stacks of log-matrices run along the trailing axes, (n, n, ...), so every
-    operation is elementwise over the stack. Every entry is summed relative to
-    its own largest term, so no entry that is not exactly zero is lost.
-    """
-    prod = _log_sum(a[:, :, None] + b[None, :, :], axis=1)
-    top = prod.max(axis=(0, 1))
-    top[np.isneginf(top)] = 0.0  # an all-zero product stays all -inf
-    return prod - top
 
-
-def _log_prefix_products(mats: np.ndarray) -> np.ndarray:
-    """Inclusive prefix products along the last axis of a stack of log-matrices.
-
-    out[..., k] is the log of exp(mats[..., 0]) @ ... @ exp(mats[..., k]) up
-    to an additive constant: every product is shifted so that its largest
-    entry is 0, so none overflows or underflows however long the stack.
-    Adjacent pairs are multiplied and their prefix products found
-    recursively, which gives every odd-indexed prefix; one more product with
-    the next matrix gives the even ones. That is about 2K batched products
-    in 2 log2(K) steps, with no loop over K.
-    """
+def _log_prefix_scan(start: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """out[..., k]: row vectors `start`, held as 1x2 matrices (1, 2, ...),
+    times the first k of K 2x2 matrices (2, 2, ..., K), in log space up to a
+    constant. Adjacent pairs of matrices are multiplied and the pairs'
+    prefixes found recursively, which gives every even k, and one vector
+    product each gives the odd ones: about K matrix and K vector products in
+    2 log2(K) batched steps, with no loop over K."""
     k = mats.shape[-1]
-    if k == 1:
-        return mats
-    odd = _log_prefix_products(_log_matmul(mats[..., 0 : k - 1 : 2], mats[..., 1::2]))
-    out = np.empty_like(mats)
-    out[..., 0] = mats[..., 0]
-    out[..., 1::2] = odd
-    out[..., 2::2] = _log_matmul(odd[..., : (k - 1) // 2], mats[..., 2::2])
+    if k == 0:
+        return start[..., None]
+    even = _log_prefix_scan(start, _log_matmul(mats[..., 0 : k - 1 : 2], mats[..., 1::2]))
+    out = np.empty(start.shape + (k + 1,))
+    out[..., 0::2] = even
+    out[..., 1::2] = _log_matmul(even[..., : (k + 1) // 2], mats[..., 0::2])
     return out
 
 
@@ -233,44 +234,43 @@ def _forward_backward(params: HmmParams, values: np.ndarray):
     underflows next to its step's likeliest state counts as zero; a step
     where that leaves no reachable state raises DegenerateModelError.
 
-    With M_t = A * b_t the transfer into step t and E_0 the matrix whose
-    every row is alpha_0, alpha_t is each row of E_0 M_1 ... M_t, and beta_t
-    each row of (M_{t+1} ... M_{T-1} J)^T, J all ones, a product of the
-    reversed, transposed transfers. Both are prefix products, found by one
-    scan over the two sequences side by side (`_log_prefix_products`), with
-    no loop over t. The log-likelihood sums the per-step normalisers of
-    alpha, as in Rabiner's scaled recursion.
+    With M_t = A * b_t the transfer into step t, alpha_t is alpha_0 M_1 ...
+    M_t and beta_t^T is 1^T M_{T-1}^T ... M_{t+1}^T: both are prefixes of a
+    row vector times a run of matrices, found side by side by one scan
+    (`_log_prefix_scan`) with no loop over t. The log-likelihood sums the
+    per-step normalisers of alpha, as in Rabiner's scaled recursion.
     """
-    logb = _log_emissions(params, values)  # (T, n)
-    shift = logb.max(axis=1, keepdims=True)
-    shift[np.isneginf(shift)] = 0.0
+    logb = _log_emissions(params, values)  # (T, 2)
+    shift = np.maximum(logb[:, 0], logb[:, 1])
+    shift[shift == -np.inf] = 0.0
     with np.errstate(divide="ignore"):
         # a density that underflows next to its step's likeliest state is zero,
         # so a reading that no reachable state explains still fails below
-        logb = np.log(np.exp(logb - shift))
+        logb = np.log(np.exp(logb - shift[:, None]))
         log_init = np.log(params.initial)
         log_trans = np.log(params.transition)
-    n = params.n_states
-    log_alpha0 = log_init + logb[0]
-    trans = log_trans[:, :, None] + logb[1:].T[None, :, :]  # trans[i, j, t]: i -> j into step t + 1
-    forward = np.concatenate([np.broadcast_to(log_alpha0[None, :, None], (n, n, 1)), trans], axis=2)
-    backward = np.concatenate([np.zeros((n, n, 1)), trans[:, :, ::-1].transpose(1, 0, 2)], axis=2)
-    prods = _log_prefix_products(np.stack([forward, backward], axis=2))
-    log_alpha = prods[0, :, 0, :]  # (n, T), each column up to a constant
-    log_beta = prods[0, :, 1, ::-1]
-    dead = np.isneginf(log_alpha).all(axis=0)
+    # mats[i, j, 0, t]: i -> j into step t + 1; mats[:, :, 1, t] is M_{T-1-t}^T
+    mats = np.empty((2, 2, 2, len(values) - 1))
+    trans = np.add(log_trans[:, :, None], logb[1:].T[None, :, :], out=mats[:, :, 0])
+    np.add(log_trans.T[:, :, None], logb[:0:-1].T[:, None, :], out=mats[:, :, 1])
+    prods = _log_prefix_scan(np.stack([log_init + logb[0], np.zeros(2)], axis=1)[None], mats)
+    log_alpha, log_beta = prods[0, :, 0], prods[0, :, 1, ::-1]  # (2, T), columns up to a constant
+    log_z = _lse2(*log_alpha.copy())  # log_z[0] normalises alpha_0, which the scan leaves as is
+    dead = np.isneginf(log_z)
     if dead.any():
         raise DegenerateModelError(f"zero-probability observation at step {int(np.argmax(dead))}")
-    log_alpha = log_alpha - _log_sum(log_alpha, axis=0)
+    log_alpha = log_alpha - log_z
 
     # step[i, j, t]: log P(state i at t, state j at t + 1, y_{t+1} | y_0..t), less shift[t + 1]
     step = log_alpha[:, None, :-1] + trans
-    log_likelihood = _log_sum(log_alpha0, axis=0) + _log_sum(step, axis=(0, 1)).sum() + shift.sum()
-    log_gamma = log_alpha + log_beta
-    gamma = np.exp(log_gamma - _log_sum(log_gamma, axis=0)).T
     log_xi = step + log_beta[None, :, 1:]
-    xi_sum = np.exp(log_xi - _log_sum(log_xi, axis=(0, 1))).sum(axis=2)
-    return gamma, xi_sum, float(log_likelihood)
+    log_c = _lse2(*_lse2(*step))
+    log_likelihood = log_z[0] + log_c.sum() + shift.sum()
+    log_zg = _lse2(*(log_alpha + log_beta))
+    gamma = np.exp(log_alpha + log_beta - log_zg).T
+    # sum_i alpha_t(i) M_{t+1}(i, j) = c_t alpha_{t+1}(j), so xi's normaliser is c_t times gamma's
+    log_xi -= log_c + log_zg[1:]
+    return gamma, np.exp(log_xi, out=log_xi).sum(axis=2), float(log_likelihood)
 
 
 def fit_emissions(series: SensorSeries, initial_guess: HmmParams) -> HmmFit:

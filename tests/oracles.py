@@ -3,7 +3,8 @@
 Nothing here shares code with the package's fast paths: posteriors come from
 exhaustive enumeration of the joint model, boundary probabilities from
 midpoint quadrature of the uniform density, state paths from trying
-every possible path or from one NumPy max-plus step per slot, label CSV
+every possible path or from one NumPy max-plus step per slot, state
+posteriors from every path or from Rabiner's scaled recursion, label CSV
 bytes from formatting row by row, the `infer-habit` report from
 `to_dict` and json's indent encoder, masked MSE from boolean indexing, the MSE
 and F1 sweeps from one label series per simulated record, and the
@@ -166,6 +167,53 @@ def exhaustive_forward_backward(initial, transition, means, variances, values):
         if t + 1 < t_max:
             np.add.at(xi_sum, (paths[:, t], paths[:, t + 1]), weights)
     return top + math.log(total), gamma / total, xi_sum / total
+
+
+def stepwise_forward_backward(initial, transition, means, variances, values):
+    """Rabiner's scaled forward-backward recursion in log space, one loop
+    step per slot, on log-emissions shifted by each step's maximum as the
+    library shifts them.
+
+    alpha_t is normalised by its sum c_t at every step, beta_t is divided by
+    the same c_{t+1}, so gamma_t = alpha_t beta_t and xi_t(i, j) = alpha_t(i)
+    A(i, j) b_{t+1}(j) beta_{t+1}(j) / c_{t+1} need no further normalising.
+    Returns (log_likelihood, gamma (T, 2), xi_sum (2, 2)); a step that no
+    state can reach raises the DegenerateModelError the library raises.
+    """
+    t_max = len(values)
+    with np.errstate(over="ignore"):
+        logb = np.stack(
+            [
+                -0.5 * ((values - means[s]) ** 2 / variances[s] + math.log(2 * math.pi * variances[s]))
+                for s in (0, 1)
+            ],
+            axis=1,
+        )  # (T, 2)
+    shift = logb.max(axis=1)
+    shift[np.isneginf(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        logb = np.log(np.exp(logb - shift[:, None]))
+        log_init = np.log(np.asarray(initial, dtype=float))
+        log_trans = np.log(np.asarray(transition, dtype=float))
+    log_alpha = np.empty((t_max, 2))
+    log_c = np.empty(t_max)
+    for t in range(t_max):
+        if t == 0:
+            unscaled = log_init + logb[0]
+        else:
+            unscaled = np.logaddexp.reduce(log_alpha[t - 1][:, None] + log_trans, axis=0) + logb[t]
+        log_c[t] = np.logaddexp.reduce(unscaled)
+        if log_c[t] == -np.inf:
+            raise DegenerateModelError(f"zero-probability observation at step {t}")
+        log_alpha[t] = unscaled - log_c[t]
+    log_beta = np.zeros((t_max, 2))
+    xi_sum = np.zeros((2, 2))
+    for t in range(t_max - 2, -1, -1):
+        ahead = log_trans + logb[t + 1] + log_beta[t + 1] - log_c[t + 1]  # [i, j]
+        log_beta[t] = np.logaddexp.reduce(ahead, axis=1)
+        xi_sum += np.exp(log_alpha[t][:, None] + ahead)
+    gamma = np.exp(log_alpha + log_beta)
+    return float(log_c.sum() + shift.sum()), gamma, xi_sum
 
 
 def reference_masked_mse(reference, prediction, mask):

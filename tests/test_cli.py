@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempolabel import hmm
 from tempolabel.catalog import DEFAULT_PERIODS, CategoryCatalog
 from tempolabel.cli import main
 from tempolabel.inference import SwitchModel
@@ -23,6 +24,7 @@ from tempolabel.ingest import (
     parse_timestamp,
     read_annotations_csv,
     read_label_csv,
+    read_sensor_csv,
     write_label_csv,
 )
 from tempolabel.labels import LabelSeries
@@ -700,7 +702,24 @@ def test_detect_fit_flag(runner, tmp_path):
         main, ["detect", str(sensor), "--params", str(rough), "--fit", "--out", str(pred)]
     )
     assert result.exit_code == 0, result.output
+    assert "did not converge" not in result.output
     assert read_label_csv(pred).values.sum() == 50.0
+
+
+def test_detect_fit_warns_when_not_converged(runner, tmp_path, monkeypatch):
+    sensor, _, params = _detect_fixture(tmp_path)
+    monkeypatch.setattr(hmm, "_MAX_ITER", 2)
+    series = read_sensor_csv(sensor)
+    fit = hmm.fit_emissions(series, hmm.HmmParams.from_dict(json.loads(params.read_text())))
+    assert not fit.converged and fit.n_iterations == 2
+    pred = tmp_path / "pred.csv"
+    result = runner.invoke(
+        main, ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(pred)]
+    )
+    assert result.exit_code == 0, result.output
+    assert "warning: fit did not converge in 2 iterations; decoding anyway" in result.output
+    # the unconverged parameters are still the ones decoded
+    np.testing.assert_array_equal(read_label_csv(pred).values, hmm.viterbi(fit.params, series).values)
 
 
 def test_detect_degenerate_exits_3(runner, tmp_path):

@@ -19,7 +19,12 @@ from tempolabel.hmm import _forward_backward, _log_emissions, _max_plus_scores
 from tempolabel.ingest import format_timestamp
 from tempolabel.labels import LabelSeries
 
-from .oracles import exhaustive_forward_backward, exhaustive_state_path, stepwise_viterbi
+from .oracles import (
+    exhaustive_forward_backward,
+    exhaustive_state_path,
+    stepwise_forward_backward,
+    stepwise_viterbi,
+)
 
 
 def _as_dict(params):
@@ -219,12 +224,13 @@ def test_starved_state_keeps_params_and_flags_degenerate():
     assert np.all(np.isfinite(fit.log_likelihoods))
 
 
-def _random_case(rng, n_slots=None):
-    """A random 2-state model and series of `n_slots` (1-10 if not given);
-    some cases are sticky or have zero entries."""
+def _random_case(rng, n_slots=None, kind=None):
+    """A random 2-state model and series of `n_slots` (1-10 if not given).
+    `kind` (random if not given) 1 is sticky, 2 has a zero transition row and
+    3 a zero initial entry."""
     initial = rng.dirichlet([1.0, 1.0])
     transition = rng.dirichlet([1.0, 1.0], size=2)
-    kind = rng.integers(4)
+    kind = rng.integers(4) if kind is None else kind
     if kind == 1:
         transition = np.array([[0.999, 0.001], [0.001, 0.999]])
     elif kind == 2:
@@ -251,6 +257,29 @@ def test_forward_backward_matches_exhaustive():
         assert ll == pytest.approx(ll_o, rel=0, abs=1e-10)
         np.testing.assert_allclose(gamma, gamma_o, rtol=0, atol=1e-10)
         np.testing.assert_allclose(xi_sum, xi_o, rtol=0, atol=1e-10)
+
+
+def test_forward_backward_matches_stepwise_recursion():
+    # lengths on both sides of the scan's powers of two, each with every kind
+    # of _random_case; at the benchmark's length a sticky model and a
+    # realistic series, and one spike series
+    rng = np.random.default_rng(23)
+    lengths = (11, 12, 63, 64, 65, 1_000)
+    cases = [_random_case(rng, n_slots, kind) for n_slots in lengths for kind in range(4)]
+    cases += [_random_case(rng, 11_520, kind=1), (_spike_guess(), _spike_series().values)]
+    series, _ = _synthetic_humidity(19, length=11_520, on_spans=((100, 141), (5_000, 5_300)))
+    cases.append((_shower_params(), series.values))
+    for params, values in cases:
+        gamma, xi_sum, ll = _forward_backward(params, values)
+        ll_o, gamma_o, xi_o = stepwise_forward_backward(
+            params.initial, params.transition, params.means, params.variances, values
+        )
+        # both sides sum T terms in different orders; over these cases the
+        # worst differences are 2e-16 (log-likelihood, relative), 3e-13
+        # (gamma) and 1.5e-13 (xi_sum, relative), well inside the tolerances
+        assert ll == pytest.approx(ll_o, rel=1e-12, abs=0)
+        np.testing.assert_allclose(gamma, gamma_o, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(xi_sum, xi_o, rtol=1e-11, atol=0)
 
 
 def test_viterbi_matches_stepwise_oracle_bit_for_bit():
@@ -332,25 +361,30 @@ def test_single_spike_fits():
 
 
 def test_unrepresentable_reading_is_degeneracy_error(tmp_path):
-    # the squared distance to every mean overflows, so no state can emit it
-    values = np.full(20, 40.0)
-    values[7] = 1e200
-    sensor = tmp_path / "sensor.csv"
-    sensor.write_text(
-        "timestamp,humidity\n"
-        + "".join(f"{format_timestamp(i)},{v!r}\n" for i, v in enumerate(values.tolist()))
-    )
+    # the squared distance to every mean overflows, so no state can emit it;
+    # the steps fall on both the even and the odd prefixes of every level of
+    # the forward-backward scan
     params = tmp_path / "hmm.json"
     params.write_text(json.dumps(_as_dict(_spike_guess())))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow is reported once, as the error
-        with pytest.raises(DegenerateModelError, match="step 7"):
-            fit_emissions(SensorSeries(0, values), _spike_guess())
-        with pytest.raises(DegenerateModelError, match="step 7"):
-            viterbi(_spike_guess(), SensorSeries(0, values))
-        result = CliRunner().invoke(
-            main,
-            ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(tmp_path / "p.csv")],
+    sensor = tmp_path / "sensor.csv"
+    for step in (1, 2, 7, 8, 64, 65, 5_000):
+        values = np.full(11_520, 40.0)
+        values[step] = 1e200
+        sensor.write_text(
+            "timestamp,humidity\n"
+            + "".join(f"{format_timestamp(i)},{v!r}\n" for i, v in enumerate(values.tolist()))
         )
-    assert result.exit_code == 3, result.output
-    assert "step 7" in result.output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported once, as the error
+            with pytest.raises(DegenerateModelError) as err:
+                fit_emissions(SensorSeries(0, values), _spike_guess())
+            assert str(err.value) == f"zero-probability observation at step {step}"
+            with pytest.raises(DegenerateModelError) as err:
+                viterbi(_spike_guess(), SensorSeries(0, values))
+            assert str(err.value) == f"all paths have zero probability at step {step}"
+            result = CliRunner().invoke(
+                main,
+                ["detect", str(sensor), "--params", str(params), "--fit", "--out", str(tmp_path / "p.csv")],
+            )
+        assert result.exit_code == 3, result.output
+        assert f"zero-probability observation at step {step}" in result.output
