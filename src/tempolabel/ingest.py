@@ -10,7 +10,13 @@ label each slot by its start minute, one row per consecutive minute.
 text: the writer renders rows from them, and the readers match each stamp
 against `_stamps`, and each diary time against `_HHMM`'s inverse, parsing
 only a text that differs. A row that is not the minute after the previous
-row's is reported with its file line. A CSV line that starts a record and
+row's is reported with its file line. A label or sensor CSV laid out as the
+writer lays it out (no quote, carriage return or NUL, only '#' comments
+before the header, then one full row per line) is read in bulk: one decode,
+one split, and one compare of its stamp column against the canonical
+stamps. Every other file, and every file with a problem, is read row by
+row; that row reader is the one source of parse errors, so the two paths
+accept the same files, values and errors. A CSV line that starts a record and
 whose first non-space character is '#' is a comment, and still counts as a
 file line; inside a quoted field such a line is data. Output files embed the
 effective configuration as '#' header comments so a result can always be
@@ -26,10 +32,12 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import struct
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import lru_cache
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -241,15 +249,24 @@ def _label_body(window_start: int, values: np.ndarray) -> str:
     bits = values.view(np.int64).tolist()
     parts = [""] * (3 * len(bits))
     parts[2::3] = map(_value_cell, bits)
-    # rows [row, row + count) lie on day `day`, from its minute `first`
-    day, first = divmod(int(window_start), MINUTES_PER_DAY)
     row = 0
-    while row < len(bits):
-        count = min(len(bits) - row, MINUTES_PER_DAY - first)
-        parts[3 * row : 3 * (row + count) : 3] = [_day_prefix(day, first)] * count
-        parts[3 * row + 1 : 3 * (row + count) : 3] = _HHMM[first : first + count]
-        row, day, first = row + count, day + 1, 0
+    for prefix, hhmms in _day_stamps(window_start, len(bits)):
+        end = row + len(hhmms)
+        parts[3 * row : 3 * end : 3] = [prefix] * len(hhmms)
+        parts[3 * row + 1 : 3 * end : 3] = hhmms
+        row = end
     return "".join(parts)
+
+
+def _day_stamps(minute: int, count: int):
+    """(date prefix, HH:MM texts) of each day that the `count` consecutive
+    minutes from `minute` touch, in order. InputError names the first
+    minute, in order, that lies outside the years 1-9999."""
+    day, first = divmod(int(minute), MINUTES_PER_DAY)
+    while count > 0:
+        hhmms = _HHMM[first : first + count]
+        yield _day_prefix(day, first), hhmms
+        count, day, first = count - len(hhmms), day + 1, 0
 
 
 # Label series share few distinct values (ramp steps, 0 and 1), so each is
@@ -264,13 +281,19 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
     """Start minute and values of a timestamped CSV whose rows are
     consecutive minutes, each problem with its file line.
 
-    `value_col` None takes the first column other than 'timestamp'. A row
-    whose stamp is the canonical text of the minute after the previous
-    row's is taken as is; any other stamp is parsed, and must parse to that
-    minute unless it is the first row's.
+    `value_col` None takes the first column other than 'timestamp'. A plain
+    file (see `_read_grid_bulk`), such as any file `write_label_csv`
+    writes, is read in bulk. Every other file, and every file with a problem,
+    goes to the row reader `_read_grid_rows`, the one source of parse
+    errors; for a file both read, they give the same start and value bits.
     """
-    rows = _csv_rows(path)
-    _, header = next(rows, (None, None))
+    grid = _read_grid_bulk(path, value_col)
+    return grid if grid is not None else _read_grid_rows(path, value_col, what)
+
+
+def _grid_value_column(header: list[str] | None, value_col: str | None, what: str) -> str:
+    """The value column of a grid CSV's `header`; ParseError for a header
+    without 'timestamp' and that column."""
     if value_col is None:
         if header is None or "timestamp" not in header:
             raise ParseError(f"{what} CSV needs 'timestamp' and a value column")
@@ -279,7 +302,85 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
             raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
     elif header is None or "timestamp" not in header or value_col not in header:
         raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
-    needed = ("timestamp", value_col)
+    return value_col
+
+
+# a line whose first non-space character is '#'; \s is str.isspace, which
+# str.lstrip strips
+_COMMENT = re.compile(r"^\s*#", re.MULTILINE)
+
+
+def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | None:
+    """`_read_grid_rows`' result for a plain grid CSV, checked column by
+    column; None for any file this cannot prove the row reader accepts.
+
+    A plain file decodes, holds no quote (which can open a multi-line
+    field), carriage return (a line break to csv) or NUL (which csv rejects
+    before Python 3.11), and has only '#' comment lines before its header.
+    After the header, each line is a row with the header's field count, no
+    line is blank or a comment, and none is longer than csv's field size
+    limit. Its first stamp parses, each later stamp is the canonical text
+    of the minute after the previous row's, and each value parses with
+    `float`, as in the row reader.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:  # the row reader may report an earlier bad row
+            return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text ends with a line break
+    head = 0  # comment lines before the header
+    while head < len(lines) and lines[head].lstrip().startswith("#"):
+        head += 1
+    records = lines[head:]  # the header, then one row per line
+    if len(records) < 2:
+        return None
+    header = records[0].split(",")
+    try:
+        value_col = _grid_value_column(header, value_col, "")
+    except ParseError:
+        return None
+    width = len(header)
+    header_at = sum(map(len, lines[:head])) + head  # the header's offset in `text`
+    if (
+        set(map(str.count, records, repeat(","))) != {width - 1}
+        or max(map(len, records)) > csv.field_size_limit()
+        # the writer puts no '#' after the header, and find is the quicker scan
+        or (text.find("#", header_at) != -1 and _COMMENT.search(text, header_at))
+    ):
+        return None
+    columns = {name: i for i, name in enumerate(header)}
+    at_stamp, at_value = columns["timestamp"], columns[value_col]
+    cells = ",".join(records).split(",")
+    try:
+        start = parse_timestamp(cells[width + at_stamp])
+        canonical = "\n".join(
+            prefix + ("\n" + prefix).join(hhmms)
+            for prefix, hhmms in _day_stamps(start + 1, len(records) - 2)
+        )
+        # no cell holds a line break, so equal texts mean equal stamp lists
+        if "\n".join(cells[2 * width + at_stamp :: width]) != canonical:
+            return None
+        values = list(map(float, cells[width + at_value :: width]))
+    except (InputError, ValueError):
+        return None
+    return start, np.array(values)
+
+
+def _read_grid_rows(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:
+    """`_read_grid_csv` one row at a time, for any file.
+
+    A row whose stamp is the canonical text of the minute after the
+    previous row's is taken as is; any other stamp is parsed, and must
+    parse to that minute unless it is the first row's.
+    """
+    rows = _csv_rows(path)
+    _, header = next(rows, (None, None))
+    needed = ("timestamp", _grid_value_column(header, value_col, what))
     columns = {name: i for i, name in enumerate(header)}
     at_stamp, at_value = (columns[c] for c in needed)
     start = None

@@ -1,11 +1,18 @@
+import csv
+import sys
+from dataclasses import astuple
+from unittest import mock
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempolabel import ingest
 from tempolabel.cli import main
 from tempolabel.errors import InputError
+from tempolabel.hmm import SensorSeries
 from tempolabel.ingest import (
     ParseError,
     config_header,
@@ -60,6 +67,22 @@ def test_label_writer_matches_row_by_row_oracle(tmp_path_factory, window_start, 
     write_label_csv(tmp / "fast.csv", series, config)
     reference_write_label_csv(tmp / "slow.csv", series, config_header(config) if config else "")
     assert (tmp / "fast.csv").read_bytes() == (tmp / "slow.csv").read_bytes()
+    # the written file, and a sensor file laid out alike, read back in bulk
+    (tmp / "sensor.csv").write_text(
+        (config_header(config) if config else "")
+        + "timestamp,humidity\n"
+        + ingest._label_body(window_start, -series.values)
+    )
+    row_reader = mock.patch.object(ingest, "_read_grid_rows", side_effect=AssertionError)
+    with row_reader:
+        label, sensor = read_label_csv(tmp / "fast.csv"), read_sensor_csv(tmp / "sensor.csv")
+    assert label.window_start == sensor.start_minute == window_start
+    assert _bits(label.values) == _bits([float(f"{v:.12g}") for v in series.values])
+    assert _bits(sensor.values) == _bits([float(f"{-v:.12g}") for v in series.values])
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 _LAST = parse_timestamp("9999-12-31 23:59")
@@ -316,3 +339,161 @@ def test_oversized_field_is_parse_error(tmp_path):
     path.write_text('timestamp,value\n"' + "x" * 200_000 + "\n")
     with pytest.raises(ParseError, match="field larger than field limit"):
         read_label_csv(path)
+    # unquoted, and a value that float() parses
+    path.write_text("timestamp,value\n2024-03-01 10:00," + "0" * 199_999 + "1\n")
+    with pytest.raises(ParseError, match="^line 2: field larger than field limit"):
+        read_label_csv(path)
+
+
+def test_nul_in_a_value_reads_as_the_csv_module_reads_it(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("timestamp,value\n2024-03-01 10:00,0\x00\n")
+    # csv rejects NUL before Python 3.11 and reads it as data since
+    expected = "line contains NUL" if sys.version_info < (3, 11) else r"^line 2: bad value '0\\x00'$"
+    with pytest.raises(ParseError, match=expected):
+        read_label_csv(path)
+
+
+# Grid files for the bulk reader to take or decline: a written-style file,
+# then a few edits, each something the row reader treats in its own way.
+_GRID_HEADERS = [
+    ("timestamp", "value"),
+    ("value", "timestamp"),
+    ("timestamp", "humidity", "value"),
+    ("note", "timestamp", "value"),
+    ("timestamp", "value", "value"),  # a repeated name stands for its last column
+    ("timestamp", "timestamp", "value"),
+    ("note", "timestamp", "value", "memo"),  # the label reader reads neither end
+]
+# every one parses with float(); "\x85" is white space to it, not a line break
+_ODD_CELLS = ["nan", "-nan", "inf", "-Infinity", "1_0", "-0.0", " 0.5", "0.5 ", "1\x85"]
+_BAD_CELLS = ["", "x", "#1", " #", "1e", "1__0"]
+_COMMENTS = ["# c", "  # c,d", "\t#x,y", "\x0c#,", "\x1c#", " # a,b", "#2024-03-01 10:00,1"]
+_ROW_EDITS = [
+    "gap", "repeat", "extra", "missing", "space", "loose stamp", "quote", "quote across", "bad cell",
+    "past end",
+]
+_LINE_EDITS = ["comment before", "blank before", "comment after", "comment out", "blank after"]
+_TEXT_EDITS = ["crlf", "lone cr", "nul", "no final newline", "bom", "bad byte"]
+
+
+def _loose_stamp(stamp: str) -> str:
+    """A canonical `stamp` as another text of the same minute."""
+    year, month, day, hh, mm = stamp.replace(" ", "-").replace(":", "-").split("-")
+    return f" {year}-{int(month)}-{int(day)}  {int(hh)}:{mm}"
+
+
+@st.composite
+def _grid_files(draw):
+    """(file bytes, csv field size limit or None) of a mutated grid CSV."""
+    n = draw(st.integers(1, 12))
+    window = draw(st.sampled_from(["midnight", "year 9999", "any"]))
+    if window == "midnight":
+        start = 20_000 * 1440 - draw(st.integers(0, n))
+    elif window == "year 9999":
+        start = _LAST - n + 1
+    else:
+        start = draw(st.integers(_YEAR_1, _LAST - n + 1))
+    header = list(draw(st.sampled_from(_GRID_HEADERS)))
+    stamp_col = len(header) - 1 - header[::-1].index("timestamp")
+    cells = st.one_of(st.floats().map(repr), st.sampled_from(_ODD_CELLS))
+    rows = [
+        [format_timestamp(start + i) if c == "timestamp" else draw(cells) for c in header]
+        for i in range(n)
+    ]
+    edits = draw(st.lists(st.sampled_from(_ROW_EDITS + _LINE_EDITS + _TEXT_EDITS), max_size=3))
+    for edit in (e for e in edits if e in _ROW_EDITS):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(header) - 1))
+        if edit == "gap" and len(rows) > 1:
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(i, list(rows[i]))
+        elif edit == "extra":
+            rows[i].append("0.5")
+        elif edit == "missing" and rows[i]:
+            rows[i].pop()
+        elif edit == "space" and j < len(rows[i]):
+            rows[i][j] = draw(st.sampled_from([" {}", "{} ", " {} "])).format(rows[i][j])
+        elif edit == "loose stamp" and stamp_col < len(rows[i]):
+            rows[i][stamp_col] = _loose_stamp(format_timestamp(start + min(i, n - 1)))
+        elif edit == "quote" and j < len(rows[i]):
+            rows[i][j] = draw(st.sampled_from(['"{}"', '{}"x', '"{}\n#"'])).format(rows[i][j])
+        elif edit == "quote across" and i + 1 < len(rows) and rows[i] and rows[i + 1]:
+            # one quoted field from the end of a row to the start of the next
+            rows[i][-1], rows[i + 1][0] = '"' + rows[i][-1], rows[i + 1][0] + '"'
+        elif edit == "bad cell" and j < len(rows[i]):
+            rows[i][j] = draw(st.sampled_from(_BAD_CELLS))
+        elif edit == "past end":
+            rows.append(["10000-01-01 00:00" if c == "timestamp" else "1" for c in header])
+    before, body = [], [",".join(row) for row in rows]
+    for edit in (e for e in edits if e in _LINE_EDITS):
+        lines = before if edit.endswith("before") else body
+        if edit == "comment out":
+            k = draw(st.integers(0, len(body) - 1))
+            body[k] = draw(st.sampled_from(["#", " #", "\x1c#"])) + body[k]
+        else:
+            line = draw(st.sampled_from(_COMMENTS)) if edit.startswith("comment") else ""
+            lines.insert(draw(st.integers(0, len(lines))), line)
+    text = "".join(line + "\n" for line in before + [",".join(header)] + body)
+    for edit in (e for e in edits if e in _TEXT_EDITS):
+        at = draw(st.integers(0, len(text)))
+        if edit == "crlf":
+            text = text.replace("\n", "\r\n") if draw(st.booleans()) else text[:at] + "\r\n" + text[at:]
+        elif edit == "lone cr":
+            text = text[:at] + "\r" + text[at:]
+        elif edit == "nul":
+            text = text[:at] + "\0" + text[at:]
+        elif edit == "no final newline":
+            text = text.rstrip("\n")
+        elif edit == "bom":
+            text = "\ufeff" + text
+    data = text.encode("utf-8")
+    if "bad byte" in edits:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, draw(st.one_of(st.none(), st.integers(16, 48)))
+
+
+_REALIGNED = b"2024-03-01 10:00,0,x,1\n2024-03-01 10:01,0\n2024-03-01 10:02,0,2024-03-01 10:02,1,1,1\n"
+
+
+def _outcome(read, *args):
+    """(start, value bits) of a read, or the type and text of what it raised."""
+    try:
+        start, values = read(*args)
+    except Exception as exc:  # every failure is compared, whatever its type
+        return type(exc), str(exc)
+    return start, _bits(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=_grid_files())
+# one quoted field across two lines, each of which has the header's width
+@example(grid=(b'note,timestamp,value,memo\na,2024-03-01 10:00,1,"b\nc",2024-03-01 10:01,0,d\n', None))
+# a carriage return, which ends a record for csv, inside a value float() reads
+@example(grid=(b"note,timestamp,value,memo\na,2024-03-01 10:00,1\r,b\n", None))
+# a short row and a long one that together hold the header's field count
+@example(grid=(b"timestamp,value,a,b\n" + _REALIGNED, None))
+# a row whose first, unread field opens with '#'
+@example(grid=(b"note,timestamp,value\n#a,2024-03-01 10:00,1\nb,2024-03-01 10:01,0\n", None))
+def test_grid_reads_match_the_row_reader(tmp_path_factory, grid):
+    data, limit = grid
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_bytes(data)
+    rows = ingest._read_grid_rows
+    old_limit = csv.field_size_limit(limit) if limit else None
+    try:
+        for value_col, what in (("value", "label"), (None, "sensor")):
+            assert _outcome(ingest._read_grid_csv, path, value_col, what) == _outcome(
+                rows, path, value_col, what
+            )
+        assert _outcome(lambda: astuple(read_label_csv(path))) == _outcome(
+            lambda: astuple(LabelSeries(*rows(path, "value", "label")))
+        )
+        assert _outcome(lambda: astuple(read_sensor_csv(path))) == _outcome(
+            lambda: astuple(SensorSeries(*rows(path, None, "sensor")))
+        )
+    finally:
+        if old_limit is not None:
+            csv.field_size_limit(old_limit)
