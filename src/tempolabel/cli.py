@@ -185,10 +185,11 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
         lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
         # percent-escaped, so any id names files inside out_dir
         stem = str(out_dir / f"softlabel_{quote(annotator_id, safe='')}_")
+        period_pairs = periods.tolist()
         for grid in label_grids(lo, hi, stamps, half_widths):
-            for k, (a, b) in zip(grid.records, grid.segments()):
+            for k, series in zip(grid.records, grid.soft_labels()):
                 rec = recs[k]
-                start_period, end_period = periods[k].tolist()
+                start_period, end_period = period_pairs[k]
                 config = {
                     "annotator_id": annotator_id,
                     "date": rec.date,
@@ -198,7 +199,6 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
                     "start_period": start_period,
                     "end_period": end_period,
                 }
-                series = LabelSeries(lo[k].item(), grid.soft[a:b])
                 write_label_csv(f"{stem}{k:03d}.csv", series, config)
     click.echo(f"wrote {len(records)} label series to {out_dir}")
 

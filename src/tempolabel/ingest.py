@@ -21,17 +21,23 @@ whose first non-space character is '#' is a comment, and still counts as a
 file line; inside a quoted field such a line is data. Output files embed the
 effective configuration as '#' header comments so a result can always be
 traced back to its inputs. Every file is read as UTF-8, a leading byte
-order mark skipped, and written as UTF-8 without one, whatever the locale.
-JSON is written as `json.dumps(indent=2, sort_keys=True)` writes it: by
-`write_json`, or for the `infer-habit` report by `write_habit_report`,
-which renders each annotator's entry for a minute once and reuses it for
-every annotation at that minute.
+order mark skipped. Every file is written by `_write_text`: its whole text
+is built and encoded as UTF-8, without a byte order mark and with `\n` line
+ends whatever the platform, before the file is opened, then written with one
+`os.open`, `os.write` and `os.close`. So a text that cannot be encoded leaves
+no file behind, and a label file costs three system calls. JSON is written as
+`json.dumps(indent=2, sort_keys=True)` writes it: by `write_json`, or for
+the `infer-habit` report by `write_habit_report`, which renders each
+annotator's entry for a minute once and reuses it for every annotation at
+that minute.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -223,21 +229,43 @@ def config_header(config: dict) -> str:
     """Deterministic '#'-comment block embedding the effective config.
 
     Backslashes and line breaks in values are written as \\\\, \\n and \\r, so
-    each entry stays on its own comment line.
+    each entry stays on its own comment line. A lone surrogate, which is how
+    Python decodes a file name that is not UTF-8, is written as its \\udcXX
+    escape, so that the header encodes.
     """
     lines = [f"# {key}={_escape_config_value(format(config[key]))}" for key in sorted(config)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def _escape_config_value(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+    text = text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
+    if not text.isascii():  # only a surrogate fails to encode, and backslashreplace escapes it
+        text = text.encode("utf-8", "backslashreplace").decode("utf-8")
+    return text
+
+
+# O_BINARY keeps Windows from translating line ends
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
+def _write_text(path, text: str) -> None:
+    """Replace the file at `path` by `text` as UTF-8, without a byte order
+    mark and with its line ends as they are. The text is encoded before the
+    file is opened, and the file is created with mode 0o666 less the umask,
+    as `open(path, "w")` creates it."""
+    rest = memoryview(text.encode("utf-8"))
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        while rest:  # os.write may write less than it is given
+            rest = rest[os.write(fd, rest) :]
+    finally:
+        os.close(fd)
 
 
 def write_label_csv(path, series: LabelSeries, config: dict | None = None):
     """One "timestamp,value" row per slot, values formatted with `.12g`."""
     body = _label_body(series.window_start, series.values)
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write((config_header(config) if config else "") + "timestamp,value\n" + body)
+    _write_text(path, (config_header(config) if config else "") + "timestamp,value\n" + body)
 
 
 def _label_body(window_start: int, values: np.ndarray) -> str:
@@ -355,20 +383,24 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
         return None
     columns = {name: i for i, name in enumerate(header)}
     at_stamp, at_value = columns["timestamp"], columns[value_col]
-    cells = ",".join(records).split(",")
+    n_rows = len(records) - 1
+    del lines, records  # only the row count is needed from here on
+    # the header and rows as one list of cells, as ",".join(records).split(",")
+    # gives it: the text from the header, less the final line break
+    cells = text[header_at : len(text) - text.endswith("\n")].replace("\n", ",").split(",")
+    del text
     try:
         start = parse_timestamp(cells[width + at_stamp])
         canonical = "\n".join(
             prefix + ("\n" + prefix).join(hhmms)
-            for prefix, hhmms in _day_stamps(start + 1, len(records) - 2)
+            for prefix, hhmms in _day_stamps(start + 1, n_rows - 1)
         )
         # no cell holds a line break, so equal texts mean equal stamp lists
         if "\n".join(cells[2 * width + at_stamp :: width]) != canonical:
             return None
-        values = list(map(float, cells[width + at_value :: width]))
+        return start, np.fromiter(map(float, cells[width + at_value :: width]), float, n_rows)
     except (InputError, ValueError):
         return None
-    return start, np.array(values)
 
 
 def _read_grid_rows(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:
@@ -423,13 +455,14 @@ def write_table_csv(path, rows: list[dict], config: dict | None = None):
     if not rows:
         raise InputError("refusing to write an empty table")
     columns = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        if config:
-            handle.write(config_header(config))
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in columns])
+    text = io.StringIO()
+    if config:
+        text.write(config_header(config))
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row[c]) for c in columns])
+    _write_text(path, text.getvalue())
 
 
 def _format_cell(value) -> str:
@@ -439,9 +472,7 @@ def _format_cell(value) -> str:
 
 
 def write_json(path, payload: dict):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _PAD = "  "  # one level of json.dumps(indent=2)
@@ -461,8 +492,7 @@ def write_habit_report(path, config: dict, annotators) -> None:
     """
     blocks = [_annotator_block(*annotator) for annotator in annotators]
     text = _with_first_key("annotators", _json_list(blocks, 1), {"config": config}, 0)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    _write_text(path, text + "\n")
 
 
 def _annotator_block(annotator_id: str, habit, rows) -> str:

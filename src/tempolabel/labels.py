@@ -19,8 +19,11 @@ batched grid all sample them. `label_grids`, the grid of `soft-labels` and
 the simulate sweeps, lays records' windows end to end with `_flat_grid`
 (the layout `evaluation` scores by), `_GRID_RECORDS` records at a time. A
 record the grid rejects is rebuilt through the per-record functions, so
-each error message lives in them alone. `LabelSeries` and `hmm`'s sensor
-series share one shape check, `_series_values`.
+each error message lives in them alone. A grid checks its soft values once,
+with `LabelSeries`' own check, and freezes them; `LabelGrid.soft_labels`
+then hands out each record's series as a read-only view of them, not a
+re-checked copy. `LabelSeries` and `hmm`'s sensor series share one shape
+check, `_series_values`.
 """
 
 from __future__ import annotations
@@ -92,6 +95,12 @@ def _series_values(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_label_values(values: np.ndarray) -> None:
+    """InputError unless every value lies in [0, 1]."""
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both comparisons
+        raise InputError("label values must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class LabelSeries:
     """Per-slot label values in [0, 1] over a window of 1-minute slots."""
@@ -101,9 +110,17 @@ class LabelSeries:
 
     def __post_init__(self):
         arr = _series_values(self.values, "label series")
-        if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both comparisons
-            raise InputError("label values must lie in [0, 1]")
+        _check_label_values(arr)
         object.__setattr__(self, "values", arr)
+
+    @classmethod
+    def _view(cls, window_start: int, values: np.ndarray) -> "LabelSeries":
+        """The series of `values` as given, neither copied nor checked: a
+        read-only, non-empty 1-d float array that `_check_label_values` passed."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "window_start", window_start)
+        object.__setattr__(series, "values", values)
+        return series
 
     def __len__(self) -> int:
         return len(self.values)
@@ -211,7 +228,8 @@ class LabelGrid:
     """Soft and hard labels of consecutive records on one flat minute grid.
 
     The k-th record of `records` owns slots offsets[k]:offsets[k + 1], its
-    window of whole minutes; `minutes` holds each slot's start.
+    window of whole minutes; `minutes` holds each slot's start. `soft` is
+    read-only and lies in [0, 1].
     """
 
     records: range
@@ -222,6 +240,12 @@ class LabelGrid:
 
     def segments(self):
         return zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist())
+
+    def soft_labels(self):
+        """Each record's soft label, in order, as a read-only view of `soft`."""
+        starts = self.minutes[self.offsets[:-1]].tolist()
+        for start, (a, b) in zip(starts, self.segments()):
+            yield LabelSeries._view(start, self.soft[a:b])
 
 
 def label_grids(lo, hi, centers, half_widths, spans=()):
@@ -271,5 +295,7 @@ def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGri
     soft = soft_values(
         mid, ramp_lo[record, 0], half_widths[record, 0], ramp_lo[record, 1], half_widths[record, 1]
     )
+    _check_label_values(soft)
+    soft.flags.writeable = False
     hard = tuple(indicator(mid, span[record, 0], span[record, 1]) for span in spans)
     return LabelGrid(records, offsets, minutes, soft, hard)

@@ -911,6 +911,62 @@ def test_detect_unreadable_params_exits_2(runner, tmp_path, raw):
     assert "error: bad JSON" in result.output
 
 
+def test_detect_params_name_not_utf8_is_escaped_in_header(runner, tmp_path):
+    sensor, _, params = _detect_fixture(tmp_path)
+    try:  # argv bytes that are not UTF-8 decode to lone surrogates
+        odd = params.rename(tmp_path / os.fsdecode(b"\xff.json"))
+    except (OSError, UnicodeError):
+        pytest.skip("the filesystem refuses a file name that is not UTF-8")
+    out = tmp_path / "p.csv"
+    result = runner.invoke(main, ["detect", str(sensor), "--params", str(odd), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    (params_line,) = [line for line in out.read_text().splitlines() if line.startswith("# params=")]
+    assert params_line.endswith("\\udcff.json")
+    assert len(read_label_csv(out)) == 240
+
+
+def _soft_labels_onto_a_directory(tmp_path, annotations_csv):
+    out_dir = tmp_path / "labels"
+    target = out_dir / "softlabel_p01_000.csv"
+    target.mkdir(parents=True)
+    return ["soft-labels", str(annotations_csv), "--out", str(out_dir)], target
+
+
+def _detect_into_a_missing_directory(tmp_path, annotations_csv):
+    sensor, _, params = _detect_fixture(tmp_path)
+    target = tmp_path / "missing" / "p.csv"
+    return ["detect", str(sensor), "--params", str(params), "--out", str(target)], target
+
+
+def _evaluate_into_a_missing_directory(tmp_path, annotations_csv):
+    _, truth, _ = _detect_fixture(tmp_path)
+    target = tmp_path / "missing" / "m.json"
+    args = ["evaluate", "--labels", str(truth), "--predictions", str(truth), "--out", str(target)]
+    return args, target
+
+
+def _histogram_into_a_missing_directory(tmp_path, annotations_csv):
+    target = tmp_path / "missing" / "h.csv"
+    return ["histogram", str(annotations_csv), "--out", str(target)], target
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _soft_labels_onto_a_directory,
+        _detect_into_a_missing_directory,
+        _evaluate_into_a_missing_directory,
+        _histogram_into_a_missing_directory,
+    ],
+)
+def test_unwritable_output_exits_2_naming_the_file(runner, annotations_csv, tmp_path, case):
+    args, target = case(tmp_path, annotations_csv)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    named = re.escape(repr(str(target)))
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^\n]+: {named}\n", result.output)
+
+
 def test_evaluate_label_row_with_extra_field_exits_2(runner, tmp_path):
     labels = tmp_path / "a.csv"
     write_label_csv(labels, LabelSeries(0, np.array([0.0, 1.0, 1.0])))

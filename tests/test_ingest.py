@@ -1,4 +1,5 @@
 import csv
+import os
 import sys
 from dataclasses import astuple
 from unittest import mock
@@ -23,6 +24,7 @@ from tempolabel.ingest import (
     read_label_csv,
     read_sensor_csv,
     write_label_csv,
+    write_table_csv,
 )
 from tempolabel.labels import LabelSeries
 
@@ -253,6 +255,48 @@ def test_label_rows_cross_days_and_keep_values(tmp_path):
 def test_config_header_escapes_line_breaks():
     header = config_header({"annotator_id": "a\nb\\c\rd", "delta": 0.1})
     assert header == "# annotator_id=a\\nb\\\\c\\rd\n# delta=0.1\n"
+
+
+def test_config_header_escapes_lone_surrogates():
+    # "\udcff" is how Python decodes the byte 0xff of a file name that is not
+    # UTF-8; other non-ASCII text, and the same escape typed out, stay apart
+    header = config_header({"params": "x/\udcff.json", "who": "Zoë \\udcff"})
+    assert header == "# params=x/\\udcff.json\n# who=Zoë \\\\udcff\n"
+    header.encode("utf-8")
+
+
+def test_label_writer_replaces_a_longer_file(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("x" * 10_000)
+    write_label_csv(path, LabelSeries(0, np.array([0.0, 0.5])))
+    assert path.read_bytes() == b"timestamp,value\n1970-01-01 00:00,0\n1970-01-01 00:01,0.5\n"
+
+
+def test_written_file_mode_is_that_of_open(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open.csv", "w"):
+            pass
+        write_label_csv(tmp_path / "by_writer.csv", LabelSeries(0, np.array([1.0])))
+    finally:
+        os.umask(umask)
+    assert (tmp_path / "by_writer.csv").stat().st_mode == (tmp_path / "by_open.csv").stat().st_mode
+
+
+def test_writer_finishes_short_writes(tmp_path):
+    write = os.write
+    series = LabelSeries(0, np.linspace(0.0, 1.0, 50))
+    write_label_csv(tmp_path / "whole.csv", series, {"delta": 0.1})
+    with mock.patch.object(ingest.os, "write", lambda fd, data: write(fd, bytes(data[:7]))):
+        write_label_csv(tmp_path / "short.csv", series, {"delta": 0.1})
+    assert (tmp_path / "short.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_unencodable_text_leaves_no_file(tmp_path):
+    path = tmp_path / "table.csv"
+    with pytest.raises(UnicodeEncodeError):
+        write_table_csv(path, [{"annotator_id": "\udcff"}])
+    assert not path.exists()
 
 
 def test_minutes_past_year_9999_are_input_errors(tmp_path):

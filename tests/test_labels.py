@@ -229,9 +229,14 @@ def test_label_grids_match_soft_label(events, periods, pad, block):
     with mock.patch.object(labels, "_GRID_RECORDS", block):
         try:
             for grid in labels.label_grids(lo, hi, stamps, half_widths):
-                for k, (a, b) in zip(grid.records, grid.segments()):
+                for k, (a, b), view in zip(grid.records, grid.segments(), grid.soft_labels()):
                     assert k == len(got)
-                    got.append((int(lo[k]), grid.soft[a:b].tobytes()))
+                    # the view is the series a copy of the grid's slice makes
+                    copy = labels.LabelSeries(lo[k].item(), grid.soft[a:b])
+                    assert type(view.window_start) is int and view.window_start == copy.window_start
+                    assert view.values.dtype == copy.values.dtype
+                    assert view.values.tobytes() == copy.values.tobytes()
+                    got.append((view.window_start, view.values.tobytes()))
         except InputError as exc:
             got.append(str(exc))
     expected = []
@@ -344,3 +349,35 @@ def test_label_grids_non_finite_ramps_match_per_record(center, half_width, fails
     assert len(got) == (3 if fails else 4)
     if fails:
         assert got[-1] == "label values must lie in [0, 1]"
+
+
+def _one_grid(n=3):
+    """The single grid of `n` records a day apart."""
+    lo = np.arange(n) * 1440 + 100
+    centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
+    (grid,) = labels.label_grids(lo, lo + 200, centers, np.full((n, 2), 15.0))
+    return grid
+
+
+def test_grid_soft_labels_are_read_only_views():
+    grid = _one_grid()
+    for series in grid.soft_labels():
+        assert np.shares_memory(series.values, grid.soft)
+        with pytest.raises(ValueError, match="read-only"):
+            series.values[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        grid.soft[0] = 0.5
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1e-300, 1 + 2**-52])
+def test_grid_soft_values_outside_unit_interval_raise_the_series_error(bad):
+    def leaving(*args):
+        values = soft_values(*args)
+        values[len(values) // 2] = bad
+        return values
+
+    with pytest.raises(InputError) as per_series:
+        labels.LabelSeries(0, np.array([0.5, bad]))
+    with mock.patch.object(labels, "soft_values", leaving), pytest.raises(InputError) as grid:
+        _one_grid()
+    assert str(grid.value) == str(per_series.value) == "label values must lie in [0, 1]"
