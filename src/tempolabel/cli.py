@@ -61,15 +61,14 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (InputError, ConfigError) as exc:  # ParseError subclasses InputError
+        # ParseError subclasses InputError; OSError is an unreadable input or
+        # unwritable output path
+        except (InputError, ConfigError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_USAGE)
         except DegenerateModelError as exc:
             click.echo(f"numeric degeneracy: {exc}", err=True)
             sys.exit(EXIT_DEGENERATE)
-        except OSError as exc:  # unreadable input or unwritable output path
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_USAGE)
         except MemoryError as exc:  # a size option too large to allocate
             click.echo(f"error: {str(exc) or 'not enough memory'}", err=True)
             sys.exit(EXIT_USAGE)

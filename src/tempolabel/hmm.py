@@ -4,9 +4,10 @@ Maps a uniformly sampled sensor series (e.g. bathroom humidity) to per-slot
 on/off predictions. Decoding is exact Viterbi in log space: its forward
 recursion is one loop over Python floats holding the two states' scores,
 and each step's maximum is taken over the loop's own sums, so ties go to
-the off state. Parameters can be refined by Baum-Welch; the fit reports its
-log-likelihood trace and flags degenerate outcomes (e.g. both states
-collapsing onto one emission) instead of raising.
+the off state. Parameters can be refined by Baum-Welch, an E-step
+(`_forward_backward`) and an M-step (`_m_step`) per iteration; the fit
+reports its log-likelihood trace and flags degenerate outcomes (e.g. both
+states collapsing onto one emission) instead of raising.
 
 Baum-Welch's forward-backward pass shifts each step's log-emissions by their
 maximum, so one outlying reading cannot underflow every state at once. It
@@ -273,6 +274,32 @@ def _forward_backward(params: HmmParams, values: np.ndarray):
     return gamma, np.exp(log_xi, out=log_xi).sum(axis=2), float(log_likelihood)
 
 
+def _m_step(
+    values: np.ndarray, gamma: np.ndarray, xi_sum: np.ndarray, params: HmmParams, var_floor: float
+) -> HmmParams:
+    """Baum-Welch's M-step (Rabiner 1989) from the slot occupancies `gamma`
+    (T, 2) and the summed transition posteriors `xi_sum` (2, 2), variances
+    floored at `var_floor`. A state the data never visits has no statistics
+    and keeps its emission from `params`; one never left before the last
+    slot keeps its transition row."""
+    occupancy = gamma.sum(axis=0)
+    starved = occupancy <= 0.0
+    weight = np.where(starved, 1.0, occupancy)
+    means = (gamma * values[:, None]).sum(axis=0) / weight
+    with np.errstate(over="ignore"):
+        variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
+    means = np.where(starved, params.means, means)
+    variances = np.where(starved, params.variances, np.maximum(variances, var_floor))
+    trans_denom = gamma[:-1].sum(axis=0)
+    transition = np.where(
+        trans_denom[:, None] > 1e-12,
+        xi_sum / np.maximum(trans_denom[:, None], 1e-300),
+        params.transition,
+    )
+    transition /= transition.sum(axis=1, keepdims=True)
+    return HmmParams(initial=gamma[0], transition=transition, means=means, variances=variances)
+
+
 def fit_emissions(series: SensorSeries, initial_guess: HmmParams) -> HmmFit:
     """Baum-Welch refinement until the log-likelihood gain drops below
     `_FIT_TOL`, for at most `_MAX_ITER` iterations.
@@ -288,46 +315,22 @@ def fit_emissions(series: SensorSeries, initial_guess: HmmParams) -> HmmFit:
     values = series.values
     params = initial_guess
     trace: list[float] = []
-    converged = False
     # a spread that overflows comes from readings whose emissions overflow
     # too, and forward-backward reports those as DegenerateModelError
     with np.errstate(over="ignore"):
         var_floor = max(_VAR_FLOOR, 1e-6 * float(np.var(values)))
     for _ in range(_MAX_ITER):
         gamma, xi_sum, ll = _forward_backward(params, values)
-        occupancy = gamma.sum(axis=0)  # (n,)
-        if trace and ll - trace[-1] < _FIT_TOL:
-            trace.append(ll)
-            converged = True
-            break
+        converged = bool(trace) and ll - trace[-1] < _FIT_TOL
         trace.append(ll)
-        # a state the data never visits has no statistics: it keeps its old
-        # emission and the fit ends flagged degenerate
-        starved = occupancy <= 0.0
-        weight = np.where(starved, 1.0, occupancy)
-        means = (gamma * values[:, None]).sum(axis=0) / weight
-        with np.errstate(over="ignore"):
-            variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
-        means = np.where(starved, params.means, means)
-        variances = np.where(starved, params.variances, np.maximum(variances, var_floor))
-        trans_denom = gamma[:-1].sum(axis=0)
-        transition = np.where(
-            trans_denom[:, None] > 1e-12,
-            xi_sum / np.maximum(trans_denom[:, None], 1e-300),
-            params.transition,
-        )
-        transition /= transition.sum(axis=1, keepdims=True)
-        params = HmmParams(
-            initial=gamma[0],
-            transition=transition,
-            means=means,
-            variances=variances,
-        )
+        if converged:
+            break
+        params = _m_step(values, gamma, xi_sum, params, var_floor)
     scale = max(1.0, float(np.abs(values).max()))
     degenerate = bool(
         np.any(params.variances <= var_floor)
         or abs(params.means[1] - params.means[0]) < 1e-6 * scale
-        or np.any(occupancy < 1.0)
+        or np.any(gamma.sum(axis=0) < 1.0)  # the last E-step's occupancy
     )
     return HmmFit(
         params=params,

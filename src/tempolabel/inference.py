@@ -10,10 +10,11 @@ when admissible and 0 otherwise.
 Both posteriors are exact, and both depend on an annotator's evidence only
 through its 60-bin minute-of-hour histogram:
 
-* habit: log(1/C) + counts @ log E, a uniform prior over the C habits, where
-  E[h, m] = sum_c S[c, h] L[c, m] is the probability of minute m under
-  habit h; a final softmax over habits replaces the normalizing constant,
-  so long evidence sets cannot underflow.
+* habit: the log joint `_habit_log_joint`, log(1/C) + counts @ log E for a
+  uniform prior over the C habits, where E[h, m] = sum_c S[c, h] L[c, m] is
+  the probability of minute m under habit h. Its logsumexp over habits is
+  the log marginal; its softmax is the posterior, which never forms the
+  normalizing constant, so long evidence sets cannot underflow.
 * per-annotation category: a posterior row depends only on its minute, so
   the posterior is a (60, C) table whose row m is the Bayes inversion
   P(category | m, habit) mixed over the habit posterior, plus a (60,) MAP
@@ -254,17 +255,28 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
     )
 
 
+def _habit_log_joint(
+    counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel
+) -> np.ndarray:
+    """(B, 60) minute histograms -> (B, H) log P(habit, annotated minutes)
+    under a uniform prior over the habits, -inf where an annotated minute is
+    impossible under the habit. Each row's logsumexp is that annotator's log
+    marginal, the log evidence the model assigns to its minutes."""
+    log_evidence, impossible, _ = _minute_model(catalog, model)
+    scores = np.log(np.full(len(catalog), 1.0 / len(catalog))) + counts @ log_evidence
+    scores[(counts > 0) @ impossible] = -np.inf
+    return scores
+
+
 def _habit_probs(counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
-    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each,
-    under a uniform prior over the habits. Some habit always has mass: period
+    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each:
+    the row softmax of `_habit_log_joint`. Some habit always has mass: period
     1 admits every minute, and its own habit keeps it unless delta = 1, while
     every habit can switch to it when delta > 0."""
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=1) == 0):
         raise InputError("cannot infer a habit from an empty annotation set")
-    log_evidence, impossible, _ = _minute_model(catalog, model)
-    scores = np.log(np.full(len(catalog), 1.0 / len(catalog))) + counts @ log_evidence
-    scores[(counts > 0) @ impossible] = -np.inf
+    scores = _habit_log_joint(counts, catalog, model)
     scores -= scores.max(axis=1, keepdims=True)
     probs = np.exp(scores)
     probs /= probs.sum(axis=1, keepdims=True)

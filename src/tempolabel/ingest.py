@@ -8,7 +8,7 @@ label or sensor stamp with the two joined by a space. Label and sensor CSVs
 label each slot by its start minute, one row per consecutive minute.
 `_day_prefix` and the `_HHMM` table are the one source of canonical stamp
 text: the writer renders rows from them, and the readers match each stamp
-against `_stamps`, and each diary time against `_HHMM`'s inverse, parsing
+against `_day_stamps`, and each diary time against `_HHMM`'s inverse, parsing
 only a text that differs. A row that is not the minute after the previous
 row's is reported with its file line. A label or sensor CSV laid out as the
 writer lays it out (no quote, carriage return or NUL, only '#' comments
@@ -103,17 +103,6 @@ def _date_prefix(day: int) -> str:
     d = _EPOCH + timedelta(days=day)
     # %Y leaves years before 1000 unpadded on some platforms
     return f"{d.year:04d}-{d.month:02d}-{d.day:02d} "
-
-
-def _stamps(minute: int):
-    """Canonical "YYYY-MM-DD HH:MM" text of `minute` and of every later
-    minute up to 9999-12-31 23:59, each day's date formatted once."""
-    day, first = divmod(int(minute), MINUTES_PER_DAY)
-    while day <= _LAST_DAY:
-        prefix = _day_prefix(day, first)
-        for hhmm in _HHMM[first:]:
-            yield prefix + hhmm
-        day, first = day + 1, 0
 
 
 def _diary_time(text: str, line_no: int) -> int:
@@ -272,7 +261,7 @@ def _label_body(window_start: int, values: np.ndarray) -> str:
     """The "stamp,value" rows of a float64 series from `window_start`.
 
     InputError names the first minute, in order, that lies outside the
-    years 1-9999, as `_stamps` would.
+    years 1-9999, as `_day_stamps` does.
     """
     bits = values.view(np.int64).tolist()
     parts = [""] * (3 * len(bits))
@@ -427,8 +416,9 @@ def _read_grid_rows(path, value_col: str | None, what: str) -> tuple[int, np.nda
                 minute = parse_timestamp(text)
             except InputError as exc:
                 raise ParseError(str(exc), line_no) from exc
-            if start is None:
-                start, stamps = minute, _stamps(minute + 1)
+            if start is None:  # the stamps of the later minutes up to 9999-12-31 23:59
+                days = _day_stamps(minute + 1, (_LAST_DAY + 1) * MINUTES_PER_DAY - minute - 1)
+                start, stamps = minute, (prefix + hhmm for prefix, hhmms in days for hhmm in hhmms)
             elif minute != start + len(values):
                 raise ParseError(
                     f"timestamp {text!r} is not one minute after the previous row's", line_no

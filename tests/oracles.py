@@ -1,14 +1,14 @@
 """Independent reference implementations the tests check the library against.
 
-Nothing here shares code with the package's fast paths: posteriors come from
-exhaustive enumeration of the joint model, boundary probabilities from
-midpoint quadrature of the uniform density, state paths from trying
-every possible path or from one NumPy max-plus step per slot, state
-posteriors from every path or from Rabiner's scaled recursion, label CSV
-bytes from formatting row by row, the `infer-habit` report from
-`to_dict` and json's indent encoder, masked MSE from boolean indexing, the MSE
-and F1 sweeps from one label series per simulated record, and the
-error-rate sweep from one NumPy draw and one category posterior per trial.
+Nothing here shares code with the package's fast paths: joint probabilities
+and posteriors come from exhaustive enumeration of the model, boundary
+probabilities from midpoint quadrature of the uniform density, state paths
+from trying every possible path or from one NumPy max-plus step per slot,
+state posteriors from every path or from Rabiner's scaled recursion, label CSV
+bytes from formatting row by row, the `infer-habit` report from `to_dict` and
+json's indent encoder, masked MSE from boolean indexing, the MSE and F1 sweeps
+from one label series per simulated record, and the error-rate sweep from one
+NumPy draw and one category posterior per trial.
 """
 
 import csv
@@ -43,7 +43,19 @@ from tempolabel.simulate import (
 
 
 def enumerate_posteriors(minutes, periods=(30, 15, 10, 5, 1), delta=0.1):
-    """Exact habit and per-annotation category posteriors by brute force.
+    """Exact habit and per-annotation category posteriors by brute force:
+    `enumerate_joint`'s sums, each divided by their total."""
+    habit, rows = enumerate_joint(minutes, periods, delta)
+    total = habit.sum()
+    if total == 0:
+        raise ZeroDivisionError("no assignment explains the annotations")
+    return habit / total, rows / total
+
+
+def enumerate_joint(minutes, periods=(30, 15, 10, 5, 1), delta=0.1):
+    """P(habit, minutes) for each habit, (H,), and P(annotation i used
+    category c, minutes), (n, C), by brute force; the first sums to the
+    marginal probability of the minutes.
 
     Sums the joint probability over every (habit, category-assignment)
     combination; feasible for a handful of annotations only.
@@ -68,10 +80,7 @@ def enumerate_posteriors(minutes, periods=(30, 15, 10, 5, 1), delta=0.1):
             habit[h] += p
             for i, c in enumerate(assign):
                 rows[i, c] += p
-    total = habit.sum()
-    if total == 0:
-        raise ZeroDivisionError("no assignment explains the annotations")
-    return habit / total, rows / total
+    return habit, rows
 
 
 def quadrature_started_prob(center, half_width, t, n_steps=200_000):

@@ -15,7 +15,7 @@ from tempolabel import (
 )
 
 from tempolabel.cli import main
-from tempolabel.hmm import _forward_backward, _log_emissions, _max_plus_scores
+from tempolabel.hmm import _forward_backward, _log_emissions, _m_step, _max_plus_scores
 from tempolabel.ingest import format_timestamp
 from tempolabel.labels import LabelSeries
 
@@ -222,6 +222,45 @@ def test_starved_state_keeps_params_and_flags_degenerate():
     assert fit.params.means[1] == 80.0
     assert fit.params.variances[1] == 16.0
     assert np.all(np.isfinite(fit.log_likelihoods))
+
+
+def _label_statistics(w):
+    """The E-step outputs that hard labels `w` stand for: gamma = [1 - w, w]
+    and the sum of neighbouring slots' products."""
+    gamma = np.stack([1.0 - w, w], axis=1)
+    return gamma, gamma[:-1].T @ gamma[1:]
+
+
+def test_m_step_on_hard_labels_is_the_closed_form_fit():
+    rng = np.random.default_rng(4)
+    values = rng.normal(50.0, 5.0, 200)
+    w = (rng.random(200) < 0.3).astype(float)
+    w[:2] = [1.0, 0.0]  # the first slot's label differs from the next one's
+    gamma, xi_sum = _label_statistics(w)
+    params = _m_step(values, gamma, xi_sum, _shower_params(), 1e-10)
+    off, on = values[w == 0], values[w == 1]
+    np.testing.assert_allclose(params.means, [off.mean(), on.mean()], rtol=1e-12)
+    np.testing.assert_allclose(params.variances, [off.var(), on.var()], rtol=1e-12)
+    counts = np.zeros((2, 2))
+    np.add.at(counts, (w[:-1].astype(int), w[1:].astype(int)), 1.0)
+    assert counts.min() > 0
+    np.testing.assert_allclose(
+        params.transition, counts / counts.sum(axis=1, keepdims=True), rtol=1e-12
+    )
+    np.testing.assert_array_equal(params.initial, [0.0, 1.0])
+
+
+def test_m_step_starved_state_keeps_its_emission_and_transition_row():
+    values = np.random.default_rng(5).normal(45.0, 3.0, 60)
+    guess = _shower_params()
+    params = _m_step(values, *_label_statistics(np.zeros(60)), guess, 1e-10)
+    assert params.means[1] == guess.means[1]
+    assert params.variances[1] == guess.variances[1]
+    np.testing.assert_array_equal(params.transition[1], guess.transition[1])
+    np.testing.assert_allclose(params.means[0], values.mean(), rtol=1e-12)
+    np.testing.assert_allclose(params.variances[0], values.var(), rtol=1e-12)
+    np.testing.assert_array_equal(params.transition[0], [1.0, 0.0])
+    np.testing.assert_array_equal(params.initial, [1.0, 0.0])
 
 
 def _random_case(rng, n_slots=None, kind=None):

@@ -20,9 +20,9 @@ from tempolabel import (
     likelihood,
     switch_prob,
 )
-from tempolabel.inference import _category_tables, _habit_probs
+from tempolabel.inference import _category_tables, _habit_log_joint, _habit_probs
 
-from .oracles import enumerate_posteriors
+from .oracles import enumerate_joint, enumerate_posteriors
 
 # habit posterior for a single annotation at minute 0, default catalogue and
 # delta=0.1; frozen from the enumeration oracle
@@ -266,6 +266,21 @@ def test_batched_tables_match_oracle(catalog, model):
         expected_habit, expected_rows = enumerate_posteriors(minutes)
         np.testing.assert_allclose(habit[b], expected_habit, rtol=0, atol=1e-10)
         np.testing.assert_allclose(table[b, list(minutes)], expected_rows, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.3, 0.0])
+def test_habit_log_joint_matches_enumerated_joint(catalog, delta):
+    # at delta 0, a habit whose members miss an annotated minute has joint 0;
+    # no whole row is 0, since the period-1 habit explains every minute set
+    sets = [(), (0,), (7,), (0, 30), (15, 45, 0), (0, 7, 30), (1, 2, 3, 59)]
+    scores = _habit_log_joint(_histograms(sets), catalog, SwitchModel(delta))
+    for b, minutes in enumerate(sets):
+        joint, _ = enumerate_joint(minutes, delta=delta)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_allclose(scores[b], np.log(joint), rtol=0, atol=1e-12)
+        marginal = np.logaddexp.reduce(scores[b])
+        assert marginal == pytest.approx(np.log(joint.sum()), rel=0, abs=1e-12)
+    assert np.isneginf(scores).any() == (delta == 0)
 
 
 def test_batch_equals_single_calls(catalog, model):
