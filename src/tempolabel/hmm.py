@@ -153,9 +153,9 @@ def _max_plus_scores(log_init: np.ndarray, log_trans: np.ndarray, logb: np.ndarr
 def viterbi(params: HmmParams, series: SensorSeries) -> LabelSeries:
     """Most probable state path, returned as a binary label series.
 
-    The forward recursion is one loop over Python floats, and the backtrack's
-    argmax runs over that loop's own sums, so every tie resolves to the lower
-    state index and a dead heat decodes as off.
+    The forward recursion is one loop over Python floats, and the backtrack
+    compares that loop's own sums, keeping the first maximum, so every tie
+    resolves to the lower state index and a dead heat decodes as off.
     """
     logb = _log_emissions(params, series.values)
     with np.errstate(divide="ignore"):
@@ -169,8 +169,11 @@ def viterbi(params: HmmParams, series: SensorSeries) -> LabelSeries:
             raise DegenerateModelError("all states impossible at the first observation")
         raise DegenerateModelError(f"all paths have zero probability at step {step}")
     # the sums the loop maximised (log_trans.T[j, i] moves from i to j), so
-    # argmax finds the predecessor it kept; back[2 (t - 1) + j] precedes j at t
-    back = (scores[:-1, None, :] + log_trans.T).argmax(axis=2).ravel().tolist()
+    # the predecessor it kept is 1 only where that sum beats 0's, argmax's
+    # first-maximum rule; no term is +inf, so no sum is NaN and the compare
+    # sees every one. back[2 (t - 1) + j] precedes j at t
+    sums = scores[:-1, None, :] + log_trans.T
+    back = (sums[..., 1] > sums[..., 0]).astype(np.intp).ravel().tolist()
     state = int(np.argmax(scores[-1]))
     path = [state]
     for k in range(len(back) - 2, -1, -2):

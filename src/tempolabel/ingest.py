@@ -13,10 +13,11 @@ only a text that differs. A row that is not the minute after the previous
 row's is reported with its file line. A label or sensor CSV laid out as the
 writer lays it out (no quote, carriage return or NUL, only '#' comments
 before the header, then one full row per line) is read in bulk: one decode,
-one split, and one compare of its stamp column against the canonical
-stamps. Every other file, and every file with a problem, is read row by
-row; that row reader is the one source of parse errors, so the two paths
-accept the same files, values and errors. A CSV line that starts a record and
+one NumPy scan of its ',' and line-break bytes that checks each row's field
+count, and one compare of its stamp column against the canonical stamps.
+Every other file, and every file with a problem, is read row by row; that
+row reader is the one source of parse errors, so the two paths accept the
+same files, values and errors. A CSV line that starts a record and
 whose first non-space character is '#' is a comment, and still counts as a
 file line; inside a quoted field such a line is data. Output files embed the
 effective configuration as '#' header comments so a result can always be
@@ -34,6 +35,7 @@ that minute.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -43,7 +45,6 @@ import struct
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import lru_cache
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -222,15 +223,19 @@ def config_header(config: dict) -> str:
     Python decodes a file name that is not UTF-8, is written as its \\udcXX
     escape, so that the header encodes.
     """
-    lines = [f"# {key}={_escape_config_value(format(config[key]))}" for key in sorted(config)]
+    lines = [_config_line(format(key), format(config[key])) for key in sorted(config)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _escape_config_value(text: str) -> str:
+# soft-labels writes one header per event from a few distinct values. Keyed
+# by formatted texts, never by values: True, 1 and 1.0 hash alike but format
+# differently.
+@lru_cache(maxsize=1024)
+def _config_line(key: str, text: str) -> str:
     text = text.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
     if not text.isascii():  # only a surrogate fails to encode, and backslashreplace escapes it
         text = text.encode("utf-8", "backslashreplace").decode("utf-8")
-    return text
+    return f"# {key}={text}"
 
 
 # O_BINARY keeps Windows from translating line ends
@@ -334,48 +339,50 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
     A plain file decodes, holds no quote (which can open a multi-line
     field), carriage return (a line break to csv) or NUL (which csv rejects
     before Python 3.11), and has only '#' comment lines before its header.
-    After the header, each line is a row with the header's field count, no
-    line is blank or a comment, and none is longer than csv's field size
-    limit. Its first stamp parses, each later stamp is the canonical text
-    of the minute after the previous row's, and each value parses with
-    `float`, as in the row reader.
+    From the header on, one scan of its UTF-8 bytes (`_grid_rows`) checks
+    that each line holds the header's field count, so that no line is
+    blank, and that no field is longer than csv's field size limit; no
+    line after the header is a comment. Its first stamp parses, each later
+    stamp is the canonical text of the minute after the previous row's,
+    and each value parses with `float`, as in the row reader.
     """
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:  # the row reader may report an earlier bad row
-            return None
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:  # the row reader may report an earlier bad row
+        return None
     if '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the text ends with a line break
-    head = 0  # comment lines before the header
-    while head < len(lines) and lines[head].lstrip().startswith("#"):
-        head += 1
-    records = lines[head:]  # the header, then one row per line
-    if len(records) < 2:
-        return None
-    header = records[0].split(",")
+    header_at = 0  # the header's offset in `text`, after the comment lines
+    while True:
+        end = text.find("\n", header_at)
+        line = text[header_at:] if end == -1 else text[header_at:end]
+        if not line.lstrip().startswith("#"):
+            break
+        if end == -1:
+            return None  # comments and no header
+        header_at = end + 1
+    header = line.split(",")
     try:
         value_col = _grid_value_column(header, value_col, "")
     except ParseError:
         return None
     width = len(header)
-    header_at = sum(map(len, lines[:head])) + head  # the header's offset in `text`
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    body = np.frombuffer(data, np.uint8)[bom + len(text[:header_at].encode("utf-8")) :]
+    n_rows = _grid_rows(body, width)
+    del data, body
     if (
-        set(map(str.count, records, repeat(","))) != {width - 1}
-        or max(map(len, records)) > csv.field_size_limit()
+        n_rows is None
         # the writer puts no '#' after the header, and find is the quicker scan
         or (text.find("#", header_at) != -1 and _COMMENT.search(text, header_at))
     ):
         return None
     columns = {name: i for i, name in enumerate(header)}
     at_stamp, at_value = columns["timestamp"], columns[value_col]
-    n_rows = len(records) - 1
-    del lines, records  # only the row count is needed from here on
-    # the header and rows as one list of cells, as ",".join(records).split(",")
-    # gives it: the text from the header, less the final line break
+    # the header and rows as one list of cells: the text from the header,
+    # less the final line break, split at every separator
     cells = text[header_at : len(text) - text.endswith("\n")].replace("\n", ",").split(",")
     del text
     try:
@@ -390,6 +397,35 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
         return start, np.fromiter(map(float, cells[width + at_value :: width]), float, n_rows)
     except (InputError, ValueError):
         return None
+
+
+_COMMA, _LINE_BREAK = ord(","), ord("\n")
+
+
+def _grid_rows(body: np.ndarray, width: int) -> int | None:
+    """The row count of `body`, the UTF-8 bytes of a CSV from its header
+    line on, if it has a row, every line holds `width` fields and no field
+    is longer than csv's field size limit; else None. A last line without
+    a line break counts.
+
+    The ',' and '\\n' bytes must come as `width` - 1 commas, then one line
+    break, line after line. A field's byte count bounds its character
+    count from above, so a non-ASCII field can make this decline a file
+    that csv reads, never accept one that csv rejects.
+    """
+    seps = np.flatnonzero((body == _COMMA) | (body == _LINE_BREAK))
+    kinds = body[seps]
+    if body[-1] != _LINE_BREAK:
+        seps, kinds = np.append(seps, body.size), np.append(kinds, np.uint8(_LINE_BREAK))
+    n_lines, rest = divmod(kinds.size, width)
+    line = np.full(width, _COMMA, np.uint8)
+    line[-1] = _LINE_BREAK
+    if rest or n_lines < 2 or not (kinds.reshape(n_lines, width) == line).all():
+        return None
+    # a field's bytes lie between two separators, or from the start to the first
+    if np.diff(seps, prepend=-1).max() - 1 > csv.field_size_limit():
+        return None
+    return n_lines - 1
 
 
 def _read_grid_rows(path, value_col: str | None, what: str) -> tuple[int, np.ndarray]:

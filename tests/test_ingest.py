@@ -83,6 +83,19 @@ def test_label_writer_matches_row_by_row_oracle(tmp_path_factory, window_start, 
     assert _bits(sensor.values) == _bits([float(f"{-v:.12g}") for v in series.values])
 
 
+def test_bulk_reader_counts_bytes_from_the_header(tmp_path):
+    # a byte order mark and non-ASCII comments put the header's byte offset
+    # past its character offset; the last row has no line break
+    path = tmp_path / "labels.csv"
+    path.write_bytes(
+        "\ufeff# who=Zoë\n # où,là\ntimestamp,value\n2024-03-01 23:59,0.5\n2024-03-02 00:00,1".encode()
+    )
+    with mock.patch.object(ingest, "_read_grid_rows", side_effect=AssertionError):
+        series = read_label_csv(path)
+    assert series.window_start == parse_timestamp("2024-03-01 23:59")
+    assert series.values.tolist() == [0.5, 1.0]
+
+
 def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
@@ -263,6 +276,13 @@ def test_config_header_escapes_lone_surrogates():
     header = config_header({"params": "x/\udcff.json", "who": "Zoë \\udcff"})
     assert header == "# params=x/\\udcff.json\n# who=Zoë \\\\udcff\n"
     header.encode("utf-8")
+
+
+def test_config_header_formats_equal_values_apart():
+    # True == 1 == 1.0, and each header line is rendered once per text
+    configs = [{"k": True}, {"k": 1}, {"k": 1.0}, {True: 0}, {1: 0}]
+    headers = ["# k=True\n", "# k=1\n", "# k=1.0\n", "# True=0\n", "# 1=0\n"]
+    assert [config_header(config) for config in configs] == headers
 
 
 def test_label_writer_replaces_a_longer_file(tmp_path):
@@ -521,6 +541,12 @@ def _outcome(read, *args):
 @example(grid=(b"timestamp,value,a,b\n" + _REALIGNED, None))
 # a row whose first, unread field opens with '#'
 @example(grid=(b"note,timestamp,value\n#a,2024-03-01 10:00,1\nb,2024-03-01 10:01,0\n", None))
+# a field within the field size limit in characters, over it in bytes
+@example(grid=("note,timestamp,value\n\xe9\xe9\xe9\xe9\xe9\xe9\xe9\xe9\xe9,2024-03-01 10:00,1\n".encode(), 16))
+# the short and long rows again, with no final line break
+@example(grid=(b"timestamp,value,a,b\n" + _REALIGNED[:-1], None))
+# comments, then a header, then no rows
+@example(grid=(b"# c\n  # d,e\nnote,timestamp,value\n", None))
 def test_grid_reads_match_the_row_reader(tmp_path_factory, grid):
     data, limit = grid
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
