@@ -62,7 +62,7 @@ class SoftConfusionMatrix:
 
 
 def _require_aligned(a: LabelSeries, b: LabelSeries):
-    if not a.aligned_with(b):
+    if a.window_start != b.window_start or len(a) != len(b):
         raise InputError(
             f"series grids misaligned: [{a.window_start}, +{len(a)}) vs "
             f"[{b.window_start}, +{len(b)})"

@@ -82,10 +82,6 @@ class HmmParams:
         for name, arr in zip(_PARAM_NAMES, arrays):
             object.__setattr__(self, name, arr)
 
-    @property
-    def n_states(self) -> int:
-        return len(self.initial)
-
     @classmethod
     def from_dict(cls, d) -> "HmmParams":
         """Parameters from a parsed JSON object of numeric arrays."""
@@ -126,11 +122,9 @@ def _log_gaussian(x: np.ndarray, mean: float, var: float) -> np.ndarray:
 
 
 def _log_emissions(params: HmmParams, values: np.ndarray) -> np.ndarray:
-    """(T, n_states) log emission densities."""
-    return np.stack(
-        [_log_gaussian(values, params.means[s], params.variances[s]) for s in range(params.n_states)],
-        axis=1,
-    )
+    """(T, 2) log emission densities."""
+    pairs = zip(params.means, params.variances)
+    return np.stack([_log_gaussian(values, mean, var) for mean, var in pairs], axis=1)
 
 
 def _max_plus_scores(log_init: np.ndarray, log_trans: np.ndarray, logb: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ text: the writer renders rows from them, and the readers match each stamp
 against `_day_stamps`, and each diary time against `_HHMM`'s inverse, parsing
 only a text that differs. A row that is not the minute after the previous
 row's is reported with its file line. A label or sensor CSV laid out as the
-writer lays it out (no quote, carriage return or NUL, only '#' comments
-before the header, then one full row per line) is read in bulk: one decode,
-one NumPy scan of its ',' and line-break bytes that checks each row's field
+writer lays it out (no quote, carriage return or NUL, and no '#' from the
+header on, then one full row per line) is read in bulk: one decode, one
+NumPy scan of its ',' and line-break bytes that checks each row's field
 count, and one compare of its stamp column against the canonical stamps.
 Every other file, and every file with a problem, is read row by row; that
 row reader is the one source of parse errors, so the two paths accept the
@@ -40,7 +40,6 @@ import csv
 import io
 import json
 import os
-import re
 import struct
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -313,9 +312,10 @@ def _read_grid_csv(path, value_col: str | None, what: str) -> tuple[int, np.ndar
     return grid if grid is not None else _read_grid_rows(path, value_col, what)
 
 
-def _grid_value_column(header: list[str] | None, value_col: str | None, what: str) -> str:
-    """The value column of a grid CSV's `header`; ParseError for a header
-    without 'timestamp' and that column."""
+def _grid_columns(header: list[str] | None, value_col: str | None, what: str) -> tuple[int, int]:
+    """Positions of 'timestamp' and the value column in a grid CSV's
+    `header`; ParseError for a header without them. A repeated name stands
+    for its last column, as csv.DictReader keys it."""
     if value_col is None:
         if header is None or "timestamp" not in header:
             raise ParseError(f"{what} CSV needs 'timestamp' and a value column")
@@ -324,12 +324,8 @@ def _grid_value_column(header: list[str] | None, value_col: str | None, what: st
             raise ParseError(f"{what} CSV needs a value column next to 'timestamp'")
     elif header is None or "timestamp" not in header or value_col not in header:
         raise ParseError(f"{what} CSV needs 'timestamp' and {value_col!r} columns")
-    return value_col
-
-
-# a line whose first non-space character is '#'; \s is str.isspace, which
-# str.lstrip strips
-_COMMENT = re.compile(r"^\s*#", re.MULTILINE)
+    columns = {name: i for i, name in enumerate(header)}
+    return columns["timestamp"], columns[value_col]
 
 
 def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | None:
@@ -338,11 +334,11 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
 
     A plain file decodes, holds no quote (which can open a multi-line
     field), carriage return (a line break to csv) or NUL (which csv rejects
-    before Python 3.11), and has only '#' comment lines before its header.
-    From the header on, one scan of its UTF-8 bytes (`_grid_rows`) checks
-    that each line holds the header's field count, so that no line is
-    blank, and that no field is longer than csv's field size limit; no
-    line after the header is a comment. Its first stamp parses, each later
+    before Python 3.11), and no '#' from the header on, so that only the
+    lines before its header can be comments. From the header on, one scan
+    of its UTF-8 bytes (`_grid_rows`) checks that each line holds the
+    header's field count, so that no line is blank, and that no field is
+    longer than csv's field size limit. Its first stamp parses, each later
     stamp is the canonical text of the minute after the previous row's,
     and each value parses with `float`, as in the row reader.
     """
@@ -363,9 +359,11 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
         if end == -1:
             return None  # comments and no header
         header_at = end + 1
+    if text.find("#", header_at) != -1:  # the writer puts no '#' after the header
+        return None
     header = line.split(",")
     try:
-        value_col = _grid_value_column(header, value_col, "")
+        at_stamp, at_value = _grid_columns(header, value_col, "")
     except ParseError:
         return None
     width = len(header)
@@ -373,14 +371,8 @@ def _read_grid_bulk(path, value_col: str | None) -> tuple[int, np.ndarray] | Non
     body = np.frombuffer(data, np.uint8)[bom + len(text[:header_at].encode("utf-8")) :]
     n_rows = _grid_rows(body, width)
     del data, body
-    if (
-        n_rows is None
-        # the writer puts no '#' after the header, and find is the quicker scan
-        or (text.find("#", header_at) != -1 and _COMMENT.search(text, header_at))
-    ):
+    if n_rows is None:
         return None
-    columns = {name: i for i, name in enumerate(header)}
-    at_stamp, at_value = columns["timestamp"], columns[value_col]
     # the header and rows as one list of cells: the text from the header,
     # less the final line break, split at every separator
     cells = text[header_at : len(text) - text.endswith("\n")].replace("\n", ",").split(",")
@@ -437,9 +429,8 @@ def _read_grid_rows(path, value_col: str | None, what: str) -> tuple[int, np.nda
     """
     rows = _csv_rows(path)
     _, header = next(rows, (None, None))
-    needed = ("timestamp", _grid_value_column(header, value_col, what))
-    columns = {name: i for i, name in enumerate(header)}
-    at_stamp, at_value = (columns[c] for c in needed)
+    at_stamp, at_value = _grid_columns(header, value_col, what)
+    needed = ("timestamp", header[at_value])
     start = None
     values: list[float] = []
     stamps = iter(())  # canonical text of each next row's minute

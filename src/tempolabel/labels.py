@@ -128,9 +128,6 @@ class LabelSeries:
     def is_binary(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
 
-    def aligned_with(self, other: "LabelSeries") -> bool:
-        return self.window_start == other.window_start and len(self) == len(other)
-
 
 def ramp(t, lo, half_width) -> np.ndarray:
     """Uniform-boundary CDF: 0 up to `lo`, rising linearly to 1 at

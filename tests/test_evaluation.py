@@ -63,9 +63,9 @@ def test_boundary_mse_averages_per_event():
 
 
 def test_mse_misaligned_grids_rejected():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^series grids misaligned: \[0, \+2\) vs \[5, \+2\)$"):
         mse(_series([0, 1]), _series([0, 1], start=5))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=r"^series grids misaligned: \[0, \+2\) vs \[0, \+3\)$"):
         mse(_series([0, 1]), _series([0, 1, 1]))
 
 

@@ -398,6 +398,19 @@ def test_hash_line_opening_a_record_is_a_comment(tmp_path):
         read_annotations_csv(path)
 
 
+# a '#' in a field is data, which the bulk reader leaves to the row reader
+_HASH_IN_FIELD = b"note,timestamp,value\na#b,2024-03-01 10:00,1\nc,2024-03-01 10:01,0\n"
+
+
+def test_hash_inside_a_field_goes_to_the_row_reader(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(_HASH_IN_FIELD)
+    assert ingest._read_grid_bulk(path, "value") is None
+    series = read_label_csv(path)
+    assert series.window_start == parse_timestamp("2024-03-01 10:00")
+    assert series.values.tolist() == [1.0, 0.0]
+
+
 def test_oversized_field_is_parse_error(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text('timestamp,value\n"' + "x" * 200_000 + "\n")
@@ -547,6 +560,10 @@ def _outcome(read, *args):
 @example(grid=(b"timestamp,value,a,b\n" + _REALIGNED[:-1], None))
 # comments, then a header, then no rows
 @example(grid=(b"# c\n  # d,e\nnote,timestamp,value\n", None))
+# a '#' inside a field, which is data
+@example(grid=(_HASH_IN_FIELD, None))
+# an indented comment between two rows
+@example(grid=(b"timestamp,value\n2024-03-01 10:00,1\n  # c\n2024-03-01 10:01,0\n", None))
 def test_grid_reads_match_the_row_reader(tmp_path_factory, grid):
     data, limit = grid
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
