@@ -179,26 +179,33 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     catalog_text = _list_text(catalog.periods)
-    for (annotator_id, (recs, stamps)), periods in zip(annotators, map_periods):
-        half_widths = periods / 2.0
-        lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
+    # every event in annotator then file order, so that annotators share
+    # grids; event i's file name is built as it is written, from the stem its
+    # annotator's events share and its number among them
+    recs, stems, numbers = [], [], []
+    for annotator_id, (group, _) in annotators:
         # percent-escaped, so any id names files inside out_dir
-        stem = str(out_dir / f"softlabel_{quote(annotator_id, safe='')}_")
-        period_pairs = periods.tolist()
-        for grid in label_grids(lo, hi, stamps, half_widths):
-            for k, series in zip(grid.records, grid.soft_labels()):
-                rec = recs[k]
-                start_period, end_period = period_pairs[k]
-                config = {
-                    "annotator_id": annotator_id,
-                    "date": rec.date,
-                    "event_kind": rec.event_kind,
-                    "delta": model.delta,
-                    "catalog": catalog_text,
-                    "start_period": start_period,
-                    "end_period": end_period,
-                }
-                write_label_csv(f"{stem}{k:03d}.csv", series, config)
+        stems += [str(out_dir / f"softlabel_{quote(annotator_id, safe='')}_")] * len(group)
+        numbers += range(len(group))
+        recs += group
+    stamps = np.concatenate([stamps for _, (_, stamps) in annotators])
+    periods = np.concatenate(map_periods)
+    half_widths = periods / 2.0
+    lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
+    start_periods, end_periods = periods.T.tolist()
+    for grid in label_grids(lo, hi, stamps, half_widths):
+        for i, series in zip(grid.records, grid.soft_labels()):
+            rec = recs[i]
+            config = {
+                "annotator_id": rec.annotator_id,
+                "date": rec.date,
+                "event_kind": rec.event_kind,
+                "delta": model.delta,
+                "catalog": catalog_text,
+                "start_period": start_periods[i],
+                "end_period": end_periods[i],
+            }
+            write_label_csv(f"{stems[i]}{numbers[i]:03d}.csv", series, config)
     click.echo(f"wrote {len(records)} label series to {out_dir}")
 
 

@@ -41,10 +41,10 @@ import io
 import json
 import os
 import struct
-from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,8 +117,7 @@ def _diary_time(text: str, line_no: int) -> int:
     return minute
 
 
-@dataclass(frozen=True)
-class AnnotationRecord:
+class AnnotationRecord(NamedTuple):
     """One diary row: an annotator's reported event with absolute minutes."""
 
     annotator_id: str
@@ -157,13 +156,7 @@ def read_annotations_csv(path) -> list[AnnotationRecord]:
         if end <= start:
             raise ParseError(f"end {end_text!r} must be after start {start_text!r}", line_no)
         records.append(
-            AnnotationRecord(
-                annotator_id=annotator_id.strip(),
-                date=day_text.strip(),
-                event_kind=event_kind.strip(),
-                start=start,
-                end=end,
-            )
+            AnnotationRecord(annotator_id.strip(), day_text.strip(), event_kind.strip(), start, end)
         )
     if not records:
         raise ParseError("no annotation rows found")

@@ -453,6 +453,7 @@ def test_soft_labels_past_year_9999_keeps_earlier_files(runner, tmp_path):
     path = _write(
         tmp_path / "late.csv",
         "annotator_id,date,event_kind,start,end\n"
+        "p02,2024-03-01,shower,08:00,08:30\n"
         "p01,2024-03-01,shower,08:00,08:30\n"
         "p01,2024-03-02,shower,08:00,08:30\n"
         "p01,9999-12-31,shower,23:10,23:50\n"
@@ -462,7 +463,9 @@ def test_soft_labels_past_year_9999_keeps_earlier_files(runner, tmp_path):
     result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
     assert result.exit_code == 2
     assert re.search(r"minute \d+ lies outside the years 1-9999", result.output)
-    # each event's file is written in turn, so those before the bad one stay
+    # each event's file is written in turn, in annotator then file order: the
+    # files before the bad event stay, though p00's and p02's events share its
+    # grid, and p02, which sorts after it, gets none
     assert sorted(p.name for p in out_dir.iterdir()) == [
         "softlabel_p00_000.csv",
         "softlabel_p01_000.csv",
@@ -583,6 +586,51 @@ def test_soft_labels_across_grid_blocks_match_golden_digest(runner, tmp_path):
     for p in files:
         digest.update(p.name.encode() + b"\0" + p.read_bytes())
     assert digest.hexdigest() == BLOCK_SOFT_LABELS_SHA256
+
+
+def _shared_grid_diary() -> str:
+    """A diary of 40 annotators with three events each, rows interleaved
+    across annotators and ids out of sorted order, so that one 64-record grid
+    holds the events of many annotators. Most annotators keep one rounding
+    habit (quarter hour, five minutes or the odd minute); some events lie
+    near midnight and one id needs percent-escaping."""
+    ids = [f"p{(7 * i) % 40:02d}" for i in range(40)]
+    ids[5] = "m/n 7%"
+    rows = ["annotator_id,date,event_kind,start,end"]
+    for j in range(3):
+        for i, annotator_id in enumerate(ids):
+            step = (15, 5, 1)[i % 3]
+            start = 1380 + 10 * j if i % 8 == 2 else 300 + (step * (7 * i + 11 * j)) % 1080
+            end = min(start + step * (2 + (i + j) % 5), 1439)
+            if i % 8 == 6:
+                start, end = 2 + j, 35 + 4 * j
+            date = f"2024-{1 + i % 12:02d}-{1 + (3 * i + j) % 28:02d}"
+            start_text, end_text = (f"{t // 60:02d}:{t % 60:02d}" for t in (start, end))
+            rows.append(f"{annotator_id},{date},cook,{start_text},{end_text}")
+    return "\n".join(rows) + "\n"
+
+
+# SHA-256 over the sorted names and bytes of the files `soft-labels` wrote
+# for `_shared_grid_diary()` (default options), captured while each
+# annotator's events still had label grids of their own.
+SHARED_GRID_SOFT_LABELS_SHA256 = "b95c0ca3ec810c79d52ae2922232a8f8340e522ba929cad40808c1338258d7d1"
+
+
+def test_soft_labels_sharing_grids_across_annotators_match_golden_digest(runner, tmp_path):
+    path = _write(tmp_path / "diary.csv", _shared_grid_diary())
+    out_dir = tmp_path / "labels"
+    result = runner.invoke(main, ["soft-labels", path, "--out", str(out_dir)])
+    assert result.exit_code == 0, result.output
+    files = sorted(out_dir.iterdir())
+    assert len(files) == 120
+    texts = [p.read_text() for p in files]
+    for period in (15, 5, 1):
+        assert any(f"# start_period={period}\n" in text for text in texts), period
+    assert any(p.name.startswith("softlabel_m%2Fn%207%25_") for p in files)
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.name.encode() + b"\0" + p.read_bytes())
+    assert digest.hexdigest() == SHARED_GRID_SOFT_LABELS_SHA256
 
 
 def test_soft_labels_config_error_leaves_no_out_dir(runner, annotations_csv, tmp_path):

@@ -15,6 +15,7 @@ from tempolabel.cli import main
 from tempolabel.errors import InputError
 from tempolabel.hmm import SensorSeries
 from tempolabel.ingest import (
+    ANNOTATION_COLUMNS,
     ParseError,
     config_header,
     format_timestamp,
@@ -338,6 +339,28 @@ def test_undecodable_bytes_are_parse_errors(tmp_path):
     path.write_bytes(b"annotator_id,date,event_kind,start,end\np\xff,2024-03-01,shower,08:00,08:30\n")
     with pytest.raises(ParseError, match="not utf-8 text"):
         read_annotations_csv(path)
+
+
+def test_annotation_records_are_read_only_rows_in_column_order(tmp_path):
+    path = tmp_path / "diary.csv"
+    # columns out of order, a padded id and a day's last minute
+    path.write_text(
+        "end,start,event_kind,date,annotator_id\n"
+        "08:30,08:00,shower,2024-03-01, p01 \n"
+        "23:59,23:40,cook,2024-03-02,q\n"
+    )
+    records = read_annotations_csv(path)
+    assert records == read_annotations_csv(path)
+    assert ingest.AnnotationRecord._fields == ANNOTATION_COLUMNS
+    day = parse_timestamp("2024-03-02 00:00")
+    assert [tuple(record) for record in records] == [
+        ("p01", "2024-03-01", "shower", day - 960, day - 930),
+        ("q", "2024-03-02", "cook", day + 1420, day + 1439),
+    ]
+    assert all(type(r.start) is int and type(r.end) is int for r in records)
+    with pytest.raises(AttributeError):
+        records[0].start = 0
+    assert records[0].start == day - 960
 
 
 _BOM = "\ufeff".encode("utf-8")
