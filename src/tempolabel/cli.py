@@ -110,14 +110,14 @@ _DELTA_OPT = click.option(
 
 
 def _group_by_annotator(records) -> dict[str, tuple[list, np.ndarray]]:
-    """Per annotator: its records in file order and their (events, 2) start
-    and end minutes."""
+    """Per annotator, in id order (every per-annotator output's order): its
+    records in file order and their (events, 2) start and end minutes."""
     grouped: dict[str, list] = defaultdict(list)
     for rec in records:
         grouped[rec.annotator_id].append(rec)
     return {
         annotator_id: (recs, np.array([(rec.start, rec.end) for rec in recs]))
-        for annotator_id, recs in grouped.items()
+        for annotator_id, recs in sorted(grouped.items())  # ids are unique, so only they compare
     }
 
 
@@ -148,8 +148,7 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
     posteriors = []
-    for annotator_id in sorted(evidence):
-        _, stamps = evidence[annotator_id]
+    for annotator_id, (_, stamps) in evidence.items():
         ann_set = AnnotationSet.from_timestamps(stamps.ravel())
         habit = habit_posterior(ann_set, catalog, model)
         posteriors.append(
@@ -173,7 +172,7 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
         raise ConfigError(f"pad must lie in [0, {MINUTES_PER_DAY}] minutes, got {pad}")
     catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     records = read_annotations_csv(annotations_csv)
-    annotators = sorted(_group_by_annotator(records).items())
+    annotators = _group_by_annotator(records).items()
     # every annotator's MAP periods come first, so a config error leaves no --out
     map_periods = [boundary_periods(stamps, catalog, model) for _, (_, stamps) in annotators]
     out_dir = Path(out)
@@ -190,10 +189,9 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
         recs += group
     stamps = np.concatenate([stamps for _, (_, stamps) in annotators])
     periods = np.concatenate(map_periods)
-    half_widths = periods / 2.0
-    lo, hi = padded_bounds(*stamps.T, *half_widths.T, pad)
+    lo, hi = padded_bounds(*stamps.T, *periods.T, pad)
     start_periods, end_periods = periods.T.tolist()
-    for grid in label_grids(lo, hi, stamps, half_widths):
+    for grid in label_grids(lo, hi, stamps, periods):
         for i, series in zip(grid.records, grid.soft_labels()):
             rec = recs[i]
             config = {
@@ -390,7 +388,7 @@ def histogram_cmd(annotations_csv, catalog_spec, out):
         dtype=np.int64,
     )
     rows = []
-    for annotator_id, (_, stamps) in sorted(_group_by_annotator(records).items()):
+    for annotator_id, (_, stamps) in _group_by_annotator(records).items():
         counts = AnnotationSet.from_timestamps(stamps.ravel()).histogram() @ coarsest
         rows += [
             {"annotator_id": annotator_id, "period_minutes": period, "count": count}

@@ -1,13 +1,15 @@
 """Soft and hard label series on a one-minute grid.
 
-A label series covers a window of whole-minute slots; slot k spans
-[k, k+1) and its value is the label function sampled at the slot midpoint
-k + 0.5. Hard labels are 1 exactly on the slots between the annotated start
-and end. Soft labels model each boundary as a uniform distribution centered
-on the annotated time with half-width of half the category period: the
+A label series covers a window of whole-minute slots; slot k spans [k, k+1)
+and its value is the label function sampled at the slot midpoint k + 0.5.
+Hard labels are 1 exactly on the slots between the annotated start and end.
+Soft labels model each boundary as a uniform distribution centered on the
+annotated time with half-width of half its period, and only this module
+halves a period: `soft_label` takes categories, and `padded_bounds` and
+`label_grids` the MAP periods of `inference.boundary_periods`. The
 probability the event has started rises linearly across the start ramp, the
-probability it has not yet ended falls linearly across the end ramp, and the
-soft value is their product (boundaries treated as independent).
+probability it has not yet ended falls linearly across the end ramp, and
+the soft value is their product (boundaries treated as independent).
 
 Sampling at midpoints keeps the finest category exact: a width-1 ramp puts
 its 0-to-1 transition entirely between two midpoints, so the soft series of
@@ -197,13 +199,13 @@ def hard_series(start: int, end: int, window: TimeWindow) -> LabelSeries:
     return LabelSeries(window_start=window.start, values=indicator(window.midpoints(), start, end))
 
 
-def padded_bounds(start, end, half_start, half_end, pad: int):
+def padded_bounds(start, end, period_start, period_end, pad: int):
     """Start and end minute of the smallest whole-minute windows covering
-    events from `start` to `end`, ramps of half-widths `half_start` and
-    `half_end`, and `pad` more minutes on each side. Arguments broadcast
-    element-wise."""
-    lo = np.floor(np.subtract(start, half_start)).astype(np.int64) - pad
-    hi = np.ceil(np.add(end, half_end)).astype(np.int64) + pad
+    events from `start` to `end`, the ramps of boundaries with periods
+    `period_start` and `period_end`, and `pad` more minutes on each side.
+    Arguments broadcast element-wise."""
+    lo = np.floor(np.subtract(start, np.divide(period_start, 2.0))).astype(np.int64) - pad
+    hi = np.ceil(np.add(end, np.divide(period_end, 2.0))).astype(np.int64) + pad
     return lo, hi
 
 
@@ -245,11 +247,11 @@ class LabelGrid:
             yield LabelSeries._view(start, self.soft[a:b])
 
 
-def label_grids(lo, hi, centers, half_widths, spans=()):
+def label_grids(lo, hi, centers, periods, spans=()):
     """Yield the labels of records 0 to N - 1, `_GRID_RECORDS` at a time.
 
     Record i's window is [lo[i], hi[i]). Its soft label has start and end
-    ramps centered on centers[i] with half-widths half_widths[i], both
+    ramps centered on centers[i] with half-widths periods[i] / 2, both
     (N, 2), and each (N, 2) array of start and end minutes in `spans` gives
     it one hard label. Values are those `soft_series` and `hard_series`
     sample on that window, slot for slot.
@@ -259,14 +261,14 @@ def label_grids(lo, hi, centers, half_widths, spans=()):
     `hard_series`, `BoundaryDistribution` and `soft_series` once the records
     before it have been yielded, so it raises exactly their error.
     """
+    half_widths = periods / 2.0
     ramp_lo, ramp_hi = centers - half_widths, centers + half_widths
     # the comparisons those functions make, so that NaN passes them here too
     bad = (hi <= lo) | (half_widths < 0.5).any(axis=1)
     bad |= (lo > ramp_lo[:, 0]) | (hi < ramp_hi[:, 1])
-    # and the NaN soft values `LabelSeries` rejects: a ramp from NaN, or from
-    # ±inf over an infinite 2 * half-width (an infinite start alone gives 0 or 1)
-    infinite_width = half_widths > np.finfo(float).max / 2
-    bad |= (np.isnan(ramp_lo) | np.isinf(ramp_lo) & infinite_width).any(axis=1)
+    # and the NaN soft values `LabelSeries` rejects: a ramp from a NaN centre,
+    # or over a period that is not finite (an infinite centre alone gives 0 or 1)
+    bad |= (np.isnan(centers) | ~np.isfinite(periods)).any(axis=1)
     for span in spans:
         bad |= (span[:, 1] < span[:, 0]) | (span[:, 0] < lo) | (span[:, 1] > hi)
     stop = int(np.argmax(bad)) if bad.any() else len(lo)

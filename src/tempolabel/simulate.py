@@ -30,13 +30,13 @@ error-rate point. So no point's draws depend on which other points are
 swept, and rerunning any experiment with the same seed reproduces it bit
 for bit.
 
-The MSE and F1 sweeps build the truth, hard and soft labels of a sweep
-point with `labels.label_grids`, the flat label grid that `soft-labels`
-uses too; this module only chooses each event's window and bias-shifted
-ramp centers. Each event is scored as one segment of that grid by
-`evaluation.segment_boundary_mse` and `evaluation.segment_confusion`, where
-the summation rule lives, so the tables are exactly those of scoring event
-by event.
+The MSE and F1 sweeps build the truth, hard and soft labels of a sweep point
+with `labels.label_grids`, the flat label grid that `soft-labels` uses too;
+this module only chooses each event's window and bias-shifted ramp centers,
+and `labels` halves the MAP periods of `boundary_periods`. Each event is
+scored as one segment of that grid by `evaluation.segment_boundary_mse` and
+`evaluation.segment_confusion`, where the summation rule lives, so the
+tables are exactly those of scoring event by event.
 """
 
 from __future__ import annotations
@@ -136,16 +136,16 @@ def _label_grids(
     to the whole minutes its soft ramps cover. Soft ramps are centered on
     the annotation minus the injected bias: the simulator knows the offset
     it added, and removing it restores the zero-mean rounding the soft
-    label's uniform ramp is built to cover.
+    label's uniform ramp is built to cover; the ramps' MAP periods go on as is.
     """
     bias_minutes = bias_fraction * resolution
     annotated = annotate(truth, resolution, bias_minutes)
-    half_widths = boundary_periods(annotated, catalog, model) / 2.0
+    periods = boundary_periods(annotated, catalog, model)
     centers = annotated - bias_minutes
-    ramp_lo, ramp_hi = padded_bounds(*centers.T, *half_widths.T, 0)
+    ramp_lo, ramp_hi = padded_bounds(*centers.T, *periods.T, 0)
     lo = np.minimum(np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN, ramp_lo)
     hi = np.maximum(np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN, ramp_hi)
-    return label_grids(lo, hi, centers, half_widths, (truth, annotated))
+    return label_grids(lo, hi, centers, periods, (truth, annotated))
 
 
 def run_mse_experiment(

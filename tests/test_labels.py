@@ -139,7 +139,7 @@ def test_window_too_small_rejected(catalog):
 def _padded_window(event, cat_start, cat_end, pad):
     """`padded_bounds` of one event, as a window."""
     lo, hi = padded_bounds(
-        event.start, event.end, cat_start.period_minutes / 2.0, cat_end.period_minutes / 2.0, pad
+        event.start, event.end, cat_start.period_minutes, cat_end.period_minutes, pad
     )
     return TimeWindow(int(lo), int(hi))
 
@@ -220,15 +220,13 @@ def test_label_grids_match_soft_label(events, periods, pad, block):
         event = EventAnnotation(start=start, end=start + duration)
         cases.append((event, catalog[i % len(catalog)], catalog[j % len(catalog)]))
     stamps = np.array([(event.start, event.end) for event, _, _ in cases])
-    half_widths = np.array(
-        [(s.period_minutes / 2.0, e.period_minutes / 2.0) for _, s, e in cases]
-    )
-    lo, hi = labels.padded_bounds(*stamps.T, *half_widths.T, pad)
+    periods = np.array([(s.period_minutes, e.period_minutes) for _, s, e in cases])
+    lo, hi = labels.padded_bounds(*stamps.T, *periods.T, pad)
     # per event, its window start and value bytes; then the error, if any
     got = []
     with mock.patch.object(labels, "_GRID_RECORDS", block):
         try:
-            for grid in labels.label_grids(lo, hi, stamps, half_widths):
+            for grid in labels.label_grids(lo, hi, stamps, periods):
                 for k, (a, b), view in zip(grid.records, grid.segments(), grid.soft_labels()):
                     assert k == len(got)
                     # the view is the series a copy of the grid's slice makes
@@ -250,25 +248,101 @@ def test_label_grids_match_soft_label(events, periods, pad, block):
     assert got == expected
 
 
-def _span_starts_before_window(lo, hi, span):
+# Record 2 of the four in `test_label_grids_errors_match_per_record` spans
+# minutes [2980, 3180), its ramps [3015, 3045] and [3115, 3145] (period 30),
+# and its hard span [3040, 3120). Each corruption breaks one check.
+
+
+def _span_starts_before_window(lo, hi, periods, span):
     span[2, 0] = lo[2] - 10
 
 
-def _span_ends_before_start(lo, hi, span):
+def _span_ends_before_start(lo, hi, periods, span):
     span[2] = span[2, ::-1]
 
 
-def _window_is_empty(lo, hi, span):
+def _span_ends_after_window(lo, hi, periods, span):
+    span[2, 1] = hi[2] + 10
+
+
+def _window_is_empty(lo, hi, periods, span):
     hi[2] = lo[2]
+
+
+def _window_cuts_start_ramp(lo, hi, periods, span):
+    lo[2] += 40
+
+
+def _window_cuts_end_ramp(lo, hi, periods, span):
+    hi[2] -= 40
+
+
+def _start_period_below_one_minute(lo, hi, periods, span):
+    periods[2, 0] = 0.9
+
+
+def _soft_per_record(centers, periods, k, window):
+    """Record k's soft series through the per-record functions, with ramps
+    of half its periods."""
+    (center_s, center_e), (period_s, period_e) = centers[k].tolist(), periods[k].tolist()
+    return soft_series(
+        BoundaryDistribution(center_s, period_s / 2),
+        BoundaryDistribution(center_e, period_e / 2),
+        window,
+    )
+
+
+def _per_record(lo, hi, centers, periods, span, k):
+    """Record k's soft and hard values, through the per-record functions in
+    the order `label_grids` rebuilds a failing record with."""
+    window = TimeWindow(lo[k].item(), hi[k].item())
+    hard = hard_series(*span[k].tolist(), window)
+    soft = _soft_per_record(centers, periods, k, window)
+    return soft.values.tobytes(), hard.values.tobytes()
+
+
+_RAMPS = "ramps [3015.0, 3045.0] and [3115.0, 3145.0]"
 
 
 @pytest.mark.parametrize("block", [1, labels._GRID_RECORDS])
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        pytest.param(_span_starts_before_window, "does not cover", id="does not cover"),
-        pytest.param(_span_ends_before_start, "must not precede start", id="end before start"),
-        pytest.param(_window_is_empty, "window end must exceed start", id="window end must exceed"),
+        pytest.param(
+            _span_starts_before_window,
+            "window [2980, 3180) does not cover [2970, 3120)",
+            id="does not cover",
+        ),
+        pytest.param(
+            _span_ends_before_start,
+            "end must not precede start, got start=3120 end=3040",
+            id="end before start",
+        ),
+        pytest.param(
+            _span_ends_after_window,
+            "window [2980, 3180) does not cover [3040, 3190)",
+            id="span ends after window",
+        ),
+        pytest.param(
+            _window_is_empty,
+            "window end must exceed start, got [2980, 2980)",
+            id="window end must exceed",
+        ),
+        pytest.param(
+            _window_cuts_start_ramp,
+            f"window [3020, 3180) too small for {_RAMPS}",
+            id="window cuts start ramp",
+        ),
+        pytest.param(
+            _window_cuts_end_ramp,
+            f"window [2980, 3140) too small for {_RAMPS}",
+            id="window cuts end ramp",
+        ),
+        pytest.param(
+            _start_period_below_one_minute,
+            "half-width below 0.5 is finer than the 1-minute grid, got 0.45",
+            id="start period below one minute",
+        ),
     ],
 )
 def test_label_grids_errors_match_per_record(corrupt, message, block):
@@ -276,86 +350,83 @@ def test_label_grids_errors_match_per_record(corrupt, message, block):
     lo = np.arange(4) * 1440 + 100
     hi = lo + 200
     centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
-    half_widths = np.full((4, 2), 15.0)
+    periods = np.full((4, 2), 30.0)
     span = np.stack([lo + 60, lo + 140], axis=1)
-    corrupt(lo, hi, span)
+    corrupt(lo, hi, periods, span)
     got = []
     with mock.patch.object(labels, "_GRID_RECORDS", block):
         with pytest.raises(InputError) as raised:
-            for grid in labels.label_grids(lo, hi, centers, half_widths, (span,)):
+            for grid in labels.label_grids(lo, hi, centers, periods, (span,)):
                 for k, (a, b) in zip(grid.records, grid.segments()):
                     got.append((k, grid.soft[a:b].tobytes(), grid.hard[0][a:b].tobytes()))
-    expected = []
-    for k in range(2):
-        window = TimeWindow(lo[k].item(), hi[k].item())
-        soft = soft_series(
-            BoundaryDistribution(centers[k, 0].item(), 15.0),
-            BoundaryDistribution(centers[k, 1].item(), 15.0),
-            window,
-        )
-        hard = hard_series(*span[k].tolist(), window)
-        expected.append((k, soft.values.tobytes(), hard.values.tobytes()))
-    assert got == expected
+    assert got == [(k, *_per_record(lo, hi, centers, periods, span, k)) for k in range(2)]
     with pytest.raises(InputError) as per_record:
-        hard_series(*span[2].tolist(), TimeWindow(lo[2].item(), hi[2].item()))
-    assert str(raised.value) == str(per_record.value)
-    assert message in str(raised.value)
+        _per_record(lo, hi, centers, periods, span, 2)
+    assert str(raised.value) == str(per_record.value) == message
+
+
+_NAN_VALUES = "label values must lie in [0, 1]"
 
 
 @pytest.mark.parametrize("block", [1, labels._GRID_RECORDS])
 @pytest.mark.parametrize(
-    "center, half_width, fails",
+    "center, period, error",
     [
-        pytest.param((np.nan, 150.0), (15.0, 15.0), True, id="nan centre"),
-        pytest.param((50.0, 150.0), (15.0, np.nan), True, id="nan half-width"),
-        # an infinite start alone leaves the ramp at 0 or 1: no error
-        pytest.param((np.inf, 150.0), (15.0, 15.0), False, id="inf start centre"),
-        pytest.param((50.0, -np.inf), (15.0, 15.0), False, id="-inf end centre"),
-        # ramps whose start and 2 * half-width both overflow give NaN
-        pytest.param((50.0, -1e308), (15.0, 1e308), True, id="overflowing end ramp"),
-        pytest.param((np.inf, 150.0), (1e308, 15.0), True, id="inf centre, overflowing width"),
+        pytest.param((np.nan, 150.0), (30.0, 30.0), _NAN_VALUES, id="nan centre"),
+        pytest.param((50.0, 150.0), (30.0, np.nan), _NAN_VALUES, id="nan half-width"),
+        # an infinite centre alone leaves the ramp at 0 or 1: no error
+        pytest.param((np.inf, 150.0), (30.0, 30.0), None, id="inf start centre"),
+        pytest.param((50.0, -np.inf), (30.0, 30.0), None, id="-inf end centre"),
+        # an infinite period spreads a ramp over all time, past any window ...
+        pytest.param(
+            (50.0, -1e308),
+            (30.0, np.inf),
+            "window [2980, 3180) too small for ramps [3015.0, 3045.0] and [-inf, inf]",
+            id="overflowing end ramp",
+        ),
+        # ... or, where the bound the window is checked against is inf - inf,
+        # NaN at every slot
+        pytest.param((50.0, -np.inf), (30.0, np.inf), _NAN_VALUES, id="-inf centre, inf period"),
+        pytest.param(
+            (np.inf, 150.0), (np.inf, 30.0), _NAN_VALUES, id="inf centre, overflowing width"
+        ),
     ],
 )
-def test_label_grids_non_finite_ramps_match_per_record(center, half_width, fails, block):
+def test_label_grids_non_finite_ramps_match_per_record(center, period, error, block):
     # four records a day apart; the third has the given ramps
     lo = np.arange(4) * 1440 + 100
     hi = lo + 200
     centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
-    half_widths = np.full((4, 2), 15.0)
+    periods = np.full((4, 2), 30.0)
     centers[2] = lo[2] + np.array(center)
-    half_widths[2] = half_width
+    periods[2] = period
     got = []
     with mock.patch.object(labels, "_GRID_RECORDS", block), np.errstate(all="ignore"):
         try:
-            for grid in labels.label_grids(lo, hi, centers, half_widths):
+            for grid in labels.label_grids(lo, hi, centers, periods):
                 for k, (a, b) in zip(grid.records, grid.segments()):
                     got.append((k, grid.soft[a:b].tobytes()))
         except InputError as exc:
             got.append(str(exc))
         expected = []
         for k in range(4):
-            (center_s, center_e), (half_s, half_e) = centers[k].tolist(), half_widths[k].tolist()
             try:
-                soft = soft_series(
-                    BoundaryDistribution(center_s, half_s),
-                    BoundaryDistribution(center_e, half_e),
-                    TimeWindow(lo[k].item(), hi[k].item()),
-                )
+                soft = _soft_per_record(centers, periods, k, TimeWindow(lo[k].item(), hi[k].item()))
             except InputError as exc:
                 expected.append(str(exc))
                 break
             expected.append((k, soft.values.tobytes()))
     assert got == expected
-    assert len(got) == (3 if fails else 4)
-    if fails:
-        assert got[-1] == "label values must lie in [0, 1]"
+    assert len(got) == (4 if error is None else 3)
+    if error is not None:
+        assert got[-1] == error
 
 
 def _one_grid(n=3):
     """The single grid of `n` records a day apart."""
     lo = np.arange(n) * 1440 + 100
     centers = np.stack([lo + 50, lo + 150], axis=1) + 0.0
-    (grid,) = labels.label_grids(lo, lo + 200, centers, np.full((n, 2), 15.0))
+    (grid,) = labels.label_grids(lo, lo + 200, centers, np.full((n, 2), 30.0))
     return grid
 
 
