@@ -23,11 +23,12 @@ from .catalog import DEFAULT_PERIODS, MINUTES_PER_DAY, CategoryCatalog
 from .errors import ConfigError, DegenerateModelError, InputError
 from .evaluation import BOUNDARY_HALFWIDTH, boundary_mse, metrics_report, mse, soft_confusion
 from .hmm import HmmParams, fit_emissions, viterbi
+# nothing here calls habit_posterior; benchmarks/ reads it as a name of this module
 from .inference import (
     AnnotationSet,
     SwitchModel,
+    annotator_posteriors,
     boundary_periods,
-    category_posterior,
     habit_posterior,
 )
 from .ingest import (
@@ -147,13 +148,9 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
         evidence = {k: v for k, v in evidence.items() if k == annotator}
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
-    posteriors = []
-    for annotator_id, (_, stamps) in evidence.items():
-        ann_set = AnnotationSet.from_timestamps(stamps.ravel())
-        habit = habit_posterior(ann_set, catalog, model)
-        posteriors.append(
-            (annotator_id, habit, category_posterior(ann_set, catalog, model, habit=habit))
-        )
+    sets = [AnnotationSet.from_timestamps(stamps.ravel()) for _, stamps in evidence.values()]
+    pairs = annotator_posteriors(sets, catalog, model)
+    posteriors = [(annotator_id, *pair) for annotator_id, pair in zip(evidence, pairs)]
     config = {"delta": model.delta, "catalog": list(catalog.periods)}
     write_habit_report(out, config, posteriors)
     click.echo(f"wrote {out} ({len(posteriors)} annotators)")
@@ -173,13 +170,15 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
     catalog, model = _catalog_from(catalog_spec), SwitchModel(delta=delta)
     records = read_annotations_csv(annotations_csv)
     annotators = _group_by_annotator(records).items()
-    # every annotator's MAP periods come first, so a config error leaves no --out
-    map_periods = [boundary_periods(stamps, catalog, model) for _, (_, stamps) in annotators]
+    # every event in annotator then file order, so that annotators share grids
+    stamps = np.concatenate([stamps for _, (_, stamps) in annotators])
+    owners = np.repeat(np.arange(len(annotators)), [len(group) for _, (group, _) in annotators])
+    # the MAP periods come first, so a config error leaves no --out
+    periods = boundary_periods(stamps, catalog, model, owners)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     catalog_text = _list_text(catalog.periods)
-    # every event in annotator then file order, so that annotators share
-    # grids; event i's file name is built as it is written, from the stem its
+    # event i's file name is built as it is written, from the stem its
     # annotator's events share and its number among them
     recs, stems, numbers = [], [], []
     for annotator_id, (group, _) in annotators:
@@ -187,8 +186,6 @@ def soft_labels_cmd(annotations_csv, delta, catalog_spec, pad, out):
         stems += [str(out_dir / f"softlabel_{quote(annotator_id, safe='')}_")] * len(group)
         numbers += range(len(group))
         recs += group
-    stamps = np.concatenate([stamps for _, (_, stamps) in annotators])
-    periods = np.concatenate(map_periods)
     lo, hi = padded_bounds(*stamps.T, *periods.T, pad)
     start_periods, end_periods = periods.T.tolist()
     for grid in label_grids(lo, hi, stamps, periods):
@@ -387,13 +384,14 @@ def histogram_cmd(annotations_csv, catalog_spec, out):
         [[catalog.coarsest_containing(m) is cat for cat in catalog] for m in range(60)],
         dtype=np.int64,
     )
-    rows = []
-    for annotator_id, (_, stamps) in _group_by_annotator(records).items():
-        counts = AnnotationSet.from_timestamps(stamps.ravel()).histogram() @ coarsest
-        rows += [
-            {"annotator_id": annotator_id, "period_minutes": period, "count": count}
-            for period, count in zip(catalog.periods, counts.tolist())
-        ]
+    evidence = _group_by_annotator(records)
+    sets = [AnnotationSet.from_timestamps(stamps.ravel()) for _, stamps in evidence.values()]
+    histograms = np.array([ann.histogram() for ann in sets])
+    rows = [
+        {"annotator_id": annotator_id, "period_minutes": period, "count": count}
+        for annotator_id, counts in zip(evidence, (histograms @ coarsest).tolist())
+        for period, count in zip(catalog.periods, counts)
+    ]
     write_table_csv(out, rows, {"catalog": _list_text(catalog.periods)})
     click.echo(f"wrote {out}")
 

@@ -7,31 +7,42 @@ Given the category, the observed minute-of-hour is uniform over the
 category's admissible minutes — so the likelihood of a minute is 1/|members|
 when admissible and 0 otherwise.
 
-Both posteriors are exact, and both depend on an annotator's evidence only
-through its 60-bin minute-of-hour histogram:
+The model sees an annotated minute only through its class: the set of
+catalogue categories that admit it. The default catalogue has 5 classes, of
+2, 2, 4, 4 and 48 minutes. Both posteriors are exact, and both depend on an
+annotator's evidence only through its class counts, the (K,) sums of its
+60-bin minute-of-hour histogram over each class:
 
-* habit: the log joint `_habit_log_joint`, log(1/C) + counts @ log E for a
-  uniform prior over the C habits, where E[h, m] = sum_c S[c, h] L[c, m] is
-  the probability of minute m under habit h. Its logsumexp over habits is
-  the log marginal; its softmax is the posterior, which never forms the
-  normalizing constant, so long evidence sets cannot underflow.
-* per-annotation category: a posterior row depends only on its minute, so
-  the posterior is a (60, C) table whose row m is the Bayes inversion
-  P(category | m, habit) mixed over the habit posterior, plus a (60,) MAP
-  index: the position of each row's MAP category. Every per-annotation MAP
-  answer (`CategoryPosterior.map_category`, `map_periods`,
-  `boundary_periods`) reads that index.
+* habit: the log joint `_habit_log_joint`, log(1/C) + sum_k counts[k] log E[k]
+  for a uniform prior over the C habits, where E[k, h] = sum_c S[c, h] L[c, k]
+  is the probability of a given minute of class k under habit h. Its logsumexp
+  over habits is the log marginal; its softmax is the posterior, which
+  never forms the normalizing constant, so long evidence sets cannot
+  underflow.
+* per-annotation category: a posterior row depends only on its minute's
+  class, so the posterior is a (K, C) table whose row k is the Bayes
+  inversion P(category | class k, habit) mixed over the habit posterior,
+  plus a (K,) MAP index: the position of each row's MAP category. It is
+  spread to a (60, C) table only where per-minute rows are reported
+  (`CategoryPosterior`). Every per-annotation MAP answer
+  (`CategoryPosterior.map_category`, `map_periods`, `boundary_periods`)
+  reads that index.
 
-The core works on a batch of histograms at once, so many annotators or
-simulated trials share one call. Both posteriors check their rows with
-`catalog._is_distribution`, as `hmm` checks its parameters. A row's last
-bits depend on the batch it is computed in: NumPy hands a one-row matmul
-to BLAS gemv and a batch to gemm, which sum in another order. With NumPy
-2.4 and OpenBLAS 0.3.31, computing the 100 annotators of the benchmark
-diary (seed 5) as one (100, 60) batch leaves 70 of their habit rows and 53
-of their category tables different, by at most 9e-16, from one call per
-annotator. So batching `infer-habit`'s per-annotator calls would change
-its report bytes.
+The core works on a batch of class counts at once: `annotator_posteriors`
+and `boundary_periods` make one call for all annotators of a diary, and the
+`simulate` error-rate sweep one per catalogue category. Both posteriors
+check their rows with `catalog._is_distribution`, as `hmm` checks its
+parameters. A row's bits do not depend on the batch it is computed in, on
+the BLAS library or on NumPy's SIMD target. Every sum over classes,
+categories and habits is a left fold of elementwise NumPy products and
+sums, one term per class, category or habit in a fixed order, rather than a
+matmul that BLAS sums in a kernel-dependent order or a reduction whose
+order NumPy picks by shape. Each exp and log that reaches a result is
+`math.exp` or `math.log`, not NumPy's SIMD loops, whose last bits vary with
+the CPU. The MAP index is C - 1 running `>` compares, which keep
+`np.argmax`'s first maximum. The NumPy reductions left are exact in any
+order (a max, and integer or boolean sums such as the class counts), or
+reach no output (`_is_distribution`'s check).
 
 A MAP category is the first maximum in catalogue order, so exact ties go
 to the coarsest category, consistent with the model's preference for coarse
@@ -41,8 +52,10 @@ explanations. Only the two posteriors answer it; there is no free
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -232,83 +245,125 @@ def switch_prob(
     return model.delta / (n_categories - 1)
 
 
+def _fold(terms):
+    """The sum of `terms`, added one at a time in order: a left fold, so
+    every element sees the same roundings whatever the array shapes."""
+    return reduce(operator.add, terms)
+
+
 @lru_cache(maxsize=None)
 def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
-    """Per-minute quantities both posteriors are built from.
+    """Per-class quantities both posteriors are built from.
 
-    Returns three read-only arrays:
+    A minute's class is the set of categories that admit it; classes are
+    numbered in order of their first minute, so class 0 holds minute 0,
+    which every category admits. Returns four read-only arrays:
 
-    * log_evidence (60, H): log P(minute | habit), and 0 where that
-      probability is 0, so that unannotated minutes add exactly 0;
-    * impossible (60, H): True where P(minute | habit) is 0;
-    * cond (H, 60 * C): P(category | minute, habit), minute-major, 0 where
-      the minute is impossible under the habit.
+    * minute_class (60,): each minute's class;
+    * log_evidence (K, H): log P(a given minute of class k | habit), and 0
+      where that probability is 0, so that classes nobody annotated add
+      exactly 0;
+    * impossible (K, H): True where P(a minute of class k | habit) is 0;
+    * cond (H, K, C): P(category | class, habit), 0 where the class is
+      impossible under the habit.
     """
     n = len(catalog)
-    # L[c, m] = P(minute m | category c), S[c, h] = P(category c | habit h)
-    lik = np.array([[likelihood(cat, m) for m in range(MINUTES_PER_HOUR)] for cat in catalog])
+    admits = [tuple(cat.contains(m) for cat in catalog) for m in range(MINUTES_PER_HOUR)]
+    first = {}  # each class's set of admitting categories -> its first minute
+    for minute, cats in enumerate(admits):
+        first.setdefault(cats, minute)
+    number = {cats: k for k, cats in enumerate(first)}
+    # L[c, k] = P(a given minute of class k | category c), S[c, h] = P(category c | habit h)
+    lik = np.array([[likelihood(cat, m) for m in first.values()] for cat in catalog])
     switch = np.array([[switch_prob(model, c, h, n) for h in catalog] for c in catalog])
-    evidence = switch.T @ lik  # (H, 60)
+    joint = switch.T[:, None, :] * lik.T[None, :, :]  # (H, K, C)
+    evidence = _fold(joint[:, :, c] for c in range(n))  # (H, K)
     possible = evidence > 0.0
-    log_evidence = np.log(evidence, out=np.zeros_like(evidence), where=possible)
-    joint = switch.T[:, None, :] * lik.T[None, :, :]  # (H, 60, C)
+    log_evidence = [[math.log(e) if e > 0.0 else 0.0 for e in row] for row in evidence.T.tolist()]
     cond = np.divide(
         joint, evidence[:, :, None], out=np.zeros_like(joint), where=possible[:, :, None]
     )
     return (
-        _frozen_array(log_evidence.T),
+        _frozen_array([number[cats] for cats in admits], dtype=np.intp),
+        _frozen_array(log_evidence),
         _frozen_array(~possible.T, dtype=bool),
-        _frozen_array(cond.reshape(n, -1)),
+        _frozen_array(cond),
     )
+
+
+def _class_counts(histograms, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
+    """(B, 60) minute histograms -> (B, K) annotation counts per minute
+    class, by an integer product, so exactly."""
+    minute_class = _minute_model(catalog, model)[0]
+    return np.asarray(histograms) @ (minute_class[:, None] == np.arange(minute_class.max() + 1))
 
 
 def _habit_log_joint(
     counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel
 ) -> np.ndarray:
-    """(B, 60) minute histograms -> (B, H) log P(habit, annotated minutes)
-    under a uniform prior over the habits, -inf where an annotated minute is
+    """(B, K) class counts -> (B, H) log P(habit, annotated minutes) under a
+    uniform prior over the habits, -inf where an annotated minute is
     impossible under the habit. Each row's logsumexp is that annotator's log
-    marginal, the log evidence the model assigns to its minutes."""
-    log_evidence, impossible, _ = _minute_model(catalog, model)
-    scores = np.log(np.full(len(catalog), 1.0 / len(catalog))) + counts @ log_evidence
-    scores[(counts > 0) @ impossible] = -np.inf
-    return scores
+    marginal, the log evidence the model assigns to its minutes. The result
+    is a view of an (H, B) array, so that each product runs over the batch."""
+    _, log_evidence, impossible, _ = _minute_model(catalog, model)
+    by_class = np.ascontiguousarray(np.asarray(counts).T)  # (K, B)
+    terms = (row[:, None] * by_class[k] for k, row in enumerate(log_evidence))
+    scores = math.log(1.0 / len(catalog)) + _fold(terms)
+    scores[impossible.T @ (by_class > 0)] = -np.inf
+    return scores.T
 
 
 def _habit_probs(counts: np.ndarray, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
-    """(B, 60) minute histograms -> (B, H) habit posteriors, one row each:
-    the row softmax of `_habit_log_joint`. Some habit always has mass: period
-    1 admits every minute, and its own habit keeps it unless delta = 1, while
-    every habit can switch to it when delta > 0."""
+    """(B, K) class counts -> (B, H) habit posteriors, one row each: the row
+    softmax of `_habit_log_joint`, a view of an (H, B) array. Some habit
+    always has mass: period 1 admits every minute, and its own habit keeps
+    it unless delta = 1, while every habit can switch to it when delta > 0."""
     counts = np.asarray(counts)
     if np.any(counts.sum(axis=1) == 0):
         raise InputError("cannot infer a habit from an empty annotation set")
-    scores = _habit_log_joint(counts, catalog, model)
-    scores -= scores.max(axis=1, keepdims=True)
-    probs = np.exp(scores)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return probs
+    scores = _habit_log_joint(counts, catalog, model).T
+    scores = scores - scores.max(axis=0)
+    probs = np.fromiter(map(math.exp, scores.ravel().tolist()), float, scores.size)
+    probs = probs.reshape(scores.shape)
+    return (probs / _fold(probs)).T
 
 
 def _category_tables(
     habit_probs: np.ndarray, catalog: CategoryCatalog, model: SwitchModel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(B, H) habit posteriors -> (B, 60, C) rows by minute and (B, 60) MAP index.
+    """(B, H) habit posteriors -> (B, K, C) rows by class and (B, K) MAP
+    index, views of (K, C, B) and (K, B) arrays.
 
     The MAP index is the first maximum of each row, which is the coarsest
     category among exact ties.
     """
-    _, _, cond = _minute_model(catalog, model)
-    table = (habit_probs @ cond).reshape(len(habit_probs), MINUTES_PER_HOUR, len(catalog))
-    return table, np.argmax(table, axis=2)
+    cond = _minute_model(catalog, model)[3]
+    by_habit = np.ascontiguousarray(np.asarray(habit_probs).T)  # (H, B)
+    table = _fold(plane[:, :, None] * by_habit[h] for h, plane in enumerate(cond))
+    best, map_index = table[:, 0], np.zeros((table.shape[0], table.shape[2]), dtype=np.intp)
+    for c in range(1, len(catalog)):
+        better = table[:, c] > best
+        best = np.where(better, table[:, c], best)
+        map_index[better] = c
+    return table.transpose(2, 0, 1), map_index.T
+
+
+def _minute_tables(
+    habit_probs: np.ndarray, catalog: CategoryCatalog, model: SwitchModel
+) -> tuple[np.ndarray, np.ndarray]:
+    """`_category_tables` spread to minutes: (B, 60, C) rows and (B, 60) MAP index."""
+    minute_class = _minute_model(catalog, model)[0]
+    table, map_index = _category_tables(habit_probs, catalog, model)
+    return table[:, minute_class], map_index[:, minute_class]
 
 
 def habit_posterior(
     annotations: AnnotationSet, catalog: CategoryCatalog, model: SwitchModel
 ) -> HabitPosterior:
     """Posterior over the annotator's habit given all annotated minutes."""
-    probs = _habit_probs(annotations.histogram()[None, :], catalog, model)
-    return HabitPosterior(catalog=catalog, probs=probs[0])
+    counts = _class_counts(annotations.histogram()[None, :], catalog, model)
+    return HabitPosterior(catalog=catalog, probs=_habit_probs(counts, catalog, model)[0])
 
 
 def category_posterior(
@@ -325,16 +380,43 @@ def category_posterior(
     """
     if habit is None:
         habit = habit_posterior(annotations, catalog, model)
-    table, map_index = _category_tables(habit.probs[None, :], catalog, model)
+    table, map_index = _minute_tables(habit.probs[None, :], catalog, model)
     return CategoryPosterior(
         catalog=catalog, minutes=annotations.minutes, table=table[0], map_index=map_index[0]
     )
 
 
-def boundary_periods(stamps, catalog: CategoryCatalog, model: SwitchModel) -> np.ndarray:
+def annotator_posteriors(
+    evidence, catalog: CategoryCatalog, model: SwitchModel
+) -> list[tuple[HabitPosterior, CategoryPosterior]]:
+    """`habit_posterior` and `category_posterior` of each AnnotationSet in
+    `evidence`, in order, from one core call on their stacked histograms.
+    Each pair has the bits of its own two calls."""
+    histograms = np.array([ann.histogram() for ann in evidence]).reshape(-1, MINUTES_PER_HOUR)
+    habits = _habit_probs(_class_counts(histograms, catalog, model), catalog, model)
+    tables, map_index = _minute_tables(habits, catalog, model)
+    return [
+        (HabitPosterior(catalog, probs), CategoryPosterior(catalog, ann.minutes, table, index))
+        for ann, probs, table, index in zip(evidence, habits, tables, map_index)
+    ]
+
+
+def boundary_periods(
+    stamps, catalog: CategoryCatalog, model: SwitchModel, annotators=None
+) -> np.ndarray:
     """(events, 2) start and end minutes -> (events, 2) periods of their MAP
-    categories, inferred from the events as one annotator's evidence
-    [start_0, end_0, start_1, end_1, ...]."""
-    evidence = AnnotationSet.from_timestamps(np.ravel(stamps))
-    habit = habit_posterior(evidence, catalog, model)
-    return category_posterior(evidence, catalog, model, habit=habit).map_periods().reshape(-1, 2)
+    categories. The events of one annotator are its evidence [start_0,
+    end_0, start_1, end_1, ...]. `annotators`, an (events,) array of
+    integers 0..A-1 each naming at least one event, says whose each event
+    is; by default every event is one annotator's. All annotators share one
+    core call, and each gets the periods of its own call."""
+    minute_class = _minute_model(catalog, model)[0]
+    n_classes = minute_class.max() + 1
+    classes = minute_class[list(AnnotationSet.from_timestamps(np.ravel(stamps)).minutes)]
+    owners = np.zeros(len(classes) // 2, dtype=np.intp) if annotators is None else annotators
+    owners = np.repeat(owners, 2)
+    size = n_classes * (owners.max(initial=0) + 1)
+    counts = np.bincount(owners * n_classes + classes, minlength=size)
+    habits = _habit_probs(counts.reshape(-1, n_classes), catalog, model)
+    _, map_index = _category_tables(habits, catalog, model)
+    return np.array(catalog.periods)[map_index[owners, classes]].reshape(-1, 2)

@@ -58,7 +58,13 @@ from .evaluation import (
     segment_boundary_mse,
     segment_confusion,
 )
-from .inference import SwitchModel, _category_tables, _habit_probs, boundary_periods
+from .inference import (
+    SwitchModel,
+    _category_tables,
+    _habit_probs,
+    _minute_model,
+    boundary_periods,
+)
 from .labels import label_grids, padded_bounds
 
 # The defaults of the experiments and of the `simulate` command alike.
@@ -238,34 +244,39 @@ def run_error_rate_experiment(
     Every (period, n) point draws its trials from one generator,
     `_rng(seed, 30, period, n)`, trial t being row t of its (trials, n)
     draws, so a point's rows do not depend on what else is swept, and fewer
-    trials draw the first rows of more. The trials of one point share one
-    batched posterior call: a trial is its minute histogram, and every
-    annotation at minute m has the MAP category of table row m.
+    trials draw the first rows of more. A trial is its counts per minute
+    class, into which its draws are counted straight away, and every
+    annotation in class k has the MAP category of class table row k. All
+    trials of all points of one true category share one core call, whose
+    rows have the bits of one call per trial.
     """
     _check_sweep(seed, trials, "trials")
     if not all(map(_is_integer, n_values)):
         raise ConfigError(f"annotation counts must be integers, got {tuple(n_values)}")
     if any(n < 1 for n in n_values):
         raise ConfigError(f"annotation counts must be positive, got {tuple(n_values)}")
-    first_slot = MINUTES_PER_HOUR * np.arange(trials)[:, None]
+    minute_class = _minute_model(catalog, model)[0]
+    n_classes = int(minute_class.max()) + 1
+    first_slot = n_classes * np.arange(trials)[:, None]
     rows = []
     for index, true_cat in enumerate(catalog):
         period = true_cat.period_minutes
-        members = np.array(sorted(true_cat.members))
+        member_class = minute_class[sorted(true_cat.members)]
+        counts = []  # per sweep point, its trials' class counts, trial-major
         for n in n_values:
-            draws = _rng(seed, 30, period, n).integers(0, len(members), size=(trials, n))
-            slots = members[draws] + first_slot
-            counts = np.bincount(slots.ravel(), minlength=trials * MINUTES_PER_HOUR)
-            counts = counts.reshape(trials, MINUTES_PER_HOUR)
-            habit = _habit_probs(counts, catalog, model)
-            _, map_index = _category_tables(habit, catalog, model)
-            errors = int((counts * (map_index != index)).sum())
-            rows.append(
-                {
-                    "category_period": period,
-                    "n_annotations": n,
-                    "trials": trials,
-                    "error_rate": errors / (trials * n),
-                }
-            )
+            draws = _rng(seed, 30, period, n).integers(0, len(member_class), size=(trials, n))
+            slots = member_class[draws] + first_slot
+            counts.append(np.bincount(slots.ravel(), minlength=trials * n_classes))
+        counts = np.reshape(counts, (-1, n_classes))
+        _, map_index = _category_tables(_habit_probs(counts, catalog, model), catalog, model)
+        errors = (counts * (map_index != index)).reshape(len(n_values), -1).sum(axis=1)
+        rows += [
+            {
+                "category_period": period,
+                "n_annotations": n,
+                "trials": trials,
+                "error_rate": wrong / (trials * n),
+            }
+            for n, wrong in zip(n_values, errors.tolist())
+        ]
     return rows

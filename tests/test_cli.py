@@ -520,9 +520,11 @@ GOLDEN_SOFT_LABELS_SHA256 = {
 
 
 # SHA-256 of the `infer-habit` JSON and the `histogram` CSV for GOLDEN_DIARY
-# (default options), captured before the MAP lookup and the histogram were
-# rebuilt on the per-minute tables.
-GOLDEN_INFER_HABIT_SHA256 = "c8d983f37ebcfebc884e96f6171070a2b6c51a901d64a74a5831f7a6f3da74b9"
+# (default options). The histogram digest was captured before the MAP lookup
+# and the histogram were rebuilt on the per-minute tables; the infer-habit
+# digest when the posteriors were rebuilt on minute classes, whose sums are
+# fixed-order folds that no BLAS kernel or SIMD target reorders.
+GOLDEN_INFER_HABIT_SHA256 = "6b04cffc28408069ac04ba139412fb3dc51d31a8d0f78ba101951727cba49967"
 GOLDEN_HISTOGRAM_SHA256 = "dbbf002e86e2f48d961db6d55c4f4d8120423efdf11f6e13ca38b3c3811d0d70"
 
 
@@ -536,6 +538,44 @@ def test_diary_reports_match_golden_digests(runner, tmp_path, command, digest):
     result = runner.invoke(main, [command, path, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _numpy_avx512_targets() -> str | None:
+    """NumPy's AVX-512 dispatch targets that this machine runs, as the
+    value of NPY_DISABLE_CPU_FEATURES, or None if /proc/cpuinfo lists no
+    AVX-512 feature. NumPy accepts only its own target names there (such as
+    X86_V4 or AVX512_SKX), not the kernel's flags (such as avx512f)."""
+    try:
+        flags = Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return None
+    if not any(flag.startswith("avx512") for flag in flags):
+        return None
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # NumPy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [
+        name
+        for name in umath.__cpu_dispatch__
+        if ("AVX512" in name or name == "X86_V4") and umath.__cpu_features__.get(name)
+    ]
+    return " ".join(targets) or None
+
+
+def test_infer_habit_report_does_not_depend_on_the_cpu_kernels(tmp_path):
+    # OpenBLAS's kernel for a CPU without AVX or AVX-512, and NumPy without
+    # its AVX-512 loops: the report keeps the golden bytes
+    path = _write(tmp_path / "diary.csv", GOLDEN_DIARY)
+    env = {"OPENBLAS_CORETYPE": "Prescott"}
+    targets = _numpy_avx512_targets()
+    if targets:
+        env["NPY_DISABLE_CPU_FEATURES"] = targets
+    args = ["-m", "tempolabel", "infer-habit", str(path), "--out", "report.json"]
+    result = _python(args, env, tmp_path)
+    assert result.returncode == 0, result.stderr.decode()
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_INFER_HABIT_SHA256
 
 
 def test_soft_labels_match_golden_digests(runner, tmp_path):

@@ -20,7 +20,14 @@ from tempolabel import (
     likelihood,
     switch_prob,
 )
-from tempolabel.inference import _category_tables, _habit_log_joint, _habit_probs
+from tempolabel.inference import (
+    _class_counts,
+    _habit_log_joint,
+    _habit_probs,
+    _minute_model,
+    _minute_tables,
+    annotator_posteriors,
+)
 
 from .oracles import enumerate_joint, enumerate_posteriors
 
@@ -251,15 +258,17 @@ def test_duplicating_evidence_never_weakens_argmax(minutes):
     assert twice.probs[top] >= once.probs[top] - 1e-12
 
 
-def _histograms(sets):
-    return np.stack([AnnotationSet(minutes).histogram() for minutes in sets])
+def _counts(sets, catalog, model):
+    """(B, K) class counts of the minute tuples in `sets`."""
+    histograms = np.stack([AnnotationSet(minutes).histogram() for minutes in sets])
+    return _class_counts(histograms, catalog, model)
 
 
 def test_batched_tables_match_oracle(catalog, model):
     # the annotation sets acceptance criterion 2 enumerates, in one batch
     sets = [m for size in (1, 2, 3) for m in itertools.product((0, 7, 15, 30), repeat=size)]
-    habit = _habit_probs(_histograms(sets), catalog, model)
-    table, map_index = _category_tables(habit, catalog, model)
+    habit = _habit_probs(_counts(sets, catalog, model), catalog, model)
+    table, map_index = _minute_tables(habit, catalog, model)
     assert table.shape == (len(sets), 60, len(catalog))
     assert map_index.shape == (len(sets), 60)
     for b, minutes in enumerate(sets):
@@ -273,7 +282,8 @@ def test_habit_log_joint_matches_enumerated_joint(catalog, delta):
     # at delta 0, a habit whose members miss an annotated minute has joint 0;
     # no whole row is 0, since the period-1 habit explains every minute set
     sets = [(), (0,), (7,), (0, 30), (15, 45, 0), (0, 7, 30), (1, 2, 3, 59)]
-    scores = _habit_log_joint(_histograms(sets), catalog, SwitchModel(delta))
+    model = SwitchModel(delta)
+    scores = _habit_log_joint(_counts(sets, catalog, model), catalog, model)
     for b, minutes in enumerate(sets):
         joint, _ = enumerate_joint(minutes, delta=delta)
         with np.errstate(divide="ignore"):
@@ -284,24 +294,44 @@ def test_habit_log_joint_matches_enumerated_joint(catalog, delta):
 
 
 def test_batch_equals_single_calls(catalog, model):
+    # every sum is a fixed-order fold, so a batch row has its single call's bits
     rng = np.random.default_rng(5)
     sets = []
     for period in catalog.periods:
         for n in (1, 2, 7, 40, 100):
             sets.append(tuple(int(m) for m in rng.integers(0, 60 // period, size=n) * period))
     sets.append(tuple(range(60)))
-    habit = _habit_probs(_histograms(sets), catalog, model)
-    table, map_index = _category_tables(habit, catalog, model)
-    for b, minutes in enumerate(sets):
+    habit = _habit_probs(_counts(sets, catalog, model), catalog, model)
+    table, map_index = _minute_tables(habit, catalog, model)
+    pairs = annotator_posteriors([AnnotationSet(minutes) for minutes in sets], catalog, model)
+    for b, (minutes, (batch_habit, batch_rows)) in enumerate(zip(sets, pairs)):
         ann = AnnotationSet(minutes)
         single_habit = habit_posterior(ann, catalog, model)
         single = category_posterior(ann, catalog, model, habit=single_habit)
-        np.testing.assert_allclose(habit[b], single_habit.probs, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(table[b], single.table, rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(habit[b], single_habit.probs)
+        np.testing.assert_array_equal(table[b], single.table)
         np.testing.assert_array_equal(map_index[b], single.map_index)
+        np.testing.assert_array_equal(batch_habit.probs, single_habit.probs)
+        np.testing.assert_array_equal(batch_rows.table, single.table)
+        np.testing.assert_array_equal(batch_rows.map_index, single.map_index)
+        assert batch_rows.minutes == single.minutes
         assert [catalog[i] for i in map_index[b, list(minutes)]] == [
             single.map_category(i) for i in range(len(minutes))
         ]
+
+
+def test_boundary_periods_of_many_annotators_equal_single_calls(catalog, model):
+    rng = np.random.default_rng(7)
+    sizes = (1, 4, 9, 2)
+    groups = [np.sort(rng.integers(0, 5000, size=(n, 2)), axis=1) for n in sizes]
+    groups[2][:, 0] -= groups[2][:, 0] % 15  # a quarter-hour starter
+    owners = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))  # events interleaved
+    stamps = np.empty((len(owners), 2), dtype=np.int64)
+    for g, group in enumerate(groups):
+        stamps[owners == g] = group
+    periods = boundary_periods(stamps, catalog, model, owners)
+    for g, group in enumerate(groups):
+        np.testing.assert_array_equal(periods[owners == g], boundary_periods(group, catalog, model))
 
 
 def test_unannotated_impossible_minutes_add_nothing(catalog):
@@ -340,7 +370,7 @@ def test_empty_histogram_in_batch_rejected(catalog, model):
     counts = np.zeros((2, 60), dtype=int)
     counts[0, 0] = 1
     with pytest.raises(InputError):
-        _habit_probs(counts, catalog, model)
+        _habit_probs(_class_counts(counts, catalog, model), catalog, model)
 
 
 def test_single_category_catalogue_needs_no_switch_model():
@@ -371,9 +401,52 @@ def test_some_habit_always_explains_the_evidence(case):
     # period 1 admits every minute: with delta < 1 its own habit keeps it,
     # and with delta > 0 every other habit can switch to it
     catalog, model, evidence = case
-    probs = _habit_probs(evidence.histogram()[None, :], catalog, model)[0]
+    counts = _class_counts(evidence.histogram()[None, :], catalog, model)
+    probs = _habit_probs(counts, catalog, model)[0]
     assert np.isfinite(probs).all()
     assert abs(probs.sum() - 1.0) < 1e-12
     rows = category_posterior(evidence, catalog, model)
     observed = rows.table[sorted(set(evidence.minutes))]
     np.testing.assert_allclose(observed.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _class_case(draw):
+    """A catalogue ending in period 1, nested (each period divides the one
+    before) or not, a delta it admits, and one to three annotated minutes."""
+    coarse = sorted(draw(st.sets(st.sampled_from((60, 30, 20, 15, 12, 10, 6, 5, 4, 3, 2)))))
+    if draw(st.booleans()):
+        nested = []
+        for period in reversed(coarse):
+            if not nested or nested[-1] % period == 0:
+                nested.append(period)
+        coarse = nested
+    catalog = CategoryCatalog.from_periods((*sorted(coarse, reverse=True)[:5], 1))
+    delta = draw(st.floats(0.0, 1.0)) if len(catalog) > 1 else 0.0
+    minutes = tuple(draw(st.lists(st.integers(0, 59), min_size=1, max_size=3)))
+    return catalog, delta, minutes
+
+
+@settings(deadline=None, max_examples=80)
+@given(case=_class_case())
+def test_class_core_matches_minute_oracles_on_any_catalogue(case):
+    catalog, delta, minutes = case
+    model = SwitchModel(delta)
+    minute_class = _minute_model(catalog, model)[0]
+    columns = [tuple(likelihood(cat, m) for cat in catalog) for m in range(60)]
+    # the minutes of a class have identical likelihood columns, and no two
+    # classes share one
+    for k in range(minute_class.max() + 1):
+        assert len({columns[m] for m in np.flatnonzero(minute_class == k)}) == 1
+    assert len(set(columns)) == minute_class.max() + 1
+    counts = _counts([minutes], catalog, model)
+    joint, _ = enumerate_joint(minutes, catalog.periods, delta)
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(
+            _habit_log_joint(counts, catalog, model)[0], np.log(joint), rtol=0, atol=1e-12
+        )
+    expected_habit, expected_rows = enumerate_posteriors(minutes, catalog.periods, delta)
+    habit = _habit_probs(counts, catalog, model)
+    table, _ = _minute_tables(habit, catalog, model)
+    np.testing.assert_allclose(habit[0], expected_habit, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(table[0, list(minutes)], expected_rows, rtol=0, atol=1e-10)

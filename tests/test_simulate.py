@@ -125,6 +125,14 @@ def test_error_rate_matches_one_posterior_per_trial():
     assert got == reference_run_error_rate_experiment(seed=9, n_values=(1, 3, 20), trials=25)
 
 
+def test_error_rate_sweep_rows_equal_single_point_runs():
+    # the points of a category share one core call, whose rows have the
+    # bits of a call per point
+    rows = run_error_rate_experiment(seed=4, n_values=(1, 3, 20), trials=40)
+    singles = [run_error_rate_experiment(seed=4, n_values=(n,), trials=40) for n in (1, 3, 20)]
+    assert rows == [single[c] for c in range(5) for single in singles]
+
+
 @pytest.mark.parametrize("periods", [(60, 30, 15, 10, 5, 1), (60, 20, 4, 1)])
 def test_error_rate_matches_reference_on_other_catalogs(periods):
     # catalogues other than the default: period 60 has one member, where
