@@ -14,7 +14,9 @@ end by `labels._flat_grid`, window k owning slots offsets[k]:offsets[k + 1]):
 `evaluate` scores a series as one segment per event or one in all, the
 simulate sweeps one per simulated event. A segment is summed as one
 C-contiguous row slice with `np.add.reduce`, NumPy's pairwise sum, exactly
-as `np.sum` and `np.mean` sum a single series.
+as `np.sum` and `np.mean` sum a single series. Hard labels of whole-minute
+spans need no sum: `span_confusion` gives their counts, integers, from the
+spans' overlap and lengths, with the bits any sum of their 0/1 slots has.
 """
 
 from __future__ import annotations
@@ -149,6 +151,21 @@ def segment_confusion(reference, prediction, offsets) -> np.ndarray:
     r, p = reference, prediction
     cells = np.stack([r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p)])
     return _segment_sums(cells, offsets)
+
+
+def span_confusion(reference_spans, predicted_spans, lengths) -> np.ndarray:
+    """The confusion counts `segment_confusion` sums for the hard labels of
+    whole-minute (start, end) pairs, from the spans alone: a (4, K) float64
+    array of tp, fp, fn and tn. Span pair k must lie inside window k, which
+    is lengths[k] slots long. tp is the overlap of the two spans, and the
+    other cells are what remains of each span and of the window; each count
+    is an integer, so it has the bits of any sum of 0/1 slot values."""
+    ref_start, ref_end = np.asarray(reference_spans).T
+    pred_start, pred_end = np.asarray(predicted_spans).T
+    tp = np.maximum(0, np.minimum(ref_end, pred_end) - np.maximum(ref_start, pred_start))
+    fp = pred_end - pred_start - tp
+    fn = ref_end - ref_start - tp
+    return np.stack([tp, fp, fn, lengths - tp - fp - fn]).astype(np.float64)
 
 
 def soft_confusion(reference: LabelSeries, prediction: LabelSeries) -> SoftConfusionMatrix:

@@ -30,13 +30,20 @@ error-rate point. So no point's draws depend on which other points are
 swept, and rerunning any experiment with the same seed reproduces it bit
 for bit.
 
-The MSE and F1 sweeps build the truth, hard and soft labels of a sweep point
-with `labels.label_grids`, the flat label grid that `soft-labels` uses too;
-this module only chooses each event's window and bias-shifted ramp centers,
-and `labels` halves the MAP periods of `boundary_periods`. Each event is
-scored as one segment of that grid by `evaluation.segment_boundary_mse` and
+The MSE and F1 sweeps build the labels of a sweep point with
+`labels.label_grids`, the flat label grid that `soft-labels` uses too; this
+module only chooses each event's window and bias-shifted ramp centers, and
+`labels` halves the MAP periods of `boundary_periods`. Each event is scored
+as one segment of that grid by `evaluation.segment_boundary_mse` and
 `evaluation.segment_confusion`, where the summation rule lives, so the
-tables are exactly those of scoring event by event.
+tables are exactly those of scoring event by event. The F1 sweep's hard
+counts are the exception: integers, they come from the true and annotated
+spans and the window lengths through `evaluation.span_confusion`, so its
+grids hold the truth and soft labels only.
+
+The error-rate sweep runs the posterior core once per distinct class-count
+row of a true category; its trials repeat rows often, and a row's bits do
+not depend on the batch it is scored in.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .evaluation import (
     f1,
     segment_boundary_mse,
     segment_confusion,
+    span_confusion,
 )
 from .inference import (
     SwitchModel,
@@ -130,12 +138,13 @@ def generate_events(rng: np.random.Generator, n_events: int) -> np.ndarray:
     return np.column_stack((starts, starts + durations))
 
 
-def _label_grids(
+def _windows(
     truth, resolution: int, bias_fraction: float, catalog: CategoryCatalog, model: SwitchModel
 ):
     """Annotate the true events at `resolution` with a bias of
-    `bias_fraction` of it, and yield their label grids, with the truth, then
-    the annotation, as hard labels.
+    `bias_fraction` of it. Returns the annotated (N, 2) spans and the
+    windows and soft ramps `labels.label_grids` takes: lo, hi, centers and
+    periods.
 
     Event i's window is [min(true, annotated) start - pad, max(true,
     annotated) end + pad), pad being PLACEMENT_MARGIN, widened where needed
@@ -151,7 +160,7 @@ def _label_grids(
     ramp_lo, ramp_hi = padded_bounds(*centers.T, *periods.T, 0)
     lo = np.minimum(np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN, ramp_lo)
     hi = np.maximum(np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN, ramp_hi)
-    return label_grids(lo, hi, centers, periods, (truth, annotated))
+    return annotated, (lo, hi, centers, periods)
 
 
 def run_mse_experiment(
@@ -168,8 +177,9 @@ def run_mse_experiment(
     rows = []
     for res in resolutions:
         truth = generate_events(_rng(seed, 10, res), n_events)
+        annotated, windows = _windows(truth, res, 0.0, catalog, model)
         scores = []
-        for grid in _label_grids(truth, res, 0.0, catalog, model):
+        for grid in label_grids(*windows, (truth, annotated)):
             r, p = grid.hard  # truth, annotation
             differences = (r - p, r - grid.soft)
             scores.append(
@@ -202,7 +212,8 @@ def run_f1_experiment(
 
     Resolution r's true events are drawn once, from `_rng(seed, 20, r)`, and
     annotated once per bias, so bias is the only thing that changes between
-    those rows. Confusion counts are added event by event, in event order.
+    those rows. Soft confusion counts are added event by event, in event
+    order; hard ones are integers, whose sum is exact in any order.
     """
     _check_sweep(seed, n_events, "n_events", resolutions)
     for bias in bias_fractions:
@@ -212,12 +223,15 @@ def run_f1_experiment(
     for res in resolutions:
         truth = generate_events(_rng(seed, 20, res), n_events)
         for bias in bias_fractions:
-            cells = []
-            for grid in _label_grids(truth, res, bias, catalog, model):
-                r, p = grid.hard  # truth, annotation
-                cells += [segment_confusion(r, x, grid.offsets) for x in (p, grid.soft)]
+            annotated, windows = _windows(truth, res, bias, catalog, model)
+            lo, hi = windows[:2]
+            cells = [
+                segment_confusion(grid.hard[0], grid.soft, grid.offsets)
+                for grid in label_grids(*windows, (truth,))
+            ]
             # a running sum, not a pairwise one: counts add up one event at a time
-            hard, soft = (np.cumsum(np.hstack(cells[i::2]), axis=1)[:, -1] for i in (0, 1))
+            soft = np.cumsum(np.hstack(cells), axis=1)[:, -1]
+            hard = span_confusion(truth, annotated, hi - lo).sum(axis=1)
             rows.append(
                 {
                     "resolution_minutes": res,
@@ -228,6 +242,19 @@ def run_f1_experiment(
                 }
             )
     return rows
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, in lexicographic order, and
+    the index of each row among them. One sort over the columns and a compare
+    of neighbours, without packing a row into one integer that could overflow."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)  # the first of each run of equal rows
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 def run_error_rate_experiment(
@@ -247,8 +274,8 @@ def run_error_rate_experiment(
     trials draw the first rows of more. A trial is its counts per minute
     class, into which its draws are counted straight away, and every
     annotation in class k has the MAP category of class table row k. All
-    trials of all points of one true category share one core call, whose
-    rows have the bits of one call per trial.
+    trials of all points of one true category share one core call, made on
+    their distinct rows only; its rows have the bits of one call per trial.
     """
     _check_sweep(seed, trials, "trials")
     if not all(map(_is_integer, n_values)):
@@ -268,7 +295,9 @@ def run_error_rate_experiment(
             slots = member_class[draws] + first_slot
             counts.append(np.bincount(slots.ravel(), minlength=trials * n_classes))
         counts = np.reshape(counts, (-1, n_classes))
-        _, map_index = _category_tables(_habit_probs(counts, catalog, model), catalog, model)
+        distinct, inverse = _distinct_rows(counts)
+        _, map_index = _category_tables(_habit_probs(distinct, catalog, model), catalog, model)
+        map_index = map_index[inverse]
         errors = (counts * (map_index != index)).reshape(len(n_values), -1).sum(axis=1)
         rows += [
             {

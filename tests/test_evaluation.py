@@ -1,6 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
@@ -19,7 +21,8 @@ from tempolabel import (
     soft_confusion,
     soft_label,
 )
-from tempolabel.evaluation import segment_confusion
+from tempolabel import labels
+from tempolabel.evaluation import segment_confusion, span_confusion
 
 from .oracles import reference_masked_mse
 
@@ -240,3 +243,40 @@ def test_segment_scorers_match_per_series_references(case):
             float(np.sum(r * (1.0 - p))),
             float(np.sum((1.0 - r) * (1.0 - p))),
         ]
+
+
+@st.composite
+def _span_window(draw):
+    """A window (start, length) and two whole-minute spans inside it, each
+    an (a, b) pair of offsets into the window with a <= b."""
+    length = draw(st.integers(1, 300))
+    truth, annotated = (
+        tuple(sorted(draw(st.lists(st.integers(0, length), min_size=2, max_size=2))))
+        for _ in range(2)
+    )
+    return draw(st.integers(-(10**6), 10**6)), length, truth, annotated
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    windows=st.lists(_span_window(), min_size=1, max_size=9),
+    block=st.sampled_from([1, 3, labels._GRID_RECORDS]),
+)
+# an empty annotation, disjoint spans, nested spans, and spans on the window
+# edges, each in a grid of its own
+@example(
+    windows=[(0, 10, (2, 5), (3, 3)), (100, 10, (0, 4), (6, 10)), (-50, 20, (0, 20), (5, 8)),
+             (7, 1, (0, 1), (0, 0)), (30, 12, (4, 6), (0, 12))],
+    block=1,
+)
+def test_span_confusion_equals_summed_hard_labels(windows, block):
+    start, lengths, truth, annotated = (np.array(column) for column in zip(*windows))
+    truth, annotated = truth + start[:, None], annotated + start[:, None]
+    # the narrowest soft ramps, on each window's first minute
+    centers, periods = np.full((len(start), 2), 0.5) + start[:, None], np.ones((len(start), 2))
+    with mock.patch.object(labels, "_GRID_RECORDS", block):
+        grids = labels.label_grids(start, start + lengths, centers, periods, (truth, annotated))
+        summed = np.hstack([segment_confusion(*grid.hard, grid.offsets) for grid in grids])
+    got = span_confusion(truth, annotated, lengths)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, summed)

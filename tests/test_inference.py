@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tempolabel import (
@@ -427,8 +427,13 @@ def _class_case(draw):
     return catalog, delta, minutes
 
 
+# deltas whose joint for habit 60 underflows in the oracle's linear space
 @settings(deadline=None, max_examples=80)
 @given(case=_class_case())
+@example(case=(CategoryCatalog.from_periods((60, 1)), 2.0449917838814744e-243, (1, 1)))
+@example(case=(CategoryCatalog.from_periods((60, 1)), 1.554721234286851e-279, (1, 1)))
+@example(case=(CategoryCatalog.from_periods((60, 1)), 1.2668191722128486e-305, (1, 1)))
+@example(case=(CategoryCatalog.from_periods((60, 1)), 1.1125369292536007e-308, (1, 1)))
 def test_class_core_matches_minute_oracles_on_any_catalogue(case):
     catalog, delta, minutes = case
     model = SwitchModel(delta)
@@ -441,10 +446,14 @@ def test_class_core_matches_minute_oracles_on_any_catalogue(case):
     assert len(set(columns)) == minute_class.max() + 1
     counts = _counts([minutes], catalog, model)
     joint, _ = enumerate_joint(minutes, catalog.periods, delta)
-    with np.errstate(divide="ignore"):
-        np.testing.assert_allclose(
-            _habit_log_joint(counts, catalog, model)[0], np.log(joint), rtol=0, atol=1e-12
-        )
+    log_joint = _habit_log_joint(counts, catalog, model)[0]
+    # the oracle sums in linear space, so below the smallest normal float its
+    # joint has lost digits or underflowed to 0, while the core sums logs:
+    # there the core's log joint need only lie below that bound too
+    tiny = np.finfo(float).tiny
+    normal = joint >= tiny
+    np.testing.assert_allclose(log_joint[normal], np.log(joint[normal]), rtol=0, atol=1e-12)
+    assert np.all(log_joint[~normal] < np.log(tiny))
     expected_habit, expected_rows = enumerate_posteriors(minutes, catalog.periods, delta)
     habit = _habit_probs(counts, catalog, model)
     table, _ = _minute_tables(habit, catalog, model)

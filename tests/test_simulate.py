@@ -18,7 +18,7 @@ from tempolabel import (
     run_mse_experiment,
 )
 from tempolabel import labels
-from tempolabel.simulate import _rng
+from tempolabel.simulate import _distinct_rows, _rng
 
 from .oracles import (
     reference_run_error_rate_experiment,
@@ -131,6 +131,26 @@ def test_error_rate_sweep_rows_equal_single_point_runs():
     rows = run_error_rate_experiment(seed=4, n_values=(1, 3, 20), trials=40)
     singles = [run_error_rate_experiment(seed=4, n_values=(n,), trials=40) for n in (1, 3, 20)]
     assert rows == [single[c] for c in range(5) for single in singles]
+
+
+def test_error_rate_with_many_repeated_rows_matches_reference():
+    # one or two annotations per trial give few distinct class-count rows,
+    # each scored once for the many trials that repeat it
+    args = dict(seed=12, n_values=(1, 2), trials=300)
+    assert run_error_rate_experiment(**args) == reference_run_error_rate_experiment(**args)
+    counts = np.random.default_rng(0).integers(0, 3, size=(600, 5))
+    distinct, inverse = _distinct_rows(counts)
+    assert len(distinct) < len(counts)
+    assert len({tuple(row) for row in distinct.tolist()}) == len(distinct)
+    np.testing.assert_array_equal(distinct[inverse], counts)
+
+
+def test_error_rate_with_counts_past_any_integer_key_matches_reference():
+    # 10,000 annotations over 5 classes: a mixed-radix key (n + 1) ** K of a
+    # class-count row would pass 2 ** 63
+    assert (10_000 + 1) ** 5 > 2**63
+    args = dict(seed=2, n_values=(10_000,), trials=3)
+    assert run_error_rate_experiment(**args) == reference_run_error_rate_experiment(**args)
 
 
 @pytest.mark.parametrize("periods", [(60, 30, 15, 10, 5, 1), (60, 20, 4, 1)])
