@@ -29,8 +29,9 @@ annotator's evidence only through its class counts, the (K,) sums of its
   reads that index.
 
 The core works on a batch of class counts at once: `annotator_posteriors`
-and `boundary_periods` make one call for all annotators of a diary, and the
-`simulate` error-rate sweep one per catalogue category. Both posteriors
+and `boundary_periods` make one call for all annotators of a diary, the
+`simulate` MSE and F1 sweeps one per batch of sweep points, and its
+error-rate sweep one per catalogue category. Both posteriors
 check their rows with `catalog._is_distribution`, as `hmm` checks its
 parameters. A row's bits do not depend on the batch it is computed in, on
 the BLAS library or on NumPy's SIMD target. Every sum over classes,
@@ -262,7 +263,7 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
     * minute_class (60,): each minute's class;
     * log_evidence (K, H): log P(a given minute of class k | habit), and 0
       where that probability is 0, so that classes nobody annotated add
-      exactly 0;
+      exactly 0; taken from logs where it is below the smallest float;
     * impossible (K, H): True where P(a minute of class k | habit) is 0;
     * cond (H, K, C): P(category | class, habit), 0 where the class is
       impossible under the habit.
@@ -283,6 +284,16 @@ def _minute_model(catalog: CategoryCatalog, model: SwitchModel):
     cond = np.divide(
         joint, evidence[:, :, None], out=np.zeros_like(joint), where=possible[:, :, None]
     )
+    # a switch so unlikely that delta / (C - 1) / |members| rounds to 0 still
+    # explains every class some category admits: there the log evidence is
+    # log delta + log(sum_c L[c, k] / (C - 1)), the habit's own category
+    # admitting no such class, and delta cancels from P(category | class)
+    if 0.0 < model.delta < 1.0:
+        admitted = lik.sum(axis=0)
+        for h, k in zip(*np.nonzero(~possible & (admitted > 0.0))):
+            log_evidence[k][h] = math.log(model.delta) + math.log(admitted[k] / (n - 1))
+            cond[h, k] = lik[:, k] / admitted[k]
+            possible[h, k] = True
     return (
         _frozen_array([number[cats] for cats in admits], dtype=np.intp),
         _frozen_array(log_evidence),

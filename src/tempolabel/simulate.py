@@ -30,16 +30,21 @@ error-rate point. So no point's draws depend on which other points are
 swept, and rerunning any experiment with the same seed reproduces it bit
 for bit.
 
-The MSE and F1 sweeps build the labels of a sweep point with
-`labels.label_grids`, the flat label grid that `soft-labels` uses too; this
-module only chooses each event's window and bias-shifted ramp centers, and
-`labels` halves the MAP periods of `boundary_periods`. Each event is scored
-as one segment of that grid by `evaluation.segment_boundary_mse` and
-`evaluation.segment_confusion`, where the summation rule lives, so the
-tables are exactly those of scoring event by event. The F1 sweep's hard
-counts are the exception: integers, they come from the true and annotated
-spans and the window lengths through `evaluation.span_confusion`, so its
-grids hold the truth and soft labels only.
+The MSE and F1 sweeps score their points in batches of consecutive whole
+points, up to `_BATCH_EVENTS` events a batch; a larger point is a batch of
+its own. A batch makes one `boundary_periods` call, in which each point is
+one annotator, and one window pass over all its events, and builds their
+labels with `labels.label_grids`, the flat label grid that `soft-labels`
+uses too, so a grid may hold the events of two points. This module only
+chooses each event's window and bias-shifted ramp centers, and `labels`
+halves the MAP periods. Each event is scored as one segment of that grid by
+`evaluation.segment_boundary_mse` and `evaluation.segment_confusion`, where
+the summation rule lives, and the scores are split back into their points,
+so the tables are exactly those of scoring each point alone, event by
+event. The F1 sweep's hard counts are the exception: integers, they come
+from the true and annotated spans and the window lengths through
+`evaluation.span_confusion`, so its grids hold the truth and soft labels
+only.
 
 The error-rate sweep runs the posterior core once per distinct class-count
 row of a true category; its trials repeat rows often, and a row's bits do
@@ -47,6 +52,8 @@ not depend on the batch it is scored in.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -73,7 +80,7 @@ from .inference import (
     _minute_model,
     boundary_periods,
 )
-from .labels import label_grids, padded_bounds
+from .labels import _GRID_RECORDS, label_grids, padded_bounds
 
 # The defaults of the experiments and of the `simulate` command alike.
 DEFAULT_EVENTS = 200
@@ -138,14 +145,32 @@ def generate_events(rng: np.random.Generator, n_events: int) -> np.ndarray:
     return np.column_stack((starts, starts + durations))
 
 
-def _windows(
-    truth, resolution: int, bias_fraction: float, catalog: CategoryCatalog, model: SwitchModel
-):
-    """Annotate the true events at `resolution` with a bias of
-    `bias_fraction` of it. Returns the annotated (N, 2) spans and the
-    windows and soft ramps `labels.label_grids` takes: lo, hi, centers and
-    periods.
+# Events per batch of sweep points. A batch holds whole points, so a point of
+# more events than this is a batch of its own. The bound keeps a batch's
+# spans, windows and scores to a few label grids' worth however many points
+# are swept: as one batch, the F1 sweep of 20,000-event points peaked at 75
+# MiB RSS, against 42 MiB one point at a time.
+_BATCH_EVENTS = 16 * _GRID_RECORDS
 
+
+def _batches(points, n_events: int):
+    """`points` in order, in lists of consecutive whole points, as many as
+    fit in `_BATCH_EVENTS` events at `n_events` each, and at least one."""
+    points = iter(points)
+    size = max(1, _BATCH_EVENTS // n_events)
+    while batch := list(itertools.islice(points, size)):
+        yield batch
+
+
+def _windows(batch, catalog: CategoryCatalog, model: SwitchModel):
+    """Annotate the true events of a batch of sweep points, each a (truth,
+    resolution, bias_fraction) triple of (N, 2) true spans, N the same for
+    every point, the resolution and a bias of that fraction of it. Returns
+    the batch's true and annotated spans, point after point, and the windows
+    and soft ramps `labels.label_grids` takes: lo, hi, centers and periods.
+
+    Each point is one annotator: the MAP periods of its annotations come
+    from its own evidence, through one `boundary_periods` call for the batch.
     Event i's window is [min(true, annotated) start - pad, max(true,
     annotated) end + pad), pad being PLACEMENT_MARGIN, widened where needed
     to the whole minutes its soft ramps cover. Soft ramps are centered on
@@ -153,14 +178,24 @@ def _windows(
     it added, and removing it restores the zero-mean rounding the soft
     label's uniform ramp is built to cover; the ramps' MAP periods go on as is.
     """
-    bias_minutes = bias_fraction * resolution
+    truths, resolution, bias_fraction = zip(*batch)
+    # (points, events, 2), each point's resolution and bias broadcast over
+    # its events. A lone point, as every large one is, is not copied, and is
+    # `boundary_periods`' default of one annotator, so it needs no owners
+    if len(batch) == 1:
+        truth, owners = truths[0][None], None
+    else:
+        truth, owners = np.stack(truths), np.repeat(np.arange(len(batch)), len(truths[0]))
+    resolution = np.array(resolution)[:, None, None]
+    bias_minutes = np.array(bias_fraction, dtype=float)[:, None, None] * resolution
     annotated = annotate(truth, resolution, bias_minutes)
-    periods = boundary_periods(annotated, catalog, model)
-    centers = annotated - bias_minutes
+    periods = boundary_periods(annotated.reshape(-1, 2), catalog, model, owners)
+    centers = (annotated - bias_minutes).reshape(-1, 2)
+    truth, annotated = truth.reshape(-1, 2), annotated.reshape(-1, 2)
     ramp_lo, ramp_hi = padded_bounds(*centers.T, *periods.T, 0)
     lo = np.minimum(np.minimum(truth[:, 0], annotated[:, 0]) - PLACEMENT_MARGIN, ramp_lo)
     hi = np.maximum(np.maximum(truth[:, 1], annotated[:, 1]) + PLACEMENT_MARGIN, ramp_hi)
-    return annotated, (lo, hi, centers, periods)
+    return truth, annotated, (lo, hi, centers, periods)
 
 
 def run_mse_experiment(
@@ -174,10 +209,10 @@ def run_mse_experiment(
     for an unbiased annotator. Resolution r's events are drawn from
     `_rng(seed, 10, r)`."""
     _check_sweep(seed, n_events, "n_events", resolutions)
+    points = ((generate_events(_rng(seed, 10, res), n_events), res, 0.0) for res in resolutions)
     rows = []
-    for res in resolutions:
-        truth = generate_events(_rng(seed, 10, res), n_events)
-        annotated, windows = _windows(truth, res, 0.0, catalog, model)
+    for batch in _batches(points, n_events):
+        truth, annotated, windows = _windows(batch, catalog, model)
         scores = []
         for grid in label_grids(*windows, (truth, annotated)):
             r, p = grid.hard  # truth, annotation
@@ -187,8 +222,9 @@ def run_mse_experiment(
                     grid.minutes, grid.offsets, truth[grid.records], differences, BOUNDARY_HALFWIDTH
                 )
             )
-        hard_scores, soft_scores = np.concatenate(scores, axis=1)
-        rows.append(
+        # (hard and soft, points, events)
+        scores = np.concatenate(scores, axis=1).reshape(2, len(batch), n_events)
+        rows += [
             {
                 "resolution_minutes": res,
                 "bias_fraction": 0.0,
@@ -196,7 +232,8 @@ def run_mse_experiment(
                 "mse_hard": float(np.mean(hard_scores)),
                 "mse_soft": float(np.mean(soft_scores)),
             }
-        )
+            for (_, res, _), hard_scores, soft_scores in zip(batch, *scores)
+        ]
     return rows
 
 
@@ -219,28 +256,38 @@ def run_f1_experiment(
     for bias in bias_fractions:
         if not 0.0 <= bias < 1.0:
             raise ConfigError(f"bias fraction must be in [0, 1), got {bias}")
+    points = (
+        (truth, res, bias)
+        for res in resolutions
+        for truth in [generate_events(_rng(seed, 20, res), n_events)]
+        for bias in bias_fractions
+    )
     rows = []
-    for res in resolutions:
-        truth = generate_events(_rng(seed, 20, res), n_events)
-        for bias in bias_fractions:
-            annotated, windows = _windows(truth, res, bias, catalog, model)
-            lo, hi = windows[:2]
-            cells = [
+    for batch in _batches(points, n_events):
+        truth, annotated, windows = _windows(batch, catalog, model)
+        lo, hi = windows[:2]
+        # (cells, points, events) -> per point, its (4,) summed counts
+        shape = (4, len(batch), n_events)
+        hard = span_confusion(truth, annotated, hi - lo).reshape(shape).sum(axis=2).T.tolist()
+        cells = np.hstack(
+            [
                 segment_confusion(grid.hard[0], grid.soft, grid.offsets)
                 for grid in label_grids(*windows, (truth,))
             ]
-            # a running sum, not a pairwise one: counts add up one event at a time
-            soft = np.cumsum(np.hstack(cells), axis=1)[:, -1]
-            hard = span_confusion(truth, annotated, hi - lo).sum(axis=1)
-            rows.append(
-                {
-                    "resolution_minutes": res,
-                    "bias_fraction": bias,
-                    "n_events": n_events,
-                    "f1_hard": f1(SoftConfusionMatrix(*hard.tolist())),
-                    "f1_soft": f1(SoftConfusionMatrix(*soft.tolist())),
-                }
-            )
+        )
+        # a running sum within each point, not a pairwise one: its counts add
+        # up one event at a time
+        soft = np.cumsum(cells.reshape(shape), axis=2)[:, :, -1].T.tolist()
+        rows += [
+            {
+                "resolution_minutes": res,
+                "bias_fraction": bias,
+                "n_events": n_events,
+                "f1_hard": f1(SoftConfusionMatrix(*point_hard)),
+                "f1_soft": f1(SoftConfusionMatrix(*point_soft)),
+            }
+            for (_, res, bias), point_hard, point_soft in zip(batch, hard, soft)
+        ]
     return rows
 
 

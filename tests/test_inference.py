@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +294,62 @@ def test_habit_log_joint_matches_enumerated_joint(catalog, delta):
         marginal = np.logaddexp.reduce(scores[b])
         assert marginal == pytest.approx(np.log(joint.sum()), rel=0, abs=1e-12)
     assert np.isneginf(scores).any() == (delta == 0)
+
+
+def _exact_log_joint(minutes, catalog, delta):
+    """log P(habit, minutes) per habit, from exact rationals: the joint is a
+    `Fraction`, and its log is that of its numerator minus its denominator's."""
+    delta, n = Fraction(delta), len(catalog)
+    logs = []
+    for habit in catalog:
+        joint = Fraction(1, n)
+        for minute in minutes:
+            joint *= sum(
+                ((1 - delta) if cat == habit else delta / (n - 1)) * Fraction(1, cat.size)
+                for cat in catalog
+                if cat.contains(minute)
+            )
+        logs.append(math.log(joint.numerator) - math.log(joint.denominator))
+    return np.array(logs)
+
+
+def test_habit_log_joint_stays_finite_at_a_subnormal_delta(catalog):
+    # delta / 4 / 60 rounds to 0 at delta 5e-324, yet minutes 1, 2 and 3 stay
+    # possible under every habit: the coarse ones switch to period 1
+    model = SwitchModel(5e-324)
+    scores = _habit_log_joint(_counts([(1, 2, 3)], catalog, model), catalog, model)[0]
+    assert np.isfinite(scores).all()
+    np.testing.assert_allclose(scores, _exact_log_joint((1, 2, 3), catalog, 5e-324), rtol=1e-9)
+    assert scores[0] == pytest.approx(-2251.37157, abs=1e-5)
+
+
+# sha256 of the (5, 5) little-endian habit posteriors of _PINNED_SETS, frozen
+# before the log evidence of an underflowing switch was taken from logs
+_PINNED_SETS = [(1, 2, 3), (0,), (0, 30), (15, 45, 0), (10, 20, 40, 50)]
+_PINNED_HABITS = {
+    5e-324: "40fa9ce9f1b8022fc5808f290035a9dda46ff50ccb2b61bcdd15107a21fb1851",
+    1e-300: "40fa9ce9f1b8022fc5808f290035a9dda46ff50ccb2b61bcdd15107a21fb1851",
+    0.1: "7ada6b54c0d5f4301ca5717760c5242c5e8664719976a85c7baa2d908cebb283",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(_PINNED_HABITS))
+def test_habit_posteriors_keep_their_bits_around_a_subnormal_delta(catalog, delta):
+    model = SwitchModel(delta)
+    probs = _habit_probs(_counts(_PINNED_SETS, catalog, model), catalog, model)
+    data = np.ascontiguousarray(probs, dtype="<f8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED_HABITS[delta]
+
+
+def test_subnormal_habit_posteriors_match_exact_ones(catalog):
+    # minutes 0 and 30 favour the coarse habits, which explain minute 7 only
+    # by a switch: their posteriors are subnormal, not 0
+    model = SwitchModel(5e-324)
+    probs = _habit_probs(_counts([(0, 7, 30)], catalog, model), catalog, model)[0]
+    exact = _exact_log_joint((0, 7, 30), catalog, 5e-324)
+    expected = np.exp(exact - np.logaddexp.reduce(exact))
+    assert np.all(probs[:4] > 0.0)
+    np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-323)
 
 
 def test_batch_equals_single_calls(catalog, model):

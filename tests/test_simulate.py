@@ -17,7 +17,7 @@ from tempolabel import (
     run_f1_experiment,
     run_mse_experiment,
 )
-from tempolabel import labels
+from tempolabel import labels, simulate
 from tempolabel.simulate import _distinct_rows, _rng
 
 from .oracles import (
@@ -299,6 +299,27 @@ def test_sweeps_span_several_grid_blocks():
     assert run_mse_experiment(**mse_args) == reference_run_mse_experiment(**mse_args)
     f1_args = dict(seed=6, n_events=n_events, resolutions=(15,), bias_fractions=(0.0, 0.5))
     assert run_f1_experiment(**f1_args) == reference_run_f1_experiment(**f1_args)
+
+
+# at 100 events a point: a batch of 250 events holds two points, so its second
+# 64-record grid straddles them; 300 puts a resolution's two F1 biases in
+# different batches; 50 gives each point a batch of its own; and the default
+# holds a whole sweep of five resolutions and two biases
+@pytest.mark.parametrize("batch_events", [250, 300, 50, simulate._BATCH_EVENTS])
+def test_batches_of_sweep_points_equal_each_point_run_alone(batch_events):
+    resolutions, biases = (1, 5, 10, 15, 30), (0.0, 0.5)
+    with mock.patch.object(simulate, "_BATCH_EVENTS", batch_events):
+        mse = run_mse_experiment(seed=9, n_events=100, resolutions=resolutions)
+        f1 = run_f1_experiment(seed=9, n_events=100, resolutions=resolutions, bias_fractions=biases)
+    assert mse == [
+        row for res in resolutions for row in run_mse_experiment(9, 100, resolutions=(res,))
+    ]
+    assert f1 == [
+        row
+        for res in resolutions
+        for bias in biases
+        for row in run_f1_experiment(9, 100, resolutions=(res,), bias_fractions=(bias,))
+    ]
 
 
 SEEDS = [0, 3, 7, 2**32 - 1, 2**32, 2**64 + 5]
