@@ -36,7 +36,6 @@ from .ingest import (
     read_json,
     read_label_csv,
     read_sensor_csv,
-    write_habit_report,
     write_json,
     write_label_csv,
     write_table_csv,
@@ -149,11 +148,18 @@ def infer_habit_cmd(annotations_csv, delta, catalog_spec, annotator, out):
         if not evidence:
             click.echo(f"warning: no rows for annotator {annotator!r}", err=True)
     sets = [AnnotationSet.from_timestamps(stamps.ravel()) for _, stamps in evidence.values()]
-    pairs = annotator_posteriors(sets, catalog, model)
-    posteriors = [(annotator_id, *pair) for annotator_id, pair in zip(evidence, pairs)]
+    annotators = [
+        {
+            "annotator_id": annotator_id,
+            "n_annotations": len(rows),
+            "habit": habit.to_dict(),
+            **rows.to_dict(),
+        }
+        for annotator_id, (habit, rows) in zip(evidence, annotator_posteriors(sets, catalog, model))
+    ]
     config = {"delta": model.delta, "catalog": list(catalog.periods)}
-    write_habit_report(out, config, posteriors)
-    click.echo(f"wrote {out} ({len(posteriors)} annotators)")
+    write_json(out, {"annotators": annotators, "config": config})
+    click.echo(f"wrote {out} ({len(annotators)} annotators)")
 
 
 @main.command("soft-labels")

@@ -278,16 +278,22 @@ def _m_step(
     (T, 2) and the summed transition posteriors `xi_sum` (2, 2), variances
     floored at `var_floor`. A state the data never visits has no statistics
     and keeps its emission from `params`; one never left before the last
-    slot keeps its transition row."""
-    occupancy = gamma.sum(axis=0)
+    slot keeps its transition row.
+
+    Every sum over the slots runs along a contiguous row of gamma held
+    state-major, (2, T), which is how `_forward_backward` lays it out, so
+    NumPy sums each row pairwise and the bits do not depend on `gamma`'s
+    memory order."""
+    by_state = np.ascontiguousarray(gamma.T)
+    occupancy = by_state.sum(axis=1)
     starved = occupancy <= 0.0
     weight = np.where(starved, 1.0, occupancy)
-    means = (gamma * values[:, None]).sum(axis=0) / weight
+    means = (by_state * values).sum(axis=1) / weight
     with np.errstate(over="ignore"):
-        variances = (gamma * (values[:, None] - means[None, :]) ** 2).sum(axis=0) / weight
+        variances = (by_state * (values - means[:, None]) ** 2).sum(axis=1) / weight
     means = np.where(starved, params.means, means)
     variances = np.where(starved, params.variances, np.maximum(variances, var_floor))
-    trans_denom = gamma[:-1].sum(axis=0)
+    trans_denom = by_state[:, :-1].sum(axis=1)
     transition = np.where(
         trans_denom[:, None] > 1e-12,
         xi_sum / np.maximum(trans_denom[:, None], 1e-300),

@@ -206,18 +206,16 @@ class CategoryPosterior:
         return periods[self.map_index[list(self.minutes)]]
 
     def to_dict(self) -> dict:
-        probs = self.table.tolist()
+        """The annotations' minutes, in order, and one `table` entry per
+        distinct annotated minute, keyed by its text: its MAP period and
+        its row."""
+        periods, probs = self.catalog.periods, self.table.tolist()
         return {
-            "periods": list(self.catalog.periods),
-            "annotations": [
-                {
-                    "index": i,
-                    "minute": m,
-                    "map_period": period,
-                    "probs": list(probs[m]),
-                }
-                for i, (m, period) in enumerate(zip(self.minutes, self.map_periods().tolist()))
-            ],
+            "annotations": list(self.minutes),
+            "table": {
+                str(m): {"map_period": periods[self.map_index[m]], "probs": probs[m]}
+                for m in sorted(set(self.minutes))
+            },
         }
 
 

@@ -26,11 +26,9 @@ order mark skipped. Every file is written by `_write_text`: its whole text
 is built and encoded as UTF-8, without a byte order mark and with `\n` line
 ends whatever the platform, before the file is opened, then written with one
 `os.open`, `os.write` and `os.close`. So a text that cannot be encoded leaves
-no file behind, and a label file costs three system calls. JSON is written as
-`json.dumps(indent=2, sort_keys=True)` writes it: by `write_json`, or for
-the `infer-habit` report by `write_habit_report`, which renders each
-annotator's entry for a minute once and reuses it for every annotation at
-that minute.
+no file behind, and a label file costs three system calls. Every JSON file,
+the `infer-habit` report included, is written by `write_json` as
+`json.dumps(indent=2, sort_keys=True)` writes it.
 """
 
 from __future__ import annotations
@@ -483,71 +481,6 @@ def _format_cell(value) -> str:
 
 def write_json(path, payload: dict):
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-_PAD = "  "  # one level of json.dumps(indent=2)
-
-
-def write_habit_report(path, config: dict, annotators) -> None:
-    """The `infer-habit` report of `config` and, per (annotator_id,
-    HabitPosterior, CategoryPosterior) in `annotators`, in order, the habit
-    block and one entry per annotation.
-
-    The bytes are those `write_json` writes for the report built from the
-    posteriors' `to_dict`: {"annotators": [{"annotations", "annotator_id",
-    "habit", "n_annotations"}, ...], "config": config}. An annotation's
-    entry depends only on its index and its minute, so each annotator's
-    entry text for a minute is rendered once, and every annotation at that
-    minute reuses it after its own "index" line. `json` renders the rest.
-    """
-    blocks = [_annotator_block(*annotator) for annotator in annotators]
-    text = _with_first_key("annotators", _json_list(blocks, 1), {"config": config}, 0)
-    _write_text(path, text + "\n")
-
-
-def _annotator_block(annotator_id: str, habit, rows) -> str:
-    """One annotator's report object, rendered at depth 2."""
-    periods, probs = rows.catalog.periods, rows.table.tolist()
-    tails = {m: _entry_tail(periods[rows.map_index[m]], m, probs[m]) for m in set(rows.minutes)}
-    entries = [f'{{\n{_PAD * 5}"index": {i},{tails[m]}' for i, m in enumerate(rows.minutes)]
-    rest = {"annotator_id": annotator_id, "habit": habit.to_dict(), "n_annotations": len(rows)}
-    return _with_first_key("annotations", _json_list(entries, 3), rest, 2)
-
-
-def _entry_tail(period: int, minute: int, probs: list[float]) -> str:
-    """The text after `"index": i,` of an annotation entry at depth 4, laid
-    out as `_json_at` would lay it out. The probabilities are finite, which
-    json writes with float.__repr__."""
-    key, item = "\n" + _PAD * 5, "\n" + _PAD * 6
-    return (
-        f'{key}"map_period": {period},{key}"minute": {minute},{key}"probs": [{item}'
-        + ("," + item).join(map(float.__repr__, probs))
-        + f"{key}]\n{_PAD * 4}}}"
-    )
-
-
-def _json_at(value, depth: int) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) as it reads nested at `depth`.
-
-    json escapes line breaks inside strings, so every newline in its output
-    starts an indented line."""
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + _PAD * depth)
-
-
-def _json_list(items: list[str], depth: int) -> str:
-    """An indent-2 JSON list at `depth` of items already rendered at depth + 1."""
-    if not items:
-        return "[]"
-    inner = "\n" + _PAD * (depth + 1)
-    return "[" + inner + ("," + inner).join(items) + "\n" + _PAD * depth + "]"
-
-
-def _with_first_key(key: str, value_text: str, rest: dict, depth: int) -> str:
-    """The indent-2, key-sorted JSON object at `depth` of `rest` plus `key`,
-    whose value is already rendered at `depth + 1`; `key` sorts before every
-    key of the non-empty `rest`."""
-    head = "{\n" + _PAD * (depth + 1) + json.dumps(key) + ": " + value_text
-    return head + "," + _json_at(rest, depth)[1:]
 
 
 def read_json(path) -> dict:

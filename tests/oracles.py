@@ -5,10 +5,11 @@ and posteriors come from exhaustive enumeration of the model, boundary
 probabilities from midpoint quadrature of the uniform density, state paths
 from trying every possible path or from one NumPy max-plus step per slot,
 state posteriors from every path or from Rabiner's scaled recursion, label CSV
-bytes from formatting row by row, the `infer-habit` report from `to_dict` and
-json's indent encoder, masked MSE from boolean indexing, the MSE and F1 sweeps
-from one label series per simulated record, and the error-rate sweep from one
-NumPy draw and one category posterior per trial.
+bytes from formatting row by row, the `infer-habit` report from one
+`habit_posterior` and one `category_posterior` call per annotator, their
+`to_dict` and json's indent encoder, masked MSE from boolean indexing, the MSE
+and F1 sweeps from one label series per simulated record, and the error-rate
+sweep from one NumPy draw and one category posterior per trial.
 """
 
 import csv
@@ -261,9 +262,10 @@ def reference_write_label_csv(path, series, header=""):
 
 
 def reference_habit_report(records, catalog, model, annotator=None) -> str:
-    """The `infer-habit` report text of diary `records`: a dict per
-    annotation from `to_dict`, encoded by json's indent encoder. `annotator`
-    keeps only that annotator's records."""
+    """The `infer-habit` report text of diary `records`: per annotator, its
+    habit and its minute table from `to_dict` of its own posterior calls,
+    encoded by json's indent encoder. `annotator` keeps only that
+    annotator's records."""
     stamps = {}
     for rec in records:
         if annotator is None or rec.annotator_id == annotator:
@@ -278,7 +280,7 @@ def reference_habit_report(records, catalog, model, annotator=None) -> str:
                 "annotator_id": annotator_id,
                 "n_annotations": len(evidence),
                 "habit": habit.to_dict(),
-                "annotations": rows.to_dict()["annotations"],
+                **rows.to_dict(),
             }
         )
     return json.dumps(report, indent=2, sort_keys=True) + "\n"

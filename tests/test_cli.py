@@ -166,9 +166,11 @@ def test_infer_habit_cmd(runner, annotations_csv, tmp_path):
     assert set(by_id) == {"p01", "p02"}
     assert by_id["p01"]["habit"]["map_period"] == 30
     assert by_id["p02"]["habit"]["map_period"] == 1
-    assert by_id["p01"]["n_annotations"] == 8
-    for row in by_id["p01"]["annotations"]:
-        assert row["map_period"] == 30
+    assert by_id["p01"]["n_annotations"] == len(by_id["p01"]["annotations"]) == 8
+    table = by_id["p01"]["table"]
+    assert set(table) == {str(m) for m in by_id["p01"]["annotations"]}
+    for entry in table.values():
+        assert entry["map_period"] == 30
 
 
 def test_infer_habit_two_annotators_independent(runner, annotations_csv, tmp_path):
@@ -522,9 +524,10 @@ GOLDEN_SOFT_LABELS_SHA256 = {
 # SHA-256 of the `infer-habit` JSON and the `histogram` CSV for GOLDEN_DIARY
 # (default options). The histogram digest was captured before the MAP lookup
 # and the histogram were rebuilt on the per-minute tables; the infer-habit
-# digest when the posteriors were rebuilt on minute classes, whose sums are
-# fixed-order folds that no BLAS kernel or SIMD target reorders.
-GOLDEN_INFER_HABIT_SHA256 = "6b04cffc28408069ac04ba139412fb3dc51d31a8d0f78ba101951727cba49967"
+# digest when the report took one minute table per annotator. Its posteriors
+# come from minute classes, whose sums are fixed-order folds that no BLAS
+# kernel or SIMD target reorders.
+GOLDEN_INFER_HABIT_SHA256 = "353b5205c011d70e319b3155761123982e667671d43210f2e95b2eb207b719e3"
 GOLDEN_HISTOGRAM_SHA256 = "dbbf002e86e2f48d961db6d55c4f4d8120423efdf11f6e13ca38b3c3811d0d70"
 
 

@@ -263,6 +263,19 @@ def test_m_step_starved_state_keeps_its_emission_and_transition_row():
     np.testing.assert_array_equal(params.initial, [1.0, 0.0])
 
 
+def test_m_step_does_not_depend_on_the_memory_order_of_gamma():
+    # a day of slots, so that a sum in another order than NumPy's pairwise
+    # one moves the last bits
+    rng = np.random.default_rng(6)
+    values = np.where(rng.random(1440) < 0.2, 80.0, 40.0) + rng.normal(0.0, 3.0, 1440)
+    gamma, xi_sum, _ = _forward_backward(_shower_params(), values)
+    assert gamma.flags.f_contiguous and not gamma.flags.c_contiguous
+    state_major = _m_step(values, gamma, xi_sum, _shower_params(), 1e-10)
+    slot_major = _m_step(values, np.ascontiguousarray(gamma), xi_sum, _shower_params(), 1e-10)
+    for name in ("initial", "transition", "means", "variances"):
+        assert getattr(state_major, name).tobytes() == getattr(slot_major, name).tobytes(), name
+
+
 def _random_case(rng, n_slots=None, kind=None):
     """A random 2-state model and series of `n_slots` (1-10 if not given).
     `kind` (random if not given) 1 is sticky, 2 has a zero transition row and

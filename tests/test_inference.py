@@ -171,6 +171,21 @@ def test_category_posterior_rejects_nan_row_at_annotated_minute(catalog, model):
         CategoryPosterior(catalog, (0, 7), table, post.map_index)
 
 
+def test_category_posterior_to_dict_is_one_entry_per_distinct_minute(catalog, model):
+    minutes = (0, 7, 30, 7, 45, 13, 0, 59, 7)
+    rows = category_posterior(AnnotationSet(minutes), catalog, model)
+    report = rows.to_dict()
+    assert set(report) == {"annotations", "table"}
+    assert report["annotations"] == list(minutes)
+    table = report["table"]
+    assert set(table) == {str(m) for m in minutes}
+    for i, m in enumerate(minutes):
+        entry = table[str(m)]
+        assert entry["probs"] == rows.table[m].tolist()
+        assert math.isclose(sum(entry["probs"]), 1.0, abs_tol=1e-12)
+        assert entry["map_period"] == rows.map_category(i).period_minutes
+
+
 def test_twenty_half_hour_annotations_give_confident_habit(catalog, model):
     hab = habit_posterior(AnnotationSet((0, 30) * 10), catalog, model)
     assert hab.map_category().period_minutes == 30
