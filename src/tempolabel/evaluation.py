@@ -12,9 +12,12 @@ Two families of metrics:
 Both are summed once, here, per segment of a flat grid (windows laid end to
 end by `labels._flat_grid`, window k owning slots offsets[k]:offsets[k + 1]):
 `evaluate` scores a series as one segment per event or one in all, the
-simulate sweeps one per simulated event. A segment is summed as one
-C-contiguous row slice with `np.add.reduce`, NumPy's pairwise sum, exactly
-as `np.sum` and `np.mean` sum a single series. Hard labels of whole-minute
+simulate sweeps one per simulated event. The rows to sum (the four
+confusion cells, or the squared differences) are written into one
+preallocated C-contiguous array. Each segment of it is summed as one row
+slice with `np.add.reduce`, NumPy's pairwise sum, exactly as `np.sum` and
+`np.mean` sum a single series, straight into its column of a preallocated
+(rows, segments) array. Hard labels of whole-minute
 spans need no sum: `span_confusion` gives their counts, integers, from the
 spans' overlap and lengths, with the bits any sum of their 0/1 slots has.
 """
@@ -77,12 +80,14 @@ def _near(minutes, boundary, halfwidth) -> np.ndarray:
 
 
 def _segment_sums(rows: np.ndarray, offsets) -> np.ndarray:
-    """(R, K) sums of each of the R rows over each of the K segments."""
+    """(R, K) sums of each of the R float rows over each of the K segments."""
     offsets = np.asarray(offsets).tolist()
-    # rows C-contiguous (both callers stack them), so that reducing a slice
-    # along axis 1 runs the pairwise sum np.sum runs over one series
-    sums = [np.add.reduce(rows[:, a:b], axis=1) for a, b in zip(offsets[:-1], offsets[1:])]
-    return np.stack(sums, axis=1)
+    sums = np.empty((len(rows), len(offsets) - 1), dtype=rows.dtype)
+    # rows C-contiguous (both callers fill one array), so that reducing a
+    # slice along axis 1 runs the pairwise sum np.sum runs over one series
+    for k, (a, b) in enumerate(zip(offsets[:-1], offsets[1:])):
+        np.add.reduce(rows[:, a:b], axis=1, out=sums[:, k])
+    return sums
 
 
 def boundary_slot_mask(
@@ -113,7 +118,10 @@ def segment_boundary_mse(minutes, offsets, events, differences, halfwidth) -> np
     counts = np.diff(selected)
     if not np.all(counts):
         raise InputError("slot selection is empty")
-    squares = np.stack([(d * d)[near] for d in differences])
+    squares = np.empty((len(differences), selected[-1]), dtype=np.result_type(*differences))
+    for difference, row in zip(differences, squares):
+        kept = difference[near]
+        np.multiply(kept, kept, out=row)
     return _segment_sums(squares, selected) / counts
 
 
@@ -149,7 +157,15 @@ def segment_confusion(reference, prediction, offsets) -> np.ndarray:
     """Per segment of two flat value arrays, the slot-wise product confusion
     counts: a (4, K) array of tp, fp, fn and tn."""
     r, p = reference, prediction
-    cells = np.stack([r * p, (1.0 - r) * p, r * (1.0 - p), (1.0 - r) * (1.0 - p)])
+    cells = np.empty((4, len(r)), dtype=np.result_type(r, p, 1.0))
+    tp, fp, fn, tn = cells
+    # each cell's product written in place, 1 - r and 1 - p held in fp and tn
+    np.subtract(1.0, p, out=tn)
+    np.multiply(r, tn, out=fn)
+    np.subtract(1.0, r, out=fp)
+    np.multiply(fp, tn, out=tn)
+    np.multiply(fp, p, out=fp)
+    np.multiply(r, p, out=tp)
     return _segment_sums(cells, offsets)
 
 

@@ -25,8 +25,7 @@ annotator's evidence only through its class counts, the (K,) sums of its
   plus a (K,) MAP index: the position of each row's MAP category. It is
   spread to a (60, C) table only where per-minute rows are reported
   (`CategoryPosterior`). Every per-annotation MAP answer
-  (`CategoryPosterior.map_category`, `map_periods`, `boundary_periods`)
-  reads that index.
+  (`CategoryPosterior.map_category`, `boundary_periods`) reads that index.
 
 The core works on a batch of class counts at once: `annotator_posteriors`
 and `boundary_periods` make one call for all annotators of a diary, the
@@ -199,11 +198,6 @@ class CategoryPosterior:
     def map_category(self, i: int) -> ResolutionCategory:
         """The MAP category of annotation i."""
         return self.catalog[int(self.map_index[self.minutes[i]])]
-
-    def map_periods(self) -> np.ndarray:
-        """(n_annotations,) periods of the MAP categories, in annotation order."""
-        periods = np.array(self.catalog.periods)
-        return periods[self.map_index[list(self.minutes)]]
 
     def to_dict(self) -> dict:
         """The annotations' minutes, in order, and one `table` entry per

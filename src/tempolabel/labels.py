@@ -19,13 +19,17 @@ The soft label function has one definition, `soft_values`, and the hard
 one `indicator`; the per-record `soft_series` and `hard_series` and the
 batched grid all sample them. `label_grids`, the grid of `soft-labels` and
 the simulate sweeps, lays records' windows end to end with `_flat_grid`
-(the layout `evaluation` scores by), `_GRID_RECORDS` records at a time. A
-record the grid rejects is rebuilt through the per-record functions, so
-each error message lives in them alone. A grid checks its soft values once,
-with `LabelSeries`' own check, and freezes them; `LabelGrid.soft_labels`
-then hands out each record's series as a read-only view of them, not a
-re-checked copy. `LabelSeries` and `hmm`'s sensor series share one shape
-check, `_series_values`.
+(the layout `evaluation` scores by), `_GRID_RECORDS` records at a time.
+Each record's ramp starts, half-widths and hard span ends reach its slots
+through `np.repeat` over the window lengths, as contiguous rows, and
+`ramp` and `soft_values` write their later steps over arrays they made
+themselves instead of allocating new ones. A record the grid rejects is
+rebuilt through the per-record functions, so each error message lives in
+them alone. A grid checks its soft values once, with `LabelSeries`' own
+check, and freezes them; `LabelGrid.soft_labels` then hands out each
+record's series as a read-only view of them, not a re-checked copy.
+`LabelSeries` and `hmm`'s sensor series share one shape check,
+`_series_values`.
 """
 
 from __future__ import annotations
@@ -134,7 +138,9 @@ class LabelSeries:
 def ramp(t, lo, half_width) -> np.ndarray:
     """Uniform-boundary CDF: 0 up to `lo`, rising linearly to 1 at
     `lo + 2 * half_width`. Arguments broadcast element-wise."""
-    return np.clip((t - lo) / (2.0 * half_width), 0.0, 1.0)
+    rise = (t - lo) / (2.0 * half_width)
+    # clipped in place, where the quotient is an array: a scalar has no buffer
+    return np.clip(rise, 0.0, 1.0, out=rise if isinstance(rise, np.ndarray) else None)
 
 
 def indicator(t, start, end) -> np.ndarray:
@@ -146,7 +152,19 @@ def soft_values(t, lo_start, half_start, lo_end, half_end) -> np.ndarray:
     """The soft label function, P(started) * P(not yet ended) at time t, of
     ramps from `lo_start` and `lo_end` with half-widths `half_start` and
     `half_end`. Arguments broadcast element-wise."""
-    return ramp(t, lo_start, half_start) * (1.0 - ramp(t, lo_end, half_end))
+    started = ramp(t, lo_start, half_start)
+    ended = ramp(t, lo_end, half_end)
+    if not isinstance(ended, np.ndarray):
+        # scalar arithmetic, which may keep another NaN's sign than a ufunc
+        return started * (1.0 - ended)
+    not_ended = np.subtract(1.0, ended, out=ended)
+    # the product overwrites `started` only where it has the product's shape and type
+    same = (
+        isinstance(started, np.ndarray)
+        and started.shape == not_ended.shape
+        and started.dtype == not_ended.dtype
+    )
+    return np.multiply(started, not_ended, out=started if same else None)
 
 
 def soft_series(
@@ -287,14 +305,19 @@ def label_grids(lo, hi, centers, periods, spans=()):
 
 
 def _label_grid(records: range, lo, hi, ramp_lo, half_widths, spans) -> LabelGrid:
-    index = np.arange(records.start, records.stop)
-    offsets, minutes = _flat_grid(lo[index], hi[index])
-    record = np.repeat(index, np.diff(offsets))
+    """The grid of `records`. Each record's ramp starts and half-widths, and
+    the ends of each of its hard spans, reach its slots through `np.repeat`
+    over the window lengths, as contiguous rows, not through a gather by
+    each slot's record."""
+    batch = slice(records.start, records.stop)
+    offsets, minutes = _flat_grid(lo[batch], hi[batch])
+    lengths = np.diff(offsets)
     mid = minutes + 0.5
-    soft = soft_values(
-        mid, ramp_lo[record, 0], half_widths[record, 0], ramp_lo[record, 1], half_widths[record, 1]
+    (lo_start, lo_end), (half_start, half_end) = (
+        np.repeat(values[batch].T, lengths, axis=1) for values in (ramp_lo, half_widths)
     )
+    soft = soft_values(mid, lo_start, half_start, lo_end, half_end)
     _check_label_values(soft)
     soft.flags.writeable = False
-    hard = tuple(indicator(mid, span[record, 0], span[record, 1]) for span in spans)
+    hard = tuple(indicator(mid, *np.repeat(span[batch].T, lengths, axis=1)) for span in spans)
     return LabelGrid(records, offsets, minutes, soft, hard)

@@ -4,12 +4,13 @@ Nothing here shares code with the package's fast paths: joint probabilities
 and posteriors come from exhaustive enumeration of the model, boundary
 probabilities from midpoint quadrature of the uniform density, state paths
 from trying every possible path or from one NumPy max-plus step per slot,
-state posteriors from every path or from Rabiner's scaled recursion, label CSV
-bytes from formatting row by row, the `infer-habit` report from one
-`habit_posterior` and one `category_posterior` call per annotator, their
-`to_dict` and json's indent encoder, masked MSE from boolean indexing, the MSE
-and F1 sweeps from one label series per simulated record, and the error-rate
-sweep from one NumPy draw and one category posterior per trial.
+state posteriors from every path or from Rabiner's scaled recursion, the
+label functions from one NumPy expression each, label CSV bytes from
+formatting row by row, the `infer-habit` report from one `habit_posterior`
+and one `category_posterior` call per annotator, their `to_dict` and json's
+indent encoder, masked MSE from boolean indexing, the MSE and F1 sweeps from
+one label series per simulated record, and the error-rate sweep from one
+NumPy draw and one category posterior per trial.
 """
 
 import csv
@@ -224,6 +225,22 @@ def stepwise_forward_backward(initial, transition, means, variances, values):
         xi_sum += np.exp(log_alpha[t][:, None] + ahead)
     gamma = np.exp(log_alpha + log_beta)
     return float(log_c.sum() + shift.sum()), gamma, xi_sum
+
+
+def expression_ramp(t, lo, half_width):
+    """The uniform-boundary CDF as one NumPy expression, each step a fresh
+    result: the bits and return type `labels.ramp` keeps."""
+    return np.clip((t - lo) / (2.0 * half_width), 0.0, 1.0)
+
+
+def expression_soft_values(t, lo_start, half_start, lo_end, half_end):
+    """The soft label function as one expression over `expression_ramp`."""
+    return expression_ramp(t, lo_start, half_start) * (1.0 - expression_ramp(t, lo_end, half_end))
+
+
+def expression_indicator(t, start, end):
+    """The hard label function as one expression."""
+    return ((t >= start) & (t < end)).astype(float)
 
 
 def reference_masked_mse(reference, prediction, mask):

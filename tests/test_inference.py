@@ -425,8 +425,6 @@ def test_rows_gather_the_minute_table(catalog, model):
     assert post.table.shape == (60, len(catalog))
     rows = post.table[list(ann.minutes)]  # one posterior row per annotation
     np.testing.assert_array_equal(post.map_index[list(ann.minutes)], np.argmax(rows, axis=1))
-    periods = [post.map_category(i).period_minutes for i in range(len(ann))]
-    assert post.map_periods().tolist() == periods
     assert post.map_category(0) is post.map_category(2)
 
 

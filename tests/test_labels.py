@@ -18,6 +18,7 @@ from tempolabel import labels
 from tempolabel.catalog import CategoryCatalog, ResolutionCategory
 from tempolabel.labels import padded_bounds, ramp, soft_values
 
+from . import oracles
 from .oracles import quadrature_started_prob
 from .test_simulate import _CATALOGS
 
@@ -452,3 +453,129 @@ def test_grid_soft_values_outside_unit_interval_raise_the_series_error(bad):
     with mock.patch.object(labels, "soft_values", leaving), pytest.raises(InputError) as grid:
         _one_grid()
     assert str(grid.value) == str(per_series.value) == "label values must lie in [0, 1]"
+
+
+# Ramp centres off the minute grid, as the F1 sweep's bias-shifted ones are:
+# quarter minutes, or any float
+_FRACTIONAL = st.one_of(
+    st.integers(0, 400).map(lambda quarters: quarters / 4),
+    st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    records=st.lists(
+        # window start within its day; start ramp's distance from the window
+        # start and end ramp's from the start centre; both periods; and two
+        # hard spans, each a start and a length in minutes, cut to the window
+        st.tuples(
+            st.integers(-100, 100),
+            _FRACTIONAL,
+            _FRACTIONAL,
+            st.sampled_from([1, 5, 10, 15, 30]),
+            st.sampled_from([1, 5, 10, 15, 30]),
+            st.integers(0, 60),
+            st.lists(st.tuples(st.integers(0, 400), st.integers(0, 400)), min_size=2, max_size=2),
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    n_spans=st.integers(1, 2),
+    block=st.sampled_from([1, 3, labels._GRID_RECORDS]),
+)
+def test_label_grids_match_per_record_series_off_the_minute_grid(records, n_spans, block):
+    lo, hi, centers, periods, spans = [], [], [], [], []
+    for day, (offset, start_gap, duration, period_s, period_e, pad, hard) in enumerate(records):
+        start = day * 1440 + offset
+        center_s = start + period_s / 2 + start_gap
+        center_e = center_s + duration
+        end = int(np.ceil(center_e + period_e / 2)) + pad
+        lo.append(start)
+        hi.append(end)
+        centers.append((center_s, center_e))
+        periods.append((period_s, period_e))
+        spans.append([(start + min(a, end - start), min(start + a + b, end)) for a, b in hard])
+    lo, hi, centers, periods = map(np.array, (lo, hi, centers, periods))
+    spans = tuple(np.array(spans)[:, j] for j in range(n_spans))
+    got = []
+    with mock.patch.object(labels, "_GRID_RECORDS", block):
+        for grid in labels.label_grids(lo, hi, centers, periods, spans):
+            for k, (a, b) in zip(grid.records, grid.segments()):
+                hard = tuple(values[a:b].tobytes() for values in grid.hard)
+                got.append((k, grid.soft[a:b].tobytes(), hard))
+    expected = []
+    for k in range(len(records)):
+        window = TimeWindow(lo[k].item(), hi[k].item())
+        soft = _soft_per_record(centers, periods, k, window)
+        hard = tuple(hard_series(*span[k].tolist(), window).values.tobytes() for span in spans)
+        expected.append((k, soft.values.tobytes(), hard))
+    assert got == expected
+
+
+# Each argument of a label function, from its values below: one value as a
+# Python float, a NumPy scalar or a 0-d array, a Python int, or every value
+# as a row, a column (which broadcasts against a row) or a float32 row
+def _argument(values):
+    pick = st.sampled_from(values)
+    return st.one_of(
+        pick.map(float),
+        pick.map(np.float64),
+        pick.map(np.array),
+        st.integers(-2, 3),
+        st.just(np.array(values)),
+        st.just(np.array(values)[:, None]),
+        st.just(np.array(values, dtype=np.float32)),
+    )
+
+
+# times, ramp starts and half-widths with 0, 1, NaN, -0.0 and values that
+# fall outside a ramp, or make a ramp of zero, negative or infinite width
+_TIMES = [0.0, 1.0, np.nan, -0.0, 0.25, -7.0, 40.0, np.inf]
+_STARTS = [0.0, 1.0, np.nan, 0.0, -np.inf, 3.0, -1e30, 0.5]
+_HALF_WIDTHS = [0.5, 1.0, np.nan, 0.0, -1.0, np.inf, 15.0, 2.5]
+
+
+def _assert_like_expression(function, expression, args):
+    """`function(*args)` has the bits, type, shape and dtype of
+    `expression(*args)`, or raises what it raises, and writes over no argument."""
+    before = [np.array(arg) for arg in args]
+    with np.errstate(all="ignore"):
+        try:
+            want = expression(*args)
+        except Exception as exc:  # e.g. Python floats alone divided by zero
+            with pytest.raises(type(exc)):
+                function(*args)
+            return
+        got = function(*args)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for arg, copy in zip(args, before):
+        assert np.array(arg).tobytes() == copy.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(args=st.tuples(_argument(_TIMES), _argument(_STARTS), _argument(_HALF_WIDTHS)))
+def test_ramp_keeps_the_bits_and_type_of_its_expression(args):
+    _assert_like_expression(ramp, oracles.expression_ramp, args)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    args=st.tuples(
+        _argument(_TIMES),
+        _argument(_STARTS),
+        _argument(_HALF_WIDTHS),
+        _argument(_STARTS[::-1]),
+        _argument(_HALF_WIDTHS[::-1]),
+    )
+)
+def test_soft_values_keep_the_bits_and_type_of_their_expression(args):
+    _assert_like_expression(soft_values, oracles.expression_soft_values, args)
+
+
+@settings(deadline=None, max_examples=200)
+@given(args=st.tuples(_argument(_TIMES), _argument(_STARTS), _argument(_STARTS[::-1])))
+def test_indicator_keeps_the_bits_and_type_of_its_expression(args):
+    _assert_like_expression(labels.indicator, oracles.expression_indicator, args)
